@@ -48,6 +48,47 @@ std::string_view InputKindName(lang::MsqlInput::Kind kind) {
   return "input";
 }
 
+/// A SELECT over tables of several databases: decomposed into per-site
+/// subqueries plus a global join instead of expanded.
+bool IsDecomposedJoin(const relational::Statement& body) {
+  return body.kind() == StatementKind::kSelect &&
+         lang::Decomposer::IsMultidatabase(
+             static_cast<const relational::SelectStmt&>(body));
+}
+
+/// INSERT INTO db1.t SELECT ... FROM db2.s: a cross-database data
+/// transfer instead of a multiple query.
+bool IsDataTransfer(const relational::Statement& body) {
+  if (body.kind() != StatementKind::kInsert) return false;
+  const auto& insert = static_cast<const relational::InsertStmt&>(body);
+  if (insert.select_source == nullptr || insert.table.database.empty()) {
+    return false;
+  }
+  for (const auto& ref : insert.select_source->from) {
+    if (!ref.database.empty()) return true;
+  }
+  return false;
+}
+
+/// The Prepare/Execute contract over a front-end result: hard errors
+/// propagate, and checker errors fail the input with kInvalidArgument
+/// unless the front end resolved it as a refusal.
+Status FrontEndStatus(const Result<PreparedInput>& prepared) {
+  if (!prepared.ok()) return prepared.status();
+  if (prepared->immediate.has_value()) return Status::OK();
+  return prepared->diagnostics.ToStatus();
+}
+
+/// Report of an input the front end refused before anything ran.
+ExecutionReport RefusedReport(Status detail,
+                              std::vector<std::string> non_pertinent = {}) {
+  ExecutionReport report;
+  report.outcome = GlobalOutcome::kRefused;
+  report.detail = std::move(detail);
+  report.non_pertinent = std::move(non_pertinent);
+  return report;
+}
+
 }  // namespace
 
 void MultidatabaseSystem::FinishInputSpan(obs::ScopedSpan* span,
@@ -98,10 +139,13 @@ void MultidatabaseSystem::FinishInputSpan(obs::ScopedSpan* span,
   }
 }
 
-void MultidatabaseSystem::SnapshotProfileCounters(bool top_level) {
+bool MultidatabaseSystem::BeginInput() {
+  const obs::Tracer& tracer = env_.tracer();
+  const bool top_level = tracer.enabled() && tracer.current_parent() == 0;
   if (top_level && collect_profiles_) {
     profile_counters_before_ = env_.metrics().CounterSnapshot();
   }
+  return top_level;
 }
 
 void MultidatabaseSystem::LogInput(lang::MsqlInput::Kind kind,
@@ -244,8 +288,7 @@ Result<MsqlQuery> MultidatabaseSystem::ResolveScope(const MsqlQuery& query) {
 Result<ExecutionReport> MultidatabaseSystem::Execute(
     std::string_view msql_text) {
   obs::Tracer& tracer = env_.tracer();
-  const bool top_level = tracer.enabled() && tracer.current_parent() == 0;
-  SnapshotProfileCounters(top_level);
+  const bool top_level = BeginInput();
   obs::ScopedSpan exec_span(&tracer, "msql.execute", "frontend", 0);
   Result<lang::MsqlInput> parsed = [&] {
     obs::ScopedSpan parse_span(&tracer, "msql.parse", "frontend", 0);
@@ -269,48 +312,38 @@ Result<ExecutionReport> MultidatabaseSystem::ExecuteInput(
       return ExecuteQuery(*input.query);
     case lang::MsqlInput::Kind::kMultiTransaction:
       return ExecuteMultiTransaction(*input.multitransaction);
-    case lang::MsqlInput::Kind::kIncorporate: {
-      MSQL_RETURN_IF_ERROR(ExecuteIncorporate(*input.incorporate));
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kSuccess;
-      return report;
-    }
-    case lang::MsqlInput::Kind::kImport: {
-      MSQL_ASSIGN_OR_RETURN(auto imported, ExecuteImport(*input.import));
-      (void)imported;
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kSuccess;
-      return report;
-    }
-    case lang::MsqlInput::Kind::kAnalyze: {
-      MSQL_ASSIGN_OR_RETURN(auto analyzed, ExecuteAnalyze(*input.analyze));
-      (void)analyzed;
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kSuccess;
-      return report;
-    }
-    case lang::MsqlInput::Kind::kCreateMultidatabase:
-      MSQL_RETURN_IF_ERROR(
-          ExecuteCreateMultidatabase(*input.create_multidatabase));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kDropMultidatabase:
-      MSQL_RETURN_IF_ERROR(
-          ExecuteDropMultidatabase(*input.drop_multidatabase));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kCreateView:
-      MSQL_RETURN_IF_ERROR(ExecuteCreateView(*input.create_view));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kDropView:
-      MSQL_RETURN_IF_ERROR(ExecuteDropView(*input.drop_view));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kCreateTrigger:
-      MSQL_RETURN_IF_ERROR(ExecuteCreateTrigger(*input.create_trigger));
-      return ExecutionReport{};
-    case lang::MsqlInput::Kind::kDropTrigger:
-      MSQL_RETURN_IF_ERROR(ExecuteDropTrigger(*input.drop_trigger));
+    default:
+      MSQL_RETURN_IF_ERROR(ExecuteCatalogInput(input));
       return ExecutionReport{};
   }
-  return Status::Internal("unhandled MSQL input kind");
+}
+
+Status MultidatabaseSystem::ExecuteCatalogInput(
+    const lang::MsqlInput& input) {
+  switch (input.kind) {
+    case lang::MsqlInput::Kind::kIncorporate:
+      return ExecuteIncorporate(*input.incorporate);
+    case lang::MsqlInput::Kind::kImport:
+      return ExecuteImport(*input.import).status();
+    case lang::MsqlInput::Kind::kAnalyze:
+      return ExecuteAnalyze(*input.analyze).status();
+    case lang::MsqlInput::Kind::kCreateMultidatabase:
+      return ExecuteCreateMultidatabase(*input.create_multidatabase);
+    case lang::MsqlInput::Kind::kDropMultidatabase:
+      return ExecuteDropMultidatabase(*input.drop_multidatabase);
+    case lang::MsqlInput::Kind::kCreateView:
+      return ExecuteCreateView(*input.create_view);
+    case lang::MsqlInput::Kind::kDropView:
+      return ExecuteDropView(*input.drop_view);
+    case lang::MsqlInput::Kind::kCreateTrigger:
+      return ExecuteCreateTrigger(*input.create_trigger);
+    case lang::MsqlInput::Kind::kDropTrigger:
+      return ExecuteDropTrigger(*input.drop_trigger);
+    case lang::MsqlInput::Kind::kQuery:
+    case lang::MsqlInput::Kind::kMultiTransaction:
+      break;
+  }
+  return Status::Internal("not a catalog-shaping MSQL input");
 }
 
 Result<std::vector<ExecutionReport>> MultidatabaseSystem::ExecuteScript(
@@ -319,64 +352,9 @@ Result<std::vector<ExecutionReport>> MultidatabaseSystem::ExecuteScript(
                         lang::MsqlParser::ParseScript(msql_text));
   std::vector<ExecutionReport> reports;
   for (const auto& input : inputs) {
-    switch (input.kind) {
-      case lang::MsqlInput::Kind::kQuery: {
-        MSQL_ASSIGN_OR_RETURN(auto report, ExecuteQuery(*input.query));
-        LogInput(input.kind, report);
-        reports.push_back(std::move(report));
-        break;
-      }
-      case lang::MsqlInput::Kind::kMultiTransaction: {
-        MSQL_ASSIGN_OR_RETURN(auto report,
-                              ExecuteMultiTransaction(*input.multitransaction));
-        LogInput(input.kind, report);
-        reports.push_back(std::move(report));
-        break;
-      }
-      case lang::MsqlInput::Kind::kIncorporate:
-        MSQL_RETURN_IF_ERROR(ExecuteIncorporate(*input.incorporate));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kImport: {
-        MSQL_ASSIGN_OR_RETURN(auto imported, ExecuteImport(*input.import));
-        (void)imported;
-        reports.emplace_back();
-        break;
-      }
-      case lang::MsqlInput::Kind::kAnalyze: {
-        MSQL_ASSIGN_OR_RETURN(auto analyzed,
-                              ExecuteAnalyze(*input.analyze));
-        (void)analyzed;
-        reports.emplace_back();
-        break;
-      }
-      case lang::MsqlInput::Kind::kCreateMultidatabase:
-        MSQL_RETURN_IF_ERROR(
-            ExecuteCreateMultidatabase(*input.create_multidatabase));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kDropMultidatabase:
-        MSQL_RETURN_IF_ERROR(
-            ExecuteDropMultidatabase(*input.drop_multidatabase));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kCreateView:
-        MSQL_RETURN_IF_ERROR(ExecuteCreateView(*input.create_view));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kDropView:
-        MSQL_RETURN_IF_ERROR(ExecuteDropView(*input.drop_view));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kCreateTrigger:
-        MSQL_RETURN_IF_ERROR(ExecuteCreateTrigger(*input.create_trigger));
-        reports.emplace_back();
-        break;
-      case lang::MsqlInput::Kind::kDropTrigger:
-        MSQL_RETURN_IF_ERROR(ExecuteDropTrigger(*input.drop_trigger));
-        reports.emplace_back();
-        break;
-    }
+    MSQL_ASSIGN_OR_RETURN(auto report, ExecuteInput(input));
+    LogInput(input.kind, report);
+    reports.push_back(std::move(report));
   }
   return reports;
 }
@@ -457,37 +435,51 @@ lang::CostContext MultidatabaseSystem::BuildCostContext() const {
   return ctx;
 }
 
+std::string MultidatabaseSystem::ViewNameOf(const MsqlQuery& query) const {
+  if (query.body->kind() != StatementKind::kSelect) return "";
+  const auto& select =
+      static_cast<const relational::SelectStmt&>(*query.body);
+  if (select.from.size() != 1 || !select.from[0].database.empty()) {
+    return "";
+  }
+  std::string name = ToLower(select.from[0].table);
+  return views_.count(name) > 0 ? name : "";
+}
+
 Result<ExecutionReport> MultidatabaseSystem::ExecuteQuery(
     const MsqlQuery& query) {
-  obs::Tracer& tracer = env_.tracer();
-  const bool top_level = tracer.enabled() && tracer.current_parent() == 0;
-  SnapshotProfileCounters(top_level);
-  obs::ScopedSpan query_span(&tracer, "msql.query", "frontend", 0);
-  auto report = ExecuteQueryImpl(query);
+  const bool top_level = BeginInput();
+  obs::ScopedSpan query_span(&env_.tracer(), "msql.query", "frontend", 0);
+  // A SELECT whose single FROM table names a multidatabase view is
+  // answered from the view definition (before scope resolution — the
+  // stored query carries its own USE).
+  const std::string view = ViewNameOf(query);
+  auto report = view.empty() ? RunPrepared(PrepareQuery(query))
+                             : ExecuteViewQuery(query, view);
   if (report.ok()) FinishInputSpan(&query_span, top_level, &*report);
   return report;
 }
 
-Result<ExecutionReport> MultidatabaseSystem::ExecuteQueryImpl(
-    const MsqlQuery& query) {
-  // A SELECT whose single FROM table names a multidatabase view is
-  // answered from the view definition (before scope resolution — the
-  // stored query carries its own USE).
-  if (query.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*query.body);
-    if (select.from.size() == 1 && select.from[0].database.empty() &&
-        views_.count(ToLower(select.from[0].table)) > 0) {
-      return ExecuteViewQuery(query, ToLower(select.from[0].table));
-    }
-  }
+Result<ExecutionReport> MultidatabaseSystem::ExecuteMultiTransaction(
+    const lang::MultiTransaction& mt) {
+  const bool top_level = BeginInput();
+  obs::ScopedSpan mt_span(&env_.tracer(), "msql.multitransaction",
+                          "frontend", 0);
+  auto report = RunPrepared(PrepareMultiTransaction(mt));
+  if (report.ok()) FinishInputSpan(&mt_span, top_level, &*report);
+  return report;
+}
 
-  MSQL_ASSIGN_OR_RETURN(PreparedInput prepared, PrepareQuery(query));
-  if (prepared.immediate.has_value()) return *std::move(prepared.immediate);
-  MSQL_RETURN_IF_ERROR(VerifyPreparedPlan(prepared.plan));
+Result<ExecutionReport> MultidatabaseSystem::RunPrepared(
+    Result<PreparedInput> prepared) {
+  MSQL_RETURN_IF_ERROR(FrontEndStatus(prepared));
+  if (prepared->immediate.has_value()) {
+    return *std::move(prepared->immediate);
+  }
+  MSQL_RETURN_IF_ERROR(VerifyPreparedPlan(prepared->plan));
   dol::DolEngine engine(&env_, retry_policy_);
-  auto run = engine.Run(prepared.plan.program);
-  return FinishPreparedRun(std::move(prepared), std::move(run));
+  auto run = engine.Run(prepared->plan.program);
+  return FinishPreparedRun(std::move(*prepared), std::move(run));
 }
 
 Result<PreparedInput> MultidatabaseSystem::Prepare(
@@ -498,7 +490,9 @@ Result<PreparedInput> MultidatabaseSystem::Prepare(
         "Prepare expects exactly one MSQL input, got " +
         std::to_string(inputs.size()));
   }
-  return PrepareInput(inputs[0]);
+  Result<PreparedInput> prepared = PrepareInput(inputs[0]);
+  MSQL_RETURN_IF_ERROR(FrontEndStatus(prepared));
+  return prepared;
 }
 
 Result<PreparedInput> MultidatabaseSystem::PrepareInput(
@@ -519,15 +513,10 @@ Result<PreparedInput> MultidatabaseSystem::PrepareQuery(
     const MsqlQuery& query) {
   // View queries re-enter the serial front end per multitable element;
   // they do not compile down to a single plan.
-  if (query.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*query.body);
-    if (select.from.size() == 1 && select.from[0].database.empty() &&
-        views_.count(ToLower(select.from[0].table)) > 0) {
-      return Status::InvalidArgument(
-          "multidatabase view queries execute serially and cannot be "
-          "prepared");
-    }
+  if (!ViewNameOf(query).empty()) {
+    return Status::InvalidArgument(
+        "multidatabase view queries execute serially and cannot be "
+        "prepared");
   }
 
   PreparedInput prepared;
@@ -536,69 +525,57 @@ Result<PreparedInput> MultidatabaseSystem::PrepareQuery(
   translator::Translator translator(&ad_, &gdd_);
 
   // Multidatabase join: decompose instead of expanding.
-  if (resolved.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*resolved.body);
-    if (lang::Decomposer::IsMultidatabase(select)) {
-      lang::Decomposer decomposer(&gdd_);
-      lang::CostContext cost_context;
-      if (cost_based_optimizer_) {
-        cost_context = BuildCostContext();
-        decomposer.set_cost_based(true);
-        decomposer.set_cost_context(&cost_context);
-      }
-      obs::ScopedSpan decompose_span(&env_.tracer(), "msql.decompose",
-                                     "frontend", 0);
-      MSQL_ASSIGN_OR_RETURN(auto decomposition,
-                            decomposer.Decompose(select));
-      decompose_span.End();
-      prepared.cost_text = decomposition.cost_text;
-      obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                     "frontend", 0);
-      MSQL_ASSIGN_OR_RETURN(
-          prepared.plan, translator.TranslateDecomposedJoin(decomposition));
-      translate_span.End();
-      return prepared;
+  if (IsDecomposedJoin(*resolved.body)) {
+    lang::Decomposer decomposer(&gdd_);
+    lang::CostContext cost_context;
+    if (cost_based_optimizer_) {
+      cost_context = BuildCostContext();
+      decomposer.set_cost_based(true);
+      decomposer.set_cost_context(&cost_context);
     }
+    obs::ScopedSpan decompose_span(&env_.tracer(), "msql.decompose",
+                                   "frontend", 0);
+    MSQL_ASSIGN_OR_RETURN(
+        auto decomposition,
+        decomposer.Decompose(
+            static_cast<const relational::SelectStmt&>(*resolved.body)));
+    decompose_span.End();
+    prepared.cost_text = decomposition.cost_text;
+    obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
+                                   "frontend", 0);
+    MSQL_ASSIGN_OR_RETURN(
+        prepared.plan, translator.TranslateDecomposedJoin(decomposition));
+    translate_span.End();
+    return prepared;
   }
 
   // Cross-database data transfer: INSERT INTO db1.t SELECT ... FROM db2.s.
-  if (resolved.body->kind() == StatementKind::kInsert) {
-    const auto& insert =
-        static_cast<const relational::InsertStmt&>(*resolved.body);
-    bool qualified_select = false;
-    if (insert.select_source != nullptr) {
-      for (const auto& ref : insert.select_source->from) {
-        if (!ref.database.empty()) qualified_select = true;
-      }
-    }
-    if (qualified_select && !insert.table.database.empty()) {
-      obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                     "frontend", 0);
-      MSQL_ASSIGN_OR_RETURN(prepared.plan,
-                            translator.TranslateDataTransfer(insert));
-      translate_span.End();
-      prepared.data_transfer = true;
-      return prepared;
-    }
+  if (IsDataTransfer(*resolved.body)) {
+    obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
+                                   "frontend", 0);
+    MSQL_ASSIGN_OR_RETURN(
+        prepared.plan,
+        translator.TranslateDataTransfer(
+            static_cast<const relational::InsertStmt&>(*resolved.body)));
+    translate_span.End();
+    prepared.data_transfer = true;
+    return prepared;
   }
 
   // Static semantic check (DESIGN.md §8) before expansion burns any
   // simulated-network round trips. An unenforceable vital set (MS111)
   // is a refusal — the run-time translator path reports it the same
-  // way — while any other error is a hard failure.
+  // way — while any other error leaves the input without a plan.
   obs::ScopedSpan check_span(&env_.tracer(), "msql.check", "frontend", 0);
-  analysis::DiagnosticList diags = analysis::CheckQuery(resolved, gdd_, ad_);
+  prepared.diagnostics = analysis::CheckQuery(resolved, gdd_, ad_);
   check_span.End();
-  if (diags.has_errors()) {
-    if (diags.Find(analysis::diag::kVitalSetUnenforceable) != nullptr) {
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kRefused;
-      report.detail = Status::Refused(diags.RenderAll());
-      prepared.immediate = std::move(report);
-      return prepared;
+  if (prepared.diagnostics.has_errors()) {
+    if (prepared.diagnostics.Find(analysis::diag::kVitalSetUnenforceable) !=
+        nullptr) {
+      prepared.immediate =
+          RefusedReport(Status::Refused(prepared.diagnostics.RenderAll()));
     }
-    return diags.ToStatus();
+    return prepared;
   }
 
   lang::Expander expander(&gdd_);
@@ -613,13 +590,11 @@ Result<PreparedInput> MultidatabaseSystem::PrepareQuery(
     if (!entry.vital) continue;
     for (const auto& skipped : expansion.non_pertinent) {
       if (EqualsIgnoreCase(skipped, entry.EffectiveName())) {
-        ExecutionReport report;
-        report.outcome = GlobalOutcome::kRefused;
-        report.detail = Status::Refused(
-            "VITAL database '" + entry.EffectiveName() +
-            "' has no pertinent subquery in this multiple query");
-        report.non_pertinent = expansion.non_pertinent;
-        prepared.immediate = std::move(report);
+        prepared.immediate = RefusedReport(
+            Status::Refused(
+                "VITAL database '" + entry.EffectiveName() +
+                "' has no pertinent subquery in this multiple query"),
+            expansion.non_pertinent);
         return prepared;
       }
     }
@@ -630,43 +605,14 @@ Result<PreparedInput> MultidatabaseSystem::PrepareQuery(
   auto plan = translator.TranslateQuery(expansion);
   translate_span.End();
   if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kRefused;
-      report.detail = plan.status();
-      report.non_pertinent = expansion.non_pertinent;
-      prepared.immediate = std::move(report);
-      return prepared;
-    }
-    return plan.status();
+    if (plan.status().code() != StatusCode::kRefused) return plan.status();
+    prepared.immediate = RefusedReport(plan.status(), expansion.non_pertinent);
+    return prepared;
   }
   prepared.plan = std::move(*plan);
   prepared.non_pertinent = expansion.non_pertinent;
-  prepared.warnings = diags.items();  // surviving findings are warnings
-  prepared.fire_triggers = true;
-  prepared.expansion = std::move(expansion);
+  prepared.expansions.push_back(std::move(expansion));
   return prepared;
-}
-
-Result<ExecutionReport> MultidatabaseSystem::ExecuteMultiTransaction(
-    const lang::MultiTransaction& mt) {
-  obs::Tracer& tracer = env_.tracer();
-  const bool top_level = tracer.enabled() && tracer.current_parent() == 0;
-  SnapshotProfileCounters(top_level);
-  obs::ScopedSpan mt_span(&tracer, "msql.multitransaction", "frontend", 0);
-  auto report = ExecuteMultiTransactionImpl(mt);
-  if (report.ok()) FinishInputSpan(&mt_span, top_level, &*report);
-  return report;
-}
-
-Result<ExecutionReport> MultidatabaseSystem::ExecuteMultiTransactionImpl(
-    const lang::MultiTransaction& mt) {
-  MSQL_ASSIGN_OR_RETURN(PreparedInput prepared, PrepareMultiTransaction(mt));
-  if (prepared.immediate.has_value()) return *std::move(prepared.immediate);
-  MSQL_RETURN_IF_ERROR(VerifyPreparedPlan(prepared.plan));
-  dol::DolEngine engine(&env_, retry_policy_);
-  auto run = engine.Run(prepared.plan.program);
-  return FinishPreparedRun(std::move(prepared), std::move(run));
 }
 
 Result<PreparedInput> MultidatabaseSystem::PrepareMultiTransaction(
@@ -675,56 +621,42 @@ Result<PreparedInput> MultidatabaseSystem::PrepareMultiTransaction(
   prepared.kind = lang::MsqlInput::Kind::kMultiTransaction;
   translator::Translator translator(&ad_, &gdd_);
   lang::Expander expander(&gdd_);
-  std::vector<ExpansionResult> expansions;
-  std::vector<analysis::Diagnostic> warnings;
   for (const auto& query : mt.queries) {
     MSQL_ASSIGN_OR_RETURN(MsqlQuery resolved, ResolveScope(query));
     obs::ScopedSpan check_span(&env_.tracer(), "msql.check", "frontend", 0);
     analysis::DiagnosticList diags =
         analysis::CheckQuery(resolved, gdd_, ad_);
     check_span.End();
+    prepared.diagnostics.Append(diags);
     if (diags.has_errors()) {
+      // The refusal detail renders the failing member's findings only.
       if (diags.Find(analysis::diag::kVitalSetUnenforceable) != nullptr) {
-        ExecutionReport report;
-        report.outcome = GlobalOutcome::kRefused;
-        report.detail = Status::Refused(diags.RenderAll());
-        prepared.immediate = std::move(report);
-        return prepared;
+        prepared.immediate = RefusedReport(Status::Refused(diags.RenderAll()));
       }
-      return diags.ToStatus();
+      return prepared;
     }
-    for (const auto& d : diags.items()) warnings.push_back(d);
     obs::ScopedSpan expand_span(&env_.tracer(), "msql.expand", "frontend", 0);
     MSQL_ASSIGN_OR_RETURN(ExpansionResult expansion,
                           expander.Expand(resolved));
     expand_span.End();
-    expansions.push_back(std::move(expansion));
+    prepared.expansions.push_back(std::move(expansion));
   }
   obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
                                  "frontend", 0);
-  auto plan =
-      translator.TranslateMultiTransaction(expansions, mt.acceptable_states);
+  auto plan = translator.TranslateMultiTransaction(prepared.expansions,
+                                                   mt.acceptable_states);
   translate_span.End();
   if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
-      ExecutionReport report;
-      report.outcome = GlobalOutcome::kRefused;
-      report.detail = plan.status();
-      prepared.immediate = std::move(report);
-      return prepared;
-    }
-    return plan.status();
+    if (plan.status().code() != StatusCode::kRefused) return plan.status();
+    prepared.immediate = RefusedReport(plan.status());
+    return prepared;
   }
-  std::vector<std::string> non_pertinent;
-  for (const auto& expansion : expansions) {
-    non_pertinent.insert(non_pertinent.end(),
-                         expansion.non_pertinent.begin(),
-                         expansion.non_pertinent.end());
+  for (const auto& expansion : prepared.expansions) {
+    prepared.non_pertinent.insert(prepared.non_pertinent.end(),
+                                  expansion.non_pertinent.begin(),
+                                  expansion.non_pertinent.end());
   }
   prepared.plan = std::move(*plan);
-  prepared.non_pertinent = std::move(non_pertinent);
-  prepared.warnings = std::move(warnings);
-  prepared.mt_expansions = std::move(expansions);
   return prepared;
 }
 
@@ -851,7 +783,6 @@ ExecutionReport MultidatabaseSystem::AssembleRunReport(
 
 Result<ExecutionReport> MultidatabaseSystem::FinishPreparedRun(
     PreparedInput prepared, Result<dol::DolRunResult> run) {
-  const bool ran = run.ok();
   ExecutionReport report = AssembleRunReport(
       prepared.plan, std::move(prepared.non_pertinent), std::move(run));
   if (prepared.data_transfer) {
@@ -862,28 +793,23 @@ Result<ExecutionReport> MultidatabaseSystem::FinishPreparedRun(
     }
     report.multitable.elements.clear();  // not a retrieval answer
   }
-  report.diagnostics = std::move(prepared.warnings);
+  report.diagnostics = prepared.diagnostics.items();
   report.cost_text = std::move(prepared.cost_text);
-  if (ran && prepared.expansion.has_value()) {
-    MSQL_RETURN_IF_ERROR(
-        SyncGddAfterDdl(prepared.plan, report.run, *prepared.expansion));
-    RecordDmlChurn(*prepared.expansion, report.run);
-  }
-  for (const auto& expansion : prepared.mt_expansions) {
-    MSQL_RETURN_IF_ERROR(SyncGddAfterDdl(translator::Plan{}, report.run,
-                                         expansion));
-    if (ran) RecordDmlChurn(expansion, report.run);
-  }
-  if (prepared.fire_triggers && prepared.expansion.has_value()) {
-    MSQL_RETURN_IF_ERROR(FireTriggers(*prepared.expansion, &report));
+  // Catalog upkeep reads committed tasks only, so a failed run (empty
+  // task record) changes nothing.
+  for (const auto& expansion : prepared.expansions) {
+    MSQL_RETURN_IF_ERROR(SyncGddAfterDdl(report.run, expansion));
+    RecordDmlChurn(expansion, report.run);
+    // Interdatabase triggers fire on plain queries only.
+    if (prepared.kind == lang::MsqlInput::Kind::kQuery) {
+      MSQL_RETURN_IF_ERROR(FireTriggers(expansion, &report));
+    }
   }
   return report;
 }
 
 Status MultidatabaseSystem::SyncGddAfterDdl(
-    const translator::Plan& plan, const dol::DolRunResult& run,
-    const ExpansionResult& expansion) {
-  (void)plan;
+    const dol::DolRunResult& run, const ExpansionResult& expansion) {
   for (const auto& eq : expansion.queries) {
     StatementKind kind = eq.statement->kind();
     if (kind != StatementKind::kCreateTable &&
@@ -1230,263 +1156,54 @@ Result<std::vector<AnalysisReport>> MultidatabaseSystem::AnalyzeScript(
 
 Result<AnalysisReport> MultidatabaseSystem::AnalyzeInput(
     const lang::MsqlInput& input) {
-  switch (input.kind) {
-    case lang::MsqlInput::Kind::kQuery:
-      return AnalyzeQuery(*input.query);
-    case lang::MsqlInput::Kind::kMultiTransaction:
-      return AnalyzeMultiTransaction(*input.multitransaction);
-    default: {
-      // Catalog-shaping inputs are executed so later inputs of the same
-      // script are checked against the catalogs they would see. They
-      // produce no plan, hence nothing further to verify.
-      AnalysisReport report;
-      switch (input.kind) {
-        case lang::MsqlInput::Kind::kIncorporate:
-          report.kind = "incorporate";
-          report.error = ExecuteIncorporate(*input.incorporate);
-          break;
-        case lang::MsqlInput::Kind::kImport: {
-          report.kind = "import";
-          auto imported = ExecuteImport(*input.import);
-          if (!imported.ok()) report.error = imported.status();
-          break;
-        }
-        case lang::MsqlInput::Kind::kAnalyze: {
-          report.kind = "analyze";
-          auto analyzed = ExecuteAnalyze(*input.analyze);
-          if (!analyzed.ok()) report.error = analyzed.status();
-          break;
-        }
-        case lang::MsqlInput::Kind::kCreateMultidatabase:
-          report.kind = "create multidatabase";
-          report.error =
-              ExecuteCreateMultidatabase(*input.create_multidatabase);
-          break;
-        case lang::MsqlInput::Kind::kDropMultidatabase:
-          report.kind = "drop multidatabase";
-          report.error = ExecuteDropMultidatabase(*input.drop_multidatabase);
-          break;
-        case lang::MsqlInput::Kind::kCreateView:
-          report.kind = "create view";
-          report.error = ExecuteCreateView(*input.create_view);
-          break;
-        case lang::MsqlInput::Kind::kDropView:
-          report.kind = "drop view";
-          report.error = ExecuteDropView(*input.drop_view);
-          break;
-        case lang::MsqlInput::Kind::kCreateTrigger:
-          report.kind = "create trigger";
-          report.error = ExecuteCreateTrigger(*input.create_trigger);
-          break;
-        case lang::MsqlInput::Kind::kDropTrigger:
-          report.kind = "drop trigger";
-          report.error = ExecuteDropTrigger(*input.drop_trigger);
-          break;
-        default:
-          report.kind = "input";
-          break;
-      }
-      return report;
-    }
-  }
-}
-
-Result<AnalysisReport> MultidatabaseSystem::AnalyzeQuery(
-    const MsqlQuery& query) {
   AnalysisReport report;
-  report.kind = "query";
-
-  // Views carry their own USE; analyzing the outer query against the
-  // view name would mis-report the view as an unknown table.
-  if (query.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*query.body);
-    if (select.from.size() == 1 && select.from[0].database.empty() &&
-        views_.count(ToLower(select.from[0].table)) > 0) {
+  report.kind = std::string(InputKindName(input.kind));
+  if (input.kind == lang::MsqlInput::Kind::kQuery) {
+    // Views carry their own USE; analyzing the outer query against the
+    // view name would mis-report the view as an unknown table.
+    if (!ViewNameOf(*input.query).empty()) {
       report.kind = "view query";
       return report;
     }
-  }
-
-  // Analysis must not move the session scope: restore it afterwards.
-  UseClause saved = current_scope_;
-  auto resolved_or = ResolveScope(query);
-  current_scope_ = std::move(saved);
-  if (!resolved_or.ok()) {
-    report.error = resolved_or.status();
+    if (IsDecomposedJoin(*input.query->body)) report.kind = "decomposed join";
+    if (IsDataTransfer(*input.query->body)) report.kind = "data transfer";
+  } else if (input.kind != lang::MsqlInput::Kind::kMultiTransaction) {
+    // Catalog-shaping inputs are executed so later inputs of the same
+    // script are checked against the catalogs they would see. They
+    // produce no plan, hence nothing further to verify.
+    report.error = ExecuteCatalogInput(input);
     return report;
   }
-  MsqlQuery resolved = std::move(*resolved_or);
-  translator::Translator translator(&ad_, &gdd_);
 
-  // The dispatch mirrors ExecuteQuery: joins and data transfers skip
-  // the expansion-path checker (their identifiers are db-qualified).
-  if (resolved.body->kind() == StatementKind::kSelect) {
-    const auto& select =
-        static_cast<const relational::SelectStmt&>(*resolved.body);
-    if (lang::Decomposer::IsMultidatabase(select)) {
-      report.kind = "decomposed join";
-      lang::Decomposer decomposer(&gdd_);
-      lang::CostContext cost_context;
-      if (cost_based_optimizer_) {
-        cost_context = BuildCostContext();
-        decomposer.set_cost_based(true);
-        decomposer.set_cost_context(&cost_context);
-      }
-      auto decomposition = decomposer.Decompose(select);
-      if (!decomposition.ok()) {
-        report.error = decomposition.status();
-        return report;
-      }
-      report.cost_text = (*decomposition).cost_text;
-      auto plan = translator.TranslateDecomposedJoin(*decomposition);
-      if (!plan.ok()) {
-        report.error = plan.status();
-        return report;
-      }
-      report.translated = true;
-      report.dol_text = plan->program.ToDol();
-      report.diagnostics.Append(analysis::VerifyPlan(*plan));
-      report.summary = analysis::SummarizePlan(*plan);
-      report.diagnostics.Append(
-          analysis::AnalyzeConflicts(*plan, *report.summary));
-      return report;
-    }
+  // Analysis is the execution front end with the session scope put back.
+  UseClause saved = current_scope_;
+  Result<PreparedInput> prepared = PrepareInput(input);
+  current_scope_ = std::move(saved);
+  if (!prepared.ok()) {
+    report.error = prepared.status();
+    return report;
   }
-  if (resolved.body->kind() == StatementKind::kInsert) {
-    const auto& insert =
-        static_cast<const relational::InsertStmt&>(*resolved.body);
-    bool qualified_select = false;
-    if (insert.select_source != nullptr) {
-      for (const auto& ref : insert.select_source->from) {
-        if (!ref.database.empty()) qualified_select = true;
-      }
-    }
-    if (qualified_select && !insert.table.database.empty()) {
-      report.kind = "data transfer";
-      auto plan = translator.TranslateDataTransfer(insert);
-      if (!plan.ok()) {
-        report.error = plan.status();
-        return report;
-      }
-      report.translated = true;
-      report.dol_text = plan->program.ToDol();
-      report.diagnostics.Append(analysis::VerifyPlan(*plan));
-      report.summary = analysis::SummarizePlan(*plan);
-      report.diagnostics.Append(
-          analysis::AnalyzeConflicts(*plan, *report.summary));
-      return report;
-    }
-  }
-
-  obs::ScopedSpan check_span(&env_.tracer(), "msql.check", "frontend", 0);
-  report.diagnostics = analysis::CheckQuery(resolved, gdd_, ad_);
-  check_span.End();
-  if (report.diagnostics.Find(analysis::diag::kVitalSetUnenforceable) !=
-      nullptr) {
+  report.diagnostics = std::move(prepared->diagnostics);
+  report.cost_text = std::move(prepared->cost_text);
+  if (prepared->immediate.has_value()) {
+    // An MS111 refusal renders every finding so far (for a
+    // multitransaction, the members before the refused one too).
     report.refused = true;
     report.refusal =
-        Status::Refused(report.diagnostics.RenderAll());
+        report.diagnostics.Find(analysis::diag::kVitalSetUnenforceable) !=
+                nullptr
+            ? Status::Refused(report.diagnostics.RenderAll())
+            : prepared->immediate->detail;
     return report;
   }
   if (report.diagnostics.has_errors()) return report;
-
-  lang::Expander expander(&gdd_);
-  obs::ScopedSpan expand_span(&env_.tracer(), "msql.expand", "frontend", 0);
-  auto expansion = expander.Expand(resolved);
-  expand_span.End();
-  if (!expansion.ok()) {
-    report.error = expansion.status();
-    return report;
-  }
-  for (const auto& entry : resolved.use.entries) {
-    if (!entry.vital) continue;
-    for (const auto& skipped : expansion->non_pertinent) {
-      if (EqualsIgnoreCase(skipped, entry.EffectiveName())) {
-        report.refused = true;
-        report.refusal = Status::Refused(
-            "VITAL database '" + entry.EffectiveName() +
-            "' has no pertinent subquery in this multiple query");
-        return report;
-      }
-    }
-  }
-  obs::ScopedSpan translate_span(&env_.tracer(), "msql.translate",
-                                 "frontend", 0);
-  auto plan = translator.TranslateQuery(*expansion);
-  translate_span.End();
-  if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
-      report.refused = true;
-      report.refusal = plan.status();
-    } else {
-      report.error = plan.status();
-    }
-    return report;
-  }
+  const translator::Plan& plan = prepared->plan;
   report.translated = true;
-  report.dol_text = plan->program.ToDol();
+  report.dol_text = plan.program.ToDol();
   obs::ScopedSpan verify_span(&env_.tracer(), "msql.verify", "frontend", 0);
-  report.diagnostics.Append(analysis::VerifyPlan(*plan));
-  report.summary = analysis::SummarizePlan(*plan);
-  report.diagnostics.Append(
-      analysis::AnalyzeConflicts(*plan, *report.summary));
-  verify_span.End();
-  return report;
-}
-
-Result<AnalysisReport> MultidatabaseSystem::AnalyzeMultiTransaction(
-    const lang::MultiTransaction& mt) {
-  AnalysisReport report;
-  report.kind = "multitransaction";
-  UseClause saved = current_scope_;
-  lang::Expander expander(&gdd_);
-  std::vector<ExpansionResult> expansions;
-  for (const auto& query : mt.queries) {
-    auto resolved = ResolveScope(query);
-    if (!resolved.ok()) {
-      current_scope_ = saved;
-      report.error = resolved.status();
-      return report;
-    }
-    report.diagnostics.Append(
-        analysis::CheckQuery(*resolved, gdd_, ad_));
-    if (report.diagnostics.has_errors()) break;
-    auto expansion = expander.Expand(*resolved);
-    if (!expansion.ok()) {
-      current_scope_ = saved;
-      report.error = expansion.status();
-      return report;
-    }
-    expansions.push_back(std::move(*expansion));
-  }
-  current_scope_ = saved;
-  if (report.diagnostics.Find(analysis::diag::kVitalSetUnenforceable) !=
-      nullptr) {
-    report.refused = true;
-    report.refusal = Status::Refused(report.diagnostics.RenderAll());
-    return report;
-  }
-  if (report.diagnostics.has_errors()) return report;
-
-  translator::Translator translator(&ad_, &gdd_);
-  auto plan =
-      translator.TranslateMultiTransaction(expansions, mt.acceptable_states);
-  if (!plan.ok()) {
-    if (plan.status().code() == StatusCode::kRefused) {
-      report.refused = true;
-      report.refusal = plan.status();
-    } else {
-      report.error = plan.status();
-    }
-    return report;
-  }
-  report.translated = true;
-  report.dol_text = plan->program.ToDol();
-  report.diagnostics.Append(analysis::VerifyPlan(*plan));
-  report.summary = analysis::SummarizePlan(*plan);
-  report.diagnostics.Append(
-      analysis::AnalyzeConflicts(*plan, *report.summary));
+  report.diagnostics.Append(analysis::VerifyPlan(plan));
+  report.summary = analysis::SummarizePlan(plan);
+  report.diagnostics.Append(analysis::AnalyzeConflicts(plan, *report.summary));
   return report;
 }
 

@@ -148,16 +148,16 @@ struct PreparedInput {
   translator::Plan plan;
   /// Scope databases discarded as non-pertinent during disambiguation.
   std::vector<std::string> non_pertinent;
-  /// Non-fatal checker findings to surface on the final report.
-  std::vector<analysis::Diagnostic> warnings;
-  /// Expansion behind a plain query plan (GDD sync + trigger source).
-  std::optional<lang::ExpansionResult> expansion;
-  /// Expansions behind a multitransaction plan (GDD sync).
-  std::vector<lang::ExpansionResult> mt_expansions;
+  /// Static checker (MS1xx) findings. Warnings surface on the final
+  /// report; errors mean there is no plan (PrepareInput returns them as
+  /// data, Prepare and Execute fail the input with kInvalidArgument).
+  analysis::DiagnosticList diagnostics;
+  /// Expansions behind the plan, one per member query (none for
+  /// decomposed joins and data transfers): GDD sync after the run, and
+  /// the interdatabase trigger source of a plain query.
+  std::vector<lang::ExpansionResult> expansions;
   /// INSERT..SELECT data transfer: fix up rows_transferred post-run.
   bool data_transfer = false;
-  /// Fire interdatabase triggers after the run (plain query path only).
-  bool fire_triggers = false;
   /// Cost breakdown of a decomposed join, forwarded to the report.
   std::string cost_text;
   /// Input resolved entirely at prepare time (refusals): nothing to
@@ -197,7 +197,7 @@ class MultidatabaseSystem {
 
   /// Toggles local plan collection on every registered service: each
   /// SELECT task's result then carries its planner rendering, which
-  /// RunPlan gathers into ExecutionReport::plan_text.
+  /// AssembleRunReport gathers into ExecutionReport::plan_text.
   void set_collect_plans(bool on);
   bool collect_plans() const { return collect_plans_; }
 
@@ -237,9 +237,10 @@ class MultidatabaseSystem {
       std::string_view msql_text);
 
   /// Statically analyzes exactly one MSQL input without executing it:
-  /// runs the MS1xx semantic checker and, when the input translates,
-  /// the DL2xx plan verifier over the generated DOL. The session scope
-  /// is left untouched.
+  /// runs the same front end as Prepare (MS1xx checker, expansion or
+  /// decomposition, translation) and, when the input translates, the
+  /// DL2xx plan verifier and DL3xx conflict analysis over the generated
+  /// DOL. The session scope is saved and restored around it.
   Result<AnalysisReport> Analyze(std::string_view msql_text);
 
   /// Analyzes a script. Catalog-shaping inputs (INCORPORATE, IMPORT,
@@ -259,9 +260,13 @@ class MultidatabaseSystem {
   /// (scope resolution, checking, expansion, translation), yielding a
   /// plan an external driver can run later. Only queries and
   /// multitransactions are preparable — catalog-shaping inputs and view
-  /// queries execute serially (kUnimplemented).
+  /// queries execute serially (kInvalidArgument). Checker errors fail
+  /// the input with kInvalidArgument; refusals come back as `immediate`.
   Result<PreparedInput> Prepare(std::string_view msql_text);
-  /// Same, for an already-parsed input.
+  /// The front end of Prepare and Analyze (Execute compiles through the
+  /// same per-kind steps), for an already-parsed input. Unlike Prepare
+  /// it returns checker errors as data: a result whose `diagnostics`
+  /// has errors carries no plan.
   Result<PreparedInput> PrepareInput(const lang::MsqlInput& input);
 
   /// Translator-bug oracle: every prepared plan must pass the DOL
@@ -285,7 +290,7 @@ class MultidatabaseSystem {
 
   /// Snapshots the cost-based optimizer's inputs: fresh GDD statistics,
   /// per-link transfer parameters from the netsim topology and observed
-  /// mean latencies from the health registry (DESIGN.md §14).
+  /// median latencies from the health registry (DESIGN.md §14).
   lang::CostContext BuildCostContext() const;
 
   // -- Multidatabases, views, triggers (§2 extensions) ---------------------
@@ -313,11 +318,13 @@ class MultidatabaseSystem {
   /// Dispatches one parsed input (body of Execute, minus the tracing).
   Result<ExecutionReport> ExecuteInput(const lang::MsqlInput& input);
 
-  /// Untraced bodies of ExecuteQuery/ExecuteMultiTransaction; the public
-  /// entry points wrap them in the input-level "frontend" span.
-  Result<ExecutionReport> ExecuteQueryImpl(const lang::MsqlQuery& query);
-  Result<ExecutionReport> ExecuteMultiTransactionImpl(
-      const lang::MultiTransaction& mt);
+  /// Executes one catalog-shaping input (INCORPORATE, IMPORT, ANALYZE,
+  /// CREATE/DROP MULTIDATABASE, VIEW, TRIGGER). They produce no plan.
+  Status ExecuteCatalogInput(const lang::MsqlInput& input);
+
+  /// The serial run path: applies the Prepare contract to a front-end
+  /// result, verifies the plan, runs it and assembles the report.
+  Result<ExecutionReport> RunPrepared(Result<PreparedInput> prepared);
 
   /// Closes the input-level span at the run's simulated makespan; at the
   /// outermost input it renders the input's trace (and, when profile
@@ -327,15 +334,17 @@ class MultidatabaseSystem {
   void FinishInputSpan(obs::ScopedSpan* span, bool top_level,
                        ExecutionReport* report);
 
-  /// Snapshot of the metrics counters, taken at top-level input entry so
-  /// the profiler can attribute counter growth to the input.
-  void SnapshotProfileCounters(bool top_level);
+  /// Input entry: whether this is the outermost traced input. At the
+  /// outermost input it snapshots the metrics counters so the profiler
+  /// can attribute counter growth to the input.
+  bool BeginInput();
 
   /// Analyzes one parsed input (helper of Analyze/AnalyzeScript).
   Result<AnalysisReport> AnalyzeInput(const lang::MsqlInput& input);
-  Result<AnalysisReport> AnalyzeQuery(const lang::MsqlQuery& query);
-  Result<AnalysisReport> AnalyzeMultiTransaction(
-      const lang::MultiTransaction& mt);
+
+  /// Name of the multidatabase view a query selects from ("" when its
+  /// FROM is not a single view name).
+  std::string ViewNameOf(const lang::MsqlQuery& query) const;
 
   /// Front halves of the two preparable input kinds: everything up to
   /// (and including) translation.
@@ -354,8 +363,7 @@ class MultidatabaseSystem {
 
   /// Applies committed DDL tasks to the GDD so it keeps mirroring the
   /// local conceptual schemas.
-  Status SyncGddAfterDdl(const translator::Plan& plan,
-                         const dol::DolRunResult& run,
+  Status SyncGddAfterDdl(const dol::DolRunResult& run,
                          const lang::ExpansionResult& expansion);
 
   /// Accumulates committed DML rows-affected into the GDD's per-table

@@ -45,9 +45,6 @@ struct ServerConfig {
   bool adaptive_admission = false;
 };
 
-/// The scheduler-facing name of the server knobs.
-using SchedulerConfig = ServerConfig;
-
 /// Everything the server reports about one submitted session.
 struct SessionResult {
   uint64_t session_id = 0;

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/fixtures.h"
 #include "core/mdbs_system.h"
@@ -201,6 +202,44 @@ TEST(QueryLogDisabledTest, NoRecordsWhenDisabled) {
   obs::QueryLog log;
   obs::QueryLogRecord record;
   EXPECT_EQ(log.Append(record), nullptr);
+}
+
+// A script logs exactly what executing its inputs one by one logs:
+// catalog-shaping inputs included, in the same order, byte for byte.
+TEST_F(QueryLogTest, ScriptLogsEveryInputLikeExecute) {
+  const std::vector<std::string> inputs = {
+      "CREATE MULTIDATABASE airlines (continental, delta, united);",
+      "ANALYZE DATABASE avis;",
+      std::string(kCompensatedRaise) + ";",
+      "CREATE MULTIVIEW all_cars AS USE avis national\n"
+      "LET car.code BE cars.code vehicle.vcode\nSELECT code FROM car;",
+      "USE avis SELECT COUNT(*) FROM all_cars;",
+      "BEGIN MULTITRANSACTION\n"
+      "USE continental delta\n"
+      "LET fitab.snu.sstat.clname BE\n"
+      "  f838.seatnu.seatstatus.clientname\n"
+      "  fnu747.snu.sstat.passname\n"
+      "UPDATE fitab SET sstat = 'TAKEN', clname = 'wenders'\n"
+      "WHERE snu = (SELECT MIN(snu) FROM fitab WHERE sstat = 'FREE');\n"
+      "COMMIT\n  continental\n  delta\nEND MULTITRANSACTION",
+      "DROP MULTIVIEW all_cars;",
+      std::string(kRefusedSelect) + ";",
+      "DROP MULTIDATABASE airlines;",
+  };
+  std::string script;
+  for (const auto& input : inputs) {
+    auto report = sys_->Execute(input);
+    ASSERT_TRUE(report.ok()) << input << "\n" << report.status();
+    script += input + "\n";
+  }
+  ASSERT_EQ(sys_->query_log().records().size(), inputs.size());
+
+  std::unique_ptr<MultidatabaseSystem> scripted;
+  BuildSystem(&scripted);
+  auto reports = scripted->ExecuteScript(script);
+  ASSERT_TRUE(reports.ok()) << reports.status();
+  ASSERT_EQ(reports->size(), inputs.size());
+  EXPECT_EQ(scripted->query_log().ToJsonl(), sys_->query_log().ToJsonl());
 }
 
 // Clear resets the sequence and sim cursor, not just the records.

@@ -252,10 +252,12 @@ TEST_F(SqlSemanticsTest, ScalarSubqueryCardinalityErrors) {
 }
 
 /// Parameterized sweep: WHERE predicates and their expected match
-/// counts over the fixture rows.
+/// counts over the fixture rows. The predicate is a std::string, not a
+/// const char*, so the printed parameter (which ctest uses as the test
+/// name) is the text alone and not a load-address-dependent pointer.
 class PredicateSweepTest
     : public SqlSemanticsTest,
-      public ::testing::WithParamInterface<std::tuple<const char*, int>> {
+      public ::testing::WithParamInterface<std::tuple<std::string, int>> {
  protected:
   void SetUp() override { SqlSemanticsTest::SetUp(); }
 };
