@@ -1,12 +1,11 @@
-// Local join execution: planned (pushdown + hash joins) vs the naive
-// cross product, on a 3-table equi-join chain with N rows per table.
+// Local join execution through the planner (pushdown + hash joins) on a
+// 3-table equi-join chain with N rows per table.
 //
-// The naive odometer forms and tests all N^3 combined rows, so it is
-// only measured up to N=100 (1e6 evaluations); the planned path touches
-// ~N candidates per hash step and runs comfortably at N=1000. Counters:
-// rows_evaluated (measured), naive_rows = N^3 (the cross-product size
-// the naive path would evaluate), and ratio = naive_rows /
-// rows_evaluated — the ">= 10x fewer rows evaluated" acceptance number.
+// The planned path touches ~N candidates per hash step and runs
+// comfortably at N=1000. Counters: rows_evaluated (measured),
+// naive_rows = N^3 (the cross-product size a naive odometer join would
+// evaluate), and ratio = naive_rows / rows_evaluated — the ">= 10x
+// fewer rows evaluated" acceptance number.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,11 +20,9 @@ using msql::relational::CapabilityProfile;
 using msql::relational::LocalEngine;
 using msql::relational::SessionId;
 
-std::unique_ptr<LocalEngine> ChainEngine(int rows_per_table,
-                                         bool use_planner) {
+std::unique_ptr<LocalEngine> ChainEngine(int rows_per_table) {
   auto engine = std::make_unique<LocalEngine>(
       "svc", CapabilityProfile::IngresLike());
-  engine->set_use_planner(use_planner);
   if (!engine->CreateDatabase("db").ok()) return nullptr;
   auto s = *engine->OpenSession("db");
   for (const char* name : {"t1", "t2", "t3"}) {
@@ -50,9 +47,10 @@ const char kChainQuery[] =
     "SELECT t1.id, t3.v FROM t1, t2, t3 "
     "WHERE t1.id = t2.id AND t2.id = t3.id";
 
-void RunChain(benchmark::State& state, bool use_planner) {
+/// Planned: two hash steps, ~N candidates each.
+void BM_PlannedChainJoin(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  auto engine = ChainEngine(n, use_planner);
+  auto engine = ChainEngine(n);
   if (engine == nullptr) {
     state.SkipWithError("setup failed");
     return;
@@ -81,18 +79,6 @@ void RunChain(benchmark::State& state, bool use_planner) {
       benchmark::Counter(static_cast<double>(result_rows));
   state.SetItemsProcessed(iterations * result_rows);
 }
-
-/// Naive cross product: rows_evaluated == N^3 by construction.
-void BM_NaiveChainJoin(benchmark::State& state) {
-  RunChain(state, /*use_planner=*/false);
-}
-BENCHMARK(BM_NaiveChainJoin)->Arg(8)->Arg(32)->Arg(64)->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-/// Planned: two hash steps, ~N candidates each.
-void BM_PlannedChainJoin(benchmark::State& state) {
-  RunChain(state, /*use_planner=*/true);
-}
 BENCHMARK(BM_PlannedChainJoin)
     ->Arg(8)->Arg(32)->Arg(64)->Arg(100)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
@@ -102,7 +88,7 @@ BENCHMARK(BM_PlannedChainJoin)
 void BM_PlannedProbeJoin(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   bool with_index = state.range(1) != 0;
-  auto engine = ChainEngine(n, /*use_planner=*/true);
+  auto engine = ChainEngine(n);
   if (engine == nullptr) {
     state.SkipWithError("setup failed");
     return;

@@ -577,7 +577,6 @@ Result<std::string> LocalEngine::ExplainSql(SessionId session_id,
   MSQL_ASSIGN_OR_RETURN(Database * db, GetDatabase(session->db_name));
   ExecutorOptions options;
   options.record_ddl_undo = profile_.ddl_rollbackable;
-  options.use_planner = use_planner_;
   options.tracer = tracer_;
   options.metrics = metrics_;
   if (session->txn != nullptr) {
@@ -603,7 +602,6 @@ Result<ResultSet> LocalEngine::ExecuteInTxn(Session* session,
   MSQL_ASSIGN_OR_RETURN(Database * db, GetDatabase(session->db_name));
   ExecutorOptions options;
   options.record_ddl_undo = profile_.ddl_rollbackable;
-  options.use_planner = use_planner_;
   options.collect_plan_text = collect_plan_text_;
   options.tracer = tracer_;
   options.metrics = metrics_;

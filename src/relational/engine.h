@@ -156,7 +156,7 @@ class LocalEngine {
   /// is one, a short-lived read transaction otherwise.
   Result<std::string> ExplainSql(SessionId session, std::string_view sql);
 
-  // -- Observability / planner switches -----------------------------------
+  // -- Observability / plan text ------------------------------------------
 
   /// Points executor spans ("sql.plan"/"sql.join") and counters at the
   /// federation's tracer/metrics (null = no instrumentation).
@@ -172,11 +172,6 @@ class LocalEngine {
   /// When true, every SELECT result carries its plan text (`\plan`).
   void set_collect_plan_text(bool on) { collect_plan_text_ = on; }
   bool collect_plan_text() const { return collect_plan_text_; }
-
-  /// Disables the local planner, reverting SELECT to the naive
-  /// cross-product join — the differential-testing oracle.
-  void set_use_planner(bool on) { use_planner_ = on; }
-  bool use_planner() const { return use_planner_; }
 
   /// Starts an explicit transaction.
   Status Begin(SessionId session);
@@ -274,7 +269,6 @@ class LocalEngine {
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   bool collect_plan_text_ = false;
-  bool use_planner_ = true;
 };
 
 }  // namespace msql::relational

@@ -96,36 +96,6 @@ class AggAccumulator {
   bool has_minmax_ = false;
 };
 
-/// Looks for a top-level AND-conjunct `col = literal` (either operand
-/// order) matching an index of `table`; fills `index`/`probe` when one
-/// is found.
-void FindIndexProbe(const Expr& where, const Table& table,
-                    const Index** index, Value* probe) {
-  if (where.kind() == ExprKind::kBinary) {
-    const auto& b = static_cast<const BinaryExpr&>(where);
-    if (b.op() == BinaryOp::kAnd) {
-      FindIndexProbe(b.left(), table, index, probe);
-      if (*index == nullptr) FindIndexProbe(b.right(), table, index, probe);
-      return;
-    }
-    if (b.op() == BinaryOp::kEq) {
-      const Expr* col = &b.left();
-      const Expr* lit = &b.right();
-      if (col->kind() != ExprKind::kColumnRef) std::swap(col, lit);
-      if (col->kind() != ExprKind::kColumnRef ||
-          lit->kind() != ExprKind::kLiteral) {
-        return;
-      }
-      const auto& ref = static_cast<const ColumnRefExpr&>(*col);
-      const Index* found = table.FindIndexOnColumn(ref.name());
-      if (found != nullptr) {
-        *index = found;
-        *probe = static_cast<const LiteralExpr&>(*lit).value();
-      }
-    }
-  }
-}
-
 /// Hash-join key hashing, consistent with Value::Compare equality:
 /// numerics normalize to double (collapsing -0.0 into 0.0) so that
 /// hash-equal always agrees with Compare == 0 across INTEGER/REAL.
@@ -164,7 +134,7 @@ struct JoinKeyEq {
 /// A row mid-join: the combined row (full SELECT width, NULL-padded in
 /// the not-yet-joined slots) plus the per-source ordinal of each part.
 /// Sorting the final rows by the ordinal tuple in FROM order reproduces
-/// the naive odometer's output order exactly.
+/// the odometer order of the cross product exactly.
 struct JoinedRow {
   Row row;
   std::vector<uint32_t> ord;
@@ -291,55 +261,19 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
     return Status::ExecutionError("empty select list");
   }
 
-  // Materialize the filtered join: planned (pushdown + index probes +
-  // hash joins) by default, the naive cross product when disabled or
-  // when the planner declines the statement.
-  int64_t rows_scanned = 0;
-  int64_t rows_evaluated = 0;
-  std::string plan_text;
-  std::vector<Row> matched_rows;
+  // Materialize the filtered join through the plan (pushdown + index
+  // probes + hash joins, or the cross-product plan).
   if (options_.metrics != nullptr) options_.metrics->Inc("sql.selects");
-  bool planned = options_.use_planner;
-  if (planned) {
-    std::vector<PlannerSource> planner_sources;
-    planner_sources.reserve(sources.size());
-    for (const auto& src : sources) {
-      PlannerSource ps;
-      ps.effective_name = src.effective_name;
-      ps.schema = &src.schema;
-      ps.row_count = src.table != nullptr
-                         ? src.table->live_row_count()
-                         : src.rows.size();
-      ps.table = src.table;
-      planner_sources.push_back(std::move(ps));
-    }
-    SelectPlan plan;
-    {
-      obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
-      MSQL_ASSIGN_OR_RETURN(plan, PlanSelect(stmt, planner_sources));
-      if (plan_span.active() && !plan.fallback_reason.empty()) {
-        plan_span.Annotate("fallback", plan.fallback_reason);
-      }
-    }
-    if (options_.collect_plan_text) plan_text = plan.Explain();
-    if (plan.fallback_reason.empty()) {
-      MSQL_ASSIGN_OR_RETURN(
-          matched_rows,
-          RunPlannedJoin(stmt, plan, &sources, evaluator, &rows_scanned,
-                         &rows_evaluated));
-    } else {
-      if (options_.metrics != nullptr) {
-        options_.metrics->Inc("sql.plan.fallbacks");
-      }
-      planned = false;
-    }
+  SelectPlan plan;
+  {
+    obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
+    MSQL_ASSIGN_OR_RETURN(plan, PlanSelect(stmt, PlannerSources(sources)));
   }
-  if (!planned) {
-    MSQL_ASSIGN_OR_RETURN(matched_rows,
-                          RunNaiveJoin(stmt, &sources, evaluator,
+  int64_t rows_scanned = recursive_scanned;
+  int64_t rows_evaluated = 0;
+  MSQL_ASSIGN_OR_RETURN(std::vector<Row> matched_rows,
+                        RunPlannedJoin(plan, &sources, evaluator,
                                        &rows_scanned, &rows_evaluated));
-  }
-  rows_scanned += recursive_scanned;
   if (options_.metrics != nullptr) {
     options_.metrics->Observe("sql.rows_evaluated", rows_evaluated);
   }
@@ -354,7 +288,7 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   ResultSet out;
   out.rows_scanned = rows_scanned;
   out.rows_evaluated = rows_evaluated;
-  out.plan_text = std::move(plan_text);
+  if (options_.collect_plan_text) out.plan_text = plan.Explain();
   for (const auto& item : items) out.columns.push_back(OutputName(item));
 
   // Pairs of (output row, source row used for ORDER BY evaluation).
@@ -558,72 +492,26 @@ Status Executor::ResolveSources(const SelectStmt& stmt,
   return Status::OK();
 }
 
-Result<std::vector<Row>> Executor::RunNaiveJoin(
-    const SelectStmt& stmt, std::vector<ResolvedSource>* sources,
-    const ExprEvaluator& evaluator, int64_t* rows_scanned,
-    int64_t* rows_evaluated) {
-  // Access-path selection as the original executor had it: only a
-  // single-table query with a `col = literal` conjunct over an indexed
-  // column probes the index; everything else scans.
-  for (auto& src : *sources) {
-    if (src.table == nullptr) continue;  // view, already materialized
-    const Index* index = nullptr;
-    Value probe;
-    if (sources->size() == 1 && stmt.where != nullptr) {
-      FindIndexProbe(*stmt.where, *src.table, &index, &probe);
-    }
-    if (index != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids, index->LookupIds(probe));
-      src.rows.reserve(ids.size());
-      for (RowId id : ids) {
-        MSQL_ASSIGN_OR_RETURN(Row row, src.table->ReadRow(id));
-        src.rows.push_back(std::move(row));
-      }
-    } else {
-      MSQL_ASSIGN_OR_RETURN(src.rows, src.table->ScanRows());
-    }
+std::vector<PlannerSource> Executor::PlannerSources(
+    const std::vector<ResolvedSource>& sources) {
+  std::vector<PlannerSource> out;
+  out.reserve(sources.size());
+  for (const auto& src : sources) {
+    PlannerSource ps;
+    ps.effective_name = src.effective_name;
+    ps.schema = &src.schema;
+    ps.row_count =
+        src.table != nullptr ? src.table->live_row_count() : src.rows.size();
+    ps.table = src.table;
+    out.push_back(std::move(ps));
   }
-  for (const auto& src : *sources) {
-    *rows_scanned += static_cast<int64_t>(src.rows.size());
-  }
-
-  // Nested loops over the cross product, one WHERE evaluation per
-  // combined row.
-  std::vector<Row> matched_rows;
-  std::vector<size_t> idx(sources->size(), 0);
-  bool done = false;
-  for (const auto& src : *sources) {
-    if (src.rows.empty()) done = true;  // empty cross product
-  }
-  while (!done) {
-    Row combined;
-    for (size_t i = 0; i < sources->size(); ++i) {
-      const Row& part = (*sources)[i].rows[idx[i]];
-      combined.insert(combined.end(), part.begin(), part.end());
-    }
-    ++*rows_evaluated;
-    bool keep = true;
-    if (stmt.where != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(keep,
-                            evaluator.EvalPredicate(*stmt.where, combined));
-    }
-    if (keep) matched_rows.push_back(std::move(combined));
-    // Advance the odometer.
-    size_t level = sources->size();
-    while (level > 0) {
-      --level;
-      if (++idx[level] < (*sources)[level].rows.size()) break;
-      idx[level] = 0;
-      if (level == 0) done = true;
-    }
-  }
-  return matched_rows;
+  return out;
 }
 
 Result<std::vector<Row>> Executor::RunPlannedJoin(
-    const SelectStmt& stmt, const SelectPlan& plan,
-    std::vector<ResolvedSource>* sources, const ExprEvaluator& evaluator,
-    int64_t* rows_scanned, int64_t* rows_evaluated) {
+    const SelectPlan& plan, std::vector<ResolvedSource>* sources,
+    const ExprEvaluator& evaluator, int64_t* rows_scanned,
+    int64_t* rows_evaluated) {
   obs::ScopedSpan join_span(options_.tracer, "sql.join", "sql");
   if (join_span.active()) {
     join_span.Annotate("sources",
@@ -660,8 +548,8 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
   }
 
   // An empty raw source empties the cross product before any predicate
-  // runs — short-circuit exactly like the naive odometer does, so
-  // predicate errors surface (or not) identically.
+  // runs, so no predicate error can surface — as in the odometer, which
+  // never forms a combined row.
   for (const auto& src : *sources) {
     if (src.rows.empty()) return std::vector<Row>{};
   }
@@ -799,8 +687,8 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
     prefix = std::move(next);
   }
 
-  // Restore the naive output order (FROM-major odometer order), then
-  // apply the conjuncts only decidable on fully joined rows.
+  // Restore the cross product's FROM-major odometer order, then apply
+  // the conjuncts only decidable on fully joined rows.
   std::sort(prefix.begin(), prefix.end(),
             [](const JoinedRow& a, const JoinedRow& b) {
               return a.ord < b.ord;
@@ -828,18 +716,8 @@ Result<std::string> Executor::ExplainSelect(const SelectStmt& stmt) {
   int64_t recursive_scanned = 0;
   MSQL_RETURN_IF_ERROR(
       ResolveSources(stmt, &sources, &binding, &recursive_scanned));
-  std::vector<PlannerSource> planner_sources;
-  planner_sources.reserve(sources.size());
-  for (const auto& src : sources) {
-    PlannerSource ps;
-    ps.effective_name = src.effective_name;
-    ps.schema = &src.schema;
-    ps.row_count = src.table != nullptr ? src.table->live_row_count()
-                                        : src.rows.size();
-    ps.table = src.table;
-    planner_sources.push_back(std::move(ps));
-  }
-  MSQL_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(stmt, planner_sources));
+  MSQL_ASSIGN_OR_RETURN(SelectPlan plan,
+                        PlanSelect(stmt, PlannerSources(sources)));
   return plan.Explain();
 }
 

@@ -22,11 +22,6 @@ struct ExecutorOptions {
   /// rollback); when false the caller is responsible for the Oracle-like
   /// "DDL commits prior work" dance before invoking the executor.
   bool record_ddl_undo = true;
-  /// When true (default), SELECTs run through the local planner:
-  /// predicate pushdown, per-source index probes, hash equi-joins. When
-  /// false, the original naive cross-product join runs — kept as the
-  /// differential-testing oracle.
-  bool use_planner = true;
   /// Fill ResultSet::plan_text with the plan's EXPLAIN rendering.
   bool collect_plan_text = false;
   /// Optional observability sinks (null = no instrumentation). The
@@ -41,13 +36,13 @@ struct ExecutorOptions {
 /// all table access goes through `locks` (shared for reads, exclusive
 /// for writes) with the no-wait conflict policy.
 ///
-/// SELECT runs through the local planner (relational/planner.h):
+/// Every SELECT runs through the local planner (relational/planner.h):
 /// single-source conjuncts are pushed below the join, indexed
 /// `col = literal` conjuncts become probes, and `a.x = b.y` conjuncts
-/// drive build/probe hash joins in a greedy cardinality order. The
-/// original naive executor (full cross product, one WHERE evaluation
-/// per combined row) is preserved behind ExecutorOptions::use_planner
-/// as the semantics oracle for differential tests.
+/// drive build/probe hash joins in a greedy cardinality order. A WHERE
+/// the planner cannot split runs as its cross-product plan. Either way
+/// the joined rows are those of the odometer cross product filtered by
+/// the WHERE, in the same order (tests/naive_join_oracle.h checks this).
 class Executor {
  public:
   Executor(Database* db, Transaction* txn, LockManager* locks,
@@ -92,23 +87,18 @@ class Executor {
                         std::vector<ResolvedSource>* sources,
                         RowBinding* binding, int64_t* recursive_scanned);
 
+  /// The planner's view of the resolved sources (borrows their schemas).
+  static std::vector<PlannerSource> PlannerSources(
+      const std::vector<ResolvedSource>& sources);
+
   /// The planned SELECT pipeline: fetch per access path, filter pushed
   /// conjuncts per source, run the hash/nested-loop join steps, apply
   /// the final residual. Produces joined rows in FROM-major order.
-  Result<std::vector<Row>> RunPlannedJoin(const SelectStmt& stmt,
-                                          const SelectPlan& plan,
+  Result<std::vector<Row>> RunPlannedJoin(const SelectPlan& plan,
                                           std::vector<ResolvedSource>* sources,
                                           const ExprEvaluator& evaluator,
                                           int64_t* rows_scanned,
                                           int64_t* rows_evaluated);
-
-  /// The preserved naive oracle: full cross product, one WHERE
-  /// evaluation per combined row.
-  Result<std::vector<Row>> RunNaiveJoin(const SelectStmt& stmt,
-                                        std::vector<ResolvedSource>* sources,
-                                        const ExprEvaluator& evaluator,
-                                        int64_t* rows_scanned,
-                                        int64_t* rows_evaluated);
 
   /// Evaluates a scalar subquery: one column, at most one row; zero rows
   /// yield SQL NULL.

@@ -15,7 +15,7 @@ namespace msql::relational {
 /// Ordered secondary index over one column: value → live RowIds.
 ///
 /// Maintained eagerly by the owning Table on every insert/delete/update;
-/// the executor consults it for single-table equality predicates. NULL
+/// the planner probes it for pushed `col = literal` conjuncts. NULL
 /// keys are indexed too (IS NULL cannot use it — only `=` probes do, and
 /// `= NULL` never matches — but keeping them makes maintenance uniform).
 ///
@@ -55,19 +55,12 @@ class Index {
     return Status::OK();
   }
 
-  /// RowIds whose column equals `key` (empty when none).
+  /// RowIds whose column equals `key`, in insertion order (empty when
+  /// none).
   virtual Result<std::vector<RowId>> LookupIds(const Value& key) const {
-    const std::vector<RowId>* ids = Lookup(key);
-    if (ids == nullptr) return std::vector<RowId>{};
-    return *ids;
-  }
-
-  /// In-memory probe returning a stable pointer (nullptr when none).
-  /// Only meaningful on the base implementation — paged callers go
-  /// through LookupIds.
-  const std::vector<RowId>* Lookup(const Value& key) const {
     auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : &it->second;
+    if (it == entries_.end()) return std::vector<RowId>{};
+    return it->second;
   }
 
   virtual size_t distinct_keys() const { return entries_.size(); }

@@ -57,6 +57,27 @@ std::string FormatEst(double est) {
   return std::to_string(static_cast<long long>(std::llround(est)));
 }
 
+/// The plan for a WHERE naming a column that no single source owns
+/// (unknown or ambiguous): scan every source, nested loops in FROM order,
+/// and the whole WHERE as the one final filter. The join runner then
+/// evaluates it left to right on each combined row in FROM-major order,
+/// so the binding error surfaces on the first row that reaches the bad
+/// name — or never, when short-circuiting skips it on every row.
+SelectPlan CrossProductPlan(const SelectStmt& stmt,
+                            const std::vector<PlannerSource>& sources,
+                            SelectPlan plan) {
+  for (size_t i = 0; i < sources.size(); ++i) {
+    plan.estimated_rows.push_back(
+        std::max(static_cast<double>(sources[i].row_count), 1.0));
+    JoinStep step;
+    step.source = i;
+    step.estimated_rows = plan.estimated_rows[i];
+    plan.steps.push_back(std::move(step));
+  }
+  plan.final_residual.push_back(stmt.where.get());
+  return plan;
+}
+
 }  // namespace
 
 const PlannedProbe* SelectPlan::ProbeFor(size_t source) const {
@@ -67,9 +88,6 @@ const PlannedProbe* SelectPlan::ProbeFor(size_t source) const {
 }
 
 std::string SelectPlan::Explain() const {
-  if (!fallback_reason.empty()) {
-    return "plan: naive cross-product fallback (" + fallback_reason + ")\n";
-  }
   std::string out = "plan: " + std::to_string(num_sources()) +
                     " source(s), " + std::to_string(pushed_conjuncts) +
                     " pushed conjunct(s), " + std::to_string(equi_conjuncts) +
@@ -145,14 +163,9 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
       for (const ColumnRefExpr* ref : refs) {
         std::vector<size_t> matches = MatchSources(*ref, sources);
         if (matches.size() != 1) {
-          // Unknown or ambiguous name: the naive path owns the (row-
-          // dependent) error surfacing, so don't second-guess it.
-          plan.fallback_reason = matches.empty()
-                                     ? "unresolved column '" +
-                                           ref->FullName() + "' in WHERE"
-                                     : "ambiguous column '" +
-                                           ref->FullName() + "' in WHERE";
-          return plan;
+          // Unknown or ambiguous name: whether (and on which row) it
+          // errors depends on the data, so the WHERE stays whole.
+          return CrossProductPlan(stmt, sources, std::move(plan));
         }
         info.source_set.push_back(matches[0]);
       }

@@ -77,18 +77,13 @@ struct SelectPlan {
   std::vector<PlannedProbe> probes;  // at most one per source
   std::vector<JoinStep> steps;       // steps[0] seeds the pipeline
   /// Conjuncts only decidable on the fully joined row: scalar
-  /// subqueries, aggregates-free expressions spanning no resolvable
-  /// source, etc. Evaluated with the statement's full binding so errors
-  /// (ambiguity, unknown names) surface exactly as the naive path's.
+  /// subqueries, constant conjuncts, or — when the WHERE names an
+  /// unknown or ambiguous column — the whole unsplit WHERE. Evaluated
+  /// with the statement's full binding, in FROM-major row order.
   std::vector<const Expr*> final_residual;
 
   int64_t pushed_conjuncts = 0;
   int64_t equi_conjuncts = 0;
-
-  /// Non-empty when the planner declined the statement (a WHERE conjunct
-  /// references names it cannot attribute to sources); the executor then
-  /// runs the naive cross-product join, which owns the error surfacing.
-  std::string fallback_reason;
 
   size_t num_sources() const { return source_names.size(); }
   const PlannedProbe* ProbeFor(size_t source) const;
@@ -105,6 +100,11 @@ struct SelectPlan {
 /// keys, and orders joins greedily by estimated cardinality (smallest
 /// estimated source first, preferring sources hash-connected to the
 /// joined prefix). Pure analysis — no locks, no data access.
+///
+/// Every statement gets a plan. A WHERE naming a column no single
+/// source owns cannot be split, so it gets the cross-product plan: every
+/// source scanned, nested loops in FROM order, and the whole WHERE as
+/// the one final residual.
 Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
                               const std::vector<PlannerSource>& sources);
 

@@ -26,10 +26,11 @@ struct ResultSet {
   /// diagnostics only — excluded from equality). Includes base-table
   /// rows scanned while materializing view sources.
   int64_t rows_scanned = 0;
-  /// Row candidates the executor formed and tested: cross-product
-  /// iterations on the naive path; per-source filter evaluations plus
-  /// join candidate pairs on the planned path. Diagnostics only —
-  /// excluded from equality and wire accounting.
+  /// Row candidates the executor formed and tested: per-source filter
+  /// evaluations plus join candidate pairs (rows formed by steps after
+  /// the first). Final-filter evaluations on fully joined rows are not
+  /// counted. Diagnostics only — excluded from equality and wire
+  /// accounting.
   int64_t rows_evaluated = 0;
   /// Physical-plan rendering of the SELECT that produced this result.
   /// Filled only when the engine collects plans (`\plan`); excluded from

@@ -62,15 +62,10 @@ Result<Row> Table::Normalize(Row row) const {
 }
 
 Result<Row> Table::ReadRow(RowId id) const {
-  if (storage_ != nullptr) {
-    if (!IsLive(id)) {
-      return Status::Internal("read of dead slot " + std::to_string(id));
-    }
-    return storage_->ReadRow(id);
-  }
   if (!IsLive(id)) {
     return Status::Internal("read of dead slot " + std::to_string(id));
   }
+  if (storage_ != nullptr) return storage_->ReadRow(id);
   return *slots_[id];
 }
 

@@ -42,8 +42,7 @@ using RowId = uint64_t;
 ///     buffer pool, every mutation is WAL-logged, and indexes are paged
 ///     B+-trees. Only rowid bookkeeping (free list, live count) stays
 ///     resident, so memory is bounded by the pool, not the data.
-/// GetRow's const-reference accessor only exists in-memory; paged
-/// callers use ReadRow, which materializes one row.
+/// Rows are read by copy in both modes (ReadRow, ScanRows).
 class Table {
  public:
   // Constructor and destructor are out of line: indexes_ holds the
@@ -85,9 +84,6 @@ class Table {
     return id < slots_.size() && slots_[id].has_value();
   }
 
-  /// The live row at `id`. Requires IsLive(id) and an in-memory table.
-  const Row& GetRow(RowId id) const { return *slots_[id]; }
-
   /// The live row at `id`, materialized (works in both modes).
   Result<Row> ReadRow(RowId id) const;
 
@@ -108,8 +104,9 @@ class Table {
   /// All live RowIds in slot order (deterministic scan order).
   std::vector<RowId> ScanRowIds() const;
 
-  /// All live rows in slot order (copy; paged tables materialize —
-  /// executor fallback only, index probes stay bounded).
+  /// All live rows in slot order (copy; paged tables materialize every
+  /// row — the planner's scan access path, while index probes stay
+  /// bounded).
   Result<std::vector<Row>> ScanRows() const;
 
   // -- Secondary indexes ------------------------------------------------

@@ -1,13 +1,16 @@
 // Local query planner: predicate pushdown, index probes inside joins,
-// hash equi-joins, plan rendering, and scan/evaluation accounting.
-// The naive cross-product executor survives behind
-// LocalEngine::set_use_planner(false) as the semantics oracle; several
-// tests here run both paths and require identical answers.
+// hash equi-joins, the cross-product plan, plan rendering, and
+// scan/evaluation accounting. Several tests run the planned join stage
+// (`SELECT * FROM ... WHERE ...`) against the naive cross-product
+// oracle (naive_join_oracle.h) and require identical rows in identical
+// order.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "naive_join_oracle.h"
 #include "relational/engine.h"
 
 namespace msql::relational {
@@ -28,12 +31,18 @@ class PlannerTest : public ::testing::Test {
     return result.ok() ? std::move(*result) : ResultSet{};
   }
 
-  /// Runs `sql` on the naive cross-product path, restoring the planner.
-  ResultSet ExecNaive(std::string_view sql) {
-    engine_->set_use_planner(false);
-    ResultSet rs = Exec(sql);
-    engine_->set_use_planner(true);
-    return rs;
+  /// Runs the join stage `SELECT * <from_where>` planned and on the
+  /// oracle, requires identical rows in identical order, and returns
+  /// both for accounting checks.
+  std::pair<ResultSet, OracleJoin> ExecWithOracle(
+      const std::string& from_where) {
+    const std::string sql = "SELECT * " + from_where;
+    ResultSet planned = Exec(sql);
+    auto oracle = NaiveJoinSql(engine_.get(), session_, "db", sql);
+    EXPECT_TRUE(oracle.ok()) << sql << " -> " << oracle.status();
+    if (!oracle.ok()) return {std::move(planned), OracleJoin{}};
+    EXPECT_EQ(planned.rows, oracle->rows) << sql;
+    return {std::move(planned), std::move(*oracle)};
   }
 
   std::string Explain(std::string_view sql) {
@@ -73,7 +82,7 @@ TEST_F(PlannerTest, GoldenExplainForPaperStyleJoin) {
             "  [1] hash join source 1 (s) on f.fno = s.fno\n");
 }
 
-TEST_F(PlannerTest, GoldenExplainWithIndexProbeAndFallback) {
+TEST_F(PlannerTest, GoldenExplainWithIndexProbeAndCrossProductPlan) {
   SeedFlights();
   Exec("CREATE INDEX idx_fno ON flights (fno)");
   std::string probed = Explain(
@@ -88,13 +97,16 @@ TEST_F(PlannerTest, GoldenExplainWithIndexProbeAndFallback) {
             // tie breaks on source name ("f" < "s"), never FROM position.
             "  [0] start source 0 (f)\n"
             "  [1] nested loop source 1 (s)\n");
-  // A WHERE naming an unknown column declines to plan; the naive path
-  // owns the error surfacing.
-  std::string fallback =
-      Explain("SELECT f.fno FROM flights f WHERE ghost = 1");
-  EXPECT_EQ(fallback,
-            "plan: naive cross-product fallback (unresolved column "
-            "'ghost' in WHERE)\n");
+  // A WHERE naming an unknown column cannot be split: the cross-product
+  // plan scans every source and keeps the whole WHERE as the final
+  // filter.
+  std::string cross = Explain("SELECT f.fno FROM flights f WHERE ghost = 1");
+  EXPECT_EQ(cross,
+            "plan: 1 source(s), 0 pushed conjunct(s), 0 equi-join key(s)\n"
+            "  source 0 (f): scan; est 6 row(s)\n"
+            "join order:\n"
+            "  [0] start source 0 (f)\n"
+            "final filter: ghost = 1\n");
 }
 
 TEST_F(PlannerTest, JoinOrderTieBreaksByNameNotFromPosition) {
@@ -121,10 +133,8 @@ TEST_F(PlannerTest, JoinOrderTieBreaksByNameNotFromPosition) {
             "join order:\n"
             "  [0] start source 0 (alpha)\n"
             "  [1] nested loop source 1 (beta)\n");
-  const std::string sql = "SELECT beta.x, alpha.x FROM beta, alpha";
-  ResultSet planned = Exec(sql);
-  ResultSet naive = ExecNaive(sql);
-  EXPECT_EQ(planned, naive);  // reordering never leaks into the answer
+  // Reordering never leaks into the answer: FROM-major row order holds.
+  ExecWithOracle("FROM beta, alpha");
 }
 
 TEST_F(PlannerTest, EmptySourceEstimatesClampToOneRow) {
@@ -150,13 +160,11 @@ TEST_F(PlannerTest, EmptySourceEstimatesClampToOneRow) {
 
 TEST_F(PlannerTest, PlannedJoinMatchesNaiveAnswerAndOrder) {
   SeedFlights();
-  const std::string sql =
-      "SELECT f.fno, f.price, s.class FROM flights f, seats s "
-      "WHERE f.fno = s.fno AND s.avail > 0 AND f.price < 200.0";
-  ResultSet planned = Exec(sql);
-  ResultSet naive = ExecNaive(sql);
-  EXPECT_EQ(planned, naive);  // identical rows in identical order
-  EXPECT_GT(naive.rows_evaluated, planned.rows_evaluated);
+  auto [planned, oracle] = ExecWithOracle(
+      "FROM flights f, seats s "
+      "WHERE f.fno = s.fno AND s.avail > 0 AND f.price < 200.0");
+  EXPECT_EQ(planned.rows.size(), 4u);
+  EXPECT_GT(oracle.rows_evaluated, planned.rows_evaluated);
 }
 
 TEST_F(PlannerTest, DuplicateJoinKeysPreserveCrossProductOrder) {
@@ -166,12 +174,8 @@ TEST_F(PlannerTest, DuplicateJoinKeysPreserveCrossProductOrder) {
   Exec("CREATE TABLE r (k INTEGER, tag TEXT)");
   Exec("INSERT INTO l VALUES (1, 'l1'), (2, 'l2'), (1, 'l3'), (2, 'l4')");
   Exec("INSERT INTO r VALUES (2, 'r1'), (1, 'r2'), (1, 'r3')");
-  const std::string sql =
-      "SELECT l.tag, r.tag FROM l, r WHERE l.k = r.k";
-  ResultSet planned = Exec(sql);
-  ResultSet naive = ExecNaive(sql);
-  ASSERT_EQ(planned.rows.size(), 6u);
-  EXPECT_EQ(planned, naive);
+  auto [planned, oracle] = ExecWithOracle("FROM l, r WHERE l.k = r.k");
+  EXPECT_EQ(planned.rows.size(), 6u);
 }
 
 TEST_F(PlannerTest, IndexProbeWorksInMultiTableSelect) {
@@ -213,7 +217,7 @@ TEST_F(PlannerTest, ViewScansIncludeRecursiveBaseTableCost) {
   // scanned by the outer SELECT. The old accounting dropped the
   // recursive half and reported 100.
   EXPECT_EQ(Exec("SELECT id FROM allt").rows_scanned, 200);
-  EXPECT_EQ(ExecNaive("SELECT id FROM allt").rows_scanned, 200);
+  EXPECT_EQ(ExecWithOracle("FROM allt").second.rows_scanned, 200);
 }
 
 TEST_F(PlannerTest, NullJoinKeysNeverMatch) {
@@ -221,11 +225,8 @@ TEST_F(PlannerTest, NullJoinKeysNeverMatch) {
   Exec("CREATE TABLE r (k INTEGER)");
   Exec("INSERT INTO l VALUES (1), (NULL), (2)");
   Exec("INSERT INTO r VALUES (NULL), (1), (1)");
-  const std::string sql = "SELECT l.k, r.k FROM l, r WHERE l.k = r.k";
-  ResultSet planned = Exec(sql);
-  ResultSet naive = ExecNaive(sql);
+  auto [planned, oracle] = ExecWithOracle("FROM l, r WHERE l.k = r.k");
   EXPECT_EQ(planned.rows.size(), 2u);  // 1 matches twice; NULLs never
-  EXPECT_EQ(planned, naive);
 }
 
 TEST_F(PlannerTest, ThreeWayEquiChainCollapsesRowsEvaluated) {
@@ -238,46 +239,74 @@ TEST_F(PlannerTest, ThreeWayEquiChainCollapsesRowsEvaluated) {
     }
     Exec(insert);
   }
-  const std::string sql =
-      "SELECT t1.id, t3.v FROM t1, t2, t3 "
-      "WHERE t1.id = t2.id AND t2.id = t3.id";
-  ResultSet planned = Exec(sql);
-  ResultSet naive = ExecNaive(sql);
+  auto [planned, oracle] = ExecWithOracle(
+      "FROM t1, t2, t3 WHERE t1.id = t2.id AND t2.id = t3.id");
   ASSERT_EQ(planned.rows.size(), 20u);
-  EXPECT_EQ(planned, naive);
-  EXPECT_EQ(naive.rows_evaluated, 20 * 20 * 20);
+  EXPECT_EQ(oracle.rows_evaluated, 20 * 20 * 20);
   // Hash steps touch only genuine key matches: 20 candidates per step.
   EXPECT_LE(planned.rows_evaluated, 2 * 20);
-  EXPECT_GE(naive.rows_evaluated, 10 * planned.rows_evaluated);
+  EXPECT_GE(oracle.rows_evaluated, 10 * planned.rows_evaluated);
 }
 
 TEST_F(PlannerTest, AggregatesAndDistinctAgreeWithNaivePath) {
+  // Grouping, DISTINCT and ORDER BY run once, after the join, so the
+  // oracle checks the join stages and the answers are pinned.
+  SeedFlights();
+  const std::string join = "FROM flights f, seats s WHERE f.fno = s.fno";
+  ExecWithOracle(join);
+  ExecWithOracle(join + " AND s.avail > (SELECT MIN(avail) FROM seats)");
+  EXPECT_EQ(Exec("SELECT DISTINCT f.dep " + join + " ORDER BY f.dep").rows,
+            (std::vector<Row>{{Value::Text("jfk")},
+                              {Value::Text("lax")},
+                              {Value::Text("ord")}}));
+  EXPECT_EQ(Exec("SELECT f.dep, COUNT(*), MIN(s.avail) " + join +
+                 " GROUP BY f.dep ORDER BY f.dep")
+                .rows,
+            (std::vector<Row>{
+                {Value::Text("jfk"), Value::Integer(5), Value::Integer(0)},
+                {Value::Text("lax"), Value::Integer(2), Value::Integer(3)},
+                {Value::Text("ord"), Value::Integer(1), Value::Integer(0)}}));
+  EXPECT_EQ(Exec("SELECT COUNT(*) " + join +
+                 " AND s.avail > (SELECT MIN(avail) FROM seats)")
+                .rows,
+            (std::vector<Row>{{Value::Integer(6)}}));
+}
+
+TEST_F(PlannerTest, UnresolvableWhereErrorsMatchOracle) {
   SeedFlights();
   for (const char* sql :
-       {"SELECT DISTINCT f.dep FROM flights f, seats s "
-        "WHERE f.fno = s.fno ORDER BY f.dep",
-        "SELECT f.dep, COUNT(*), MIN(s.avail) FROM flights f, seats s "
-        "WHERE f.fno = s.fno GROUP BY f.dep ORDER BY f.dep",
-        "SELECT COUNT(*) FROM flights f, seats s "
-        "WHERE f.fno = s.fno AND s.avail > (SELECT MIN(avail) FROM "
-        "seats)"}) {
-    ResultSet planned = Exec(sql);
-    ResultSet naive = ExecNaive(sql);
-    EXPECT_EQ(planned, naive) << sql;
+       {"SELECT * FROM flights f, seats s WHERE ghost = 1",
+        "SELECT * FROM flights f, seats s WHERE fno = 1"}) {
+    auto planned = engine_->Execute(session_, sql);
+    auto oracle = NaiveJoinSql(engine_.get(), session_, "db", sql);
+    ASSERT_FALSE(planned.ok()) << sql;
+    ASSERT_FALSE(oracle.ok()) << sql;
+    EXPECT_EQ(planned.status().ToString(), oracle.status().ToString());
   }
 }
 
-TEST_F(PlannerTest, FallbackErrorsMatchNaiveErrors) {
+TEST_F(PlannerTest, UnresolvableWhereScansDespiteIndex) {
+  // The cross-product plan has no probes: although `f.fno = 3` could
+  // probe the index, all 6 rows are scanned, and a single source forms
+  // no join candidates.
   SeedFlights();
+  Exec("CREATE INDEX idx_fno ON flights (fno)");
+  auto [planned, oracle] =
+      ExecWithOracle("FROM flights f WHERE f.fno = 3 AND (TRUE OR ghost = 1)");
+  ASSERT_EQ(planned.rows.size(), 1u);
+  EXPECT_EQ(planned.rows_scanned, 6);
+  EXPECT_EQ(planned.rows_evaluated, 0);
+  // Because every row is evaluated, the Status does not depend on the
+  // index: a probe for `f.fno = 99` would read no row and succeed, but
+  // the plan fails on the first row, as it does without the index.
   const std::string sql =
-      "SELECT f.fno FROM flights f, seats s WHERE ghost = 1";
-  auto planned = engine_->Execute(session_, sql);
-  engine_->set_use_planner(false);
-  auto naive = engine_->Execute(session_, sql);
-  engine_->set_use_planner(true);
-  ASSERT_FALSE(planned.ok());
-  ASSERT_FALSE(naive.ok());
-  EXPECT_EQ(planned.status().ToString(), naive.status().ToString());
+      "SELECT * FROM flights f WHERE ghost = 1 AND f.fno = 99";
+  auto indexed = engine_->Execute(session_, sql);
+  Exec("DROP INDEX idx_fno ON flights");
+  auto unindexed = engine_->Execute(session_, sql);
+  ASSERT_FALSE(indexed.ok());
+  ASSERT_FALSE(unindexed.ok());
+  EXPECT_EQ(indexed.status().ToString(), unindexed.status().ToString());
 }
 
 TEST_F(PlannerTest, ExplainRequiresSelect) {

@@ -120,7 +120,7 @@ TEST(TableTest, InsertCoercesAndCounts) {
                           Value::Integer(40)});  // int→real coercion
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(table.live_row_count(), 1u);
-  EXPECT_TRUE(table.GetRow(*id)[2].is_real());
+  EXPECT_TRUE(table.ReadRow(*id)->at(2).is_real());
 }
 
 TEST(TableTest, InsertRejectsBadArityAndType) {
@@ -141,7 +141,7 @@ TEST(TableTest, DeleteAndResurrectRoundTrip) {
   EXPECT_EQ(table.live_row_count(), 0u);
   ASSERT_TRUE(table.ResurrectRow(id, *removed).ok());
   EXPECT_TRUE(table.IsLive(id));
-  EXPECT_EQ(table.GetRow(id)[0], Value::Integer(7));
+  EXPECT_EQ(table.ReadRow(id)->at(0), Value::Integer(7));
   // Double resurrect is an internal error.
   EXPECT_FALSE(table.ResurrectRow(id, *removed).ok());
 }
@@ -154,7 +154,7 @@ TEST(TableTest, UpdateReturnsBeforeImage) {
       id, {Value::Integer(1), Value::Text("suv"), Value::Real(44.0)});
   ASSERT_TRUE(before.ok());
   EXPECT_EQ((*before)[2], Value::Real(40.0));
-  EXPECT_EQ(table.GetRow(id)[2], Value::Real(44.0));
+  EXPECT_EQ(table.ReadRow(id)->at(2), Value::Real(44.0));
 }
 
 TEST(TableTest, ScanSkipsTombstones) {
@@ -167,7 +167,7 @@ TEST(TableTest, ScanSkipsTombstones) {
   ASSERT_TRUE(table.Delete(a).ok());
   auto ids = table.ScanRowIds();
   ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(table.GetRow(ids[0])[0], Value::Integer(2));
+  EXPECT_EQ(table.ReadRow(ids[0])->at(0), Value::Integer(2));
   EXPECT_EQ(table.ScanRows()->size(), 1u);
 }
 
