@@ -1,11 +1,17 @@
 // Differential property test for the local planner: randomized schemas,
-// data and WHERE clauses. Each query's join stage (`SELECT * FROM ...
-// WHERE ...`) runs through the planner — pushdown, probes, hash joins,
-// or the cross-product plan — and on the naive cross-product oracle
-// (naive_join_oracle.h) over the same database. Both must produce the
-// same rows in the same order, or fail with the same Status text.
+// data, row churn and WHERE clauses. Each query's join stage (`SELECT *
+// FROM ... WHERE ...`) runs through the planner — pushdown, probes, hash
+// joins, or the cross-product plan — and on the naive cross-product
+// oracle (naive_join_oracle.h) over the same database. Both must produce
+// the same rows in the same order, or fail with the same Status text.
+// The randomized workloads run on the in-memory row store and on the
+// paged one, with a buffer pool that holds the data and with one that
+// does not.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,14 +23,53 @@
 namespace msql::relational {
 namespace {
 
-/// One engine with one database "db" and a session on it.
+/// Where a test database keeps its rows.
+enum class Store { kMemory, kPaged, kPagedSmallPool };
+constexpr Store kStores[] = {Store::kMemory, Store::kPaged,
+                             Store::kPagedSmallPool};
+
+std::string StoreName(Store store) {
+  switch (store) {
+    case Store::kMemory: return "memory";
+    case Store::kPaged: return "paged";
+    case Store::kPagedSmallPool: return "paged, small pool";
+  }
+  return "?";
+}
+
+/// Frames of the small pool: fewer than the randomized databases' heap
+/// and B+-tree pages, so scans and probes evict.
+constexpr size_t kSmallPoolPages = 8;
+
+/// One engine with one database "db" and a session on it. Paged stores
+/// live in a fresh directory under the system temp dir, removed again
+/// when the Db goes away.
 struct Db {
   std::unique_ptr<LocalEngine> engine;
   SessionId session = 0;
+  std::filesystem::path root;
 
-  void Open() {
+  ~Db() {
+    engine.reset();
+    if (!root.empty()) std::filesystem::remove_all(root);
+  }
+
+  void Open(Store store = Store::kMemory) {
     engine = std::make_unique<LocalEngine>("svc",
                                            CapabilityProfile::IngresLike());
+    if (store != Store::kMemory) {
+      static int next_dir = 0;
+      root = std::filesystem::temp_directory_path() /
+             ("msql_planner_diff_" + std::to_string(::getpid()) + "_" +
+              std::to_string(next_dir++));
+      std::filesystem::remove_all(root);
+      StorageConfig config;
+      config.root_dir = root.string();
+      if (store == Store::kPagedSmallPool) {
+        config.buffer_pool_pages = kSmallPoolPages;
+      }
+      ASSERT_TRUE(engine->AttachStorage(config).ok());
+    }
     ASSERT_TRUE(engine->CreateDatabase("db").ok());
     session = *engine->OpenSession("db");
   }
@@ -58,11 +103,46 @@ JoinOutcome RunBoth(Db* db, const std::string& sql) {
   return out;
 }
 
-/// Fills the database with a randomized schema + data: 2-3 tables named
-/// t0.. with columns (k INTEGER, g TEXT, v REAL), NULLs sprinkled into
-/// every column, and random single-column indexes.
-void BuildRandomDb(Rng* rng, Db* out, int* num_tables) {
-  out->Open();
+/// One random `(k, g, v)` row literal, NULLs sprinkled into every
+/// column.
+std::string RandomRow(Rng* rng) {
+  std::string k = rng->NextBool(0.15) ? "NULL"
+                                      : std::to_string(rng->NextInRange(0, 6));
+  std::string g = rng->NextBool(0.15)
+                      ? "NULL"
+                      : "'g" + std::to_string(rng->NextInRange(0, 3)) + "'";
+  std::string v = rng->NextBool(0.15)
+                      ? "NULL"
+                      : std::to_string(rng->NextInRange(0, 9)) + ".5";
+  return "(" + k + ", " + g + ", " + v + ")";
+}
+
+/// Churn on `table` once its indexes exist: an UPDATE that keeps the
+/// indexed columns k and g, one that changes k or g, a DELETE, and an
+/// INSERT that takes the lowest freed slot. Each moves index entries
+/// out of rowid order in an index that keeps insertion order.
+std::vector<std::string> ChurnStatements(Rng* rng, const std::string& table) {
+  auto k = [&] { return std::to_string(rng->NextInRange(0, 6)); };
+  std::string change =
+      rng->NextBool(0.5)
+          ? "UPDATE " + table + " SET k = " + k() + " WHERE k = " + k()
+          : "UPDATE " + table + " SET g = 'g" +
+                std::to_string(rng->NextInRange(0, 3)) + "' WHERE v > " +
+                std::to_string(rng->NextInRange(0, 9));
+  return {
+      "UPDATE " + table + " SET v = v + 1 WHERE k = " + k(),
+      change,
+      "DELETE FROM " + table + " WHERE k = " + k(),
+      "INSERT INTO " + table + " VALUES " + RandomRow(rng),
+  };
+}
+
+/// Fills `out` (opened on `store`) with a randomized schema + data: 2-3
+/// tables named t0.. with columns (k INTEGER, g TEXT, v REAL) and random
+/// single-column indexes, then churns every table and runs one more
+/// round of churn inside a transaction that rolls back.
+void BuildRandomDb(Rng* rng, Store store, Db* out, int* num_tables) {
+  out->Open(store);
   *num_tables = static_cast<int>(rng->NextInRange(2, 3));
   for (int t = 0; t < *num_tables; ++t) {
     std::string name = "t" + std::to_string(t);
@@ -72,17 +152,7 @@ void BuildRandomDb(Rng* rng, Db* out, int* num_tables) {
       std::string insert = "INSERT INTO " + name + " VALUES ";
       for (int r = 0; r < rows; ++r) {
         if (r > 0) insert += ", ";
-        std::string k = rng->NextBool(0.15)
-                            ? "NULL"
-                            : std::to_string(rng->NextInRange(0, 6));
-        std::string g =
-            rng->NextBool(0.15)
-                ? "NULL"
-                : "'g" + std::to_string(rng->NextInRange(0, 3)) + "'";
-        std::string v = rng->NextBool(0.15)
-                            ? "NULL"
-                            : std::to_string(rng->NextInRange(0, 9)) + ".5";
-        insert += "(" + k + ", " + g + ", " + v + ")";
+        insert += RandomRow(rng);
       }
       out->Exec(insert);
     }
@@ -92,6 +162,15 @@ void BuildRandomDb(Rng* rng, Db* out, int* num_tables) {
                 " (" + col + ")");
     }
   }
+  for (int t = 0; t < *num_tables; ++t) {
+    for (const std::string& sql : ChurnStatements(rng, "t" + std::to_string(t))) {
+      out->Exec(sql);
+    }
+  }
+  out->Exec("BEGIN");
+  std::string victim = "t" + std::to_string(rng->NextBelow(*num_tables));
+  for (const std::string& sql : ChurnStatements(rng, victim)) out->Exec(sql);
+  out->Exec("ROLLBACK");
 }
 
 /// One random conjunct over the aliased tables a0..a{n-1}: equi joins,
@@ -142,15 +221,47 @@ std::string RandomJoin(Rng* rng, int num_tables) {
 TEST(PlannerDiffTest, PlannedAndNaivePathsAgreeOnRandomizedWorkload) {
   constexpr int kSeeds = 25;
   constexpr int kQueriesPerSeed = 16;
-  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    Rng rng(seed * 0x51ed2701);
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    int64_t evictions = 0;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      Rng rng(seed * 0x51ed2701);
+      Db db;
+      int num_tables = 0;
+      BuildRandomDb(&rng, store, &db, &num_tables);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (int q = 0; q < kQueriesPerSeed; ++q) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RunBoth(&db, RandomJoin(&rng, num_tables));
+      }
+      if (db.engine->storage() != nullptr) {
+        evictions += db.engine->storage()->pool().evictions();
+      }
+    }
+    // The small pool really is smaller than the data.
+    EXPECT_EQ(evictions > 0, store == Store::kPagedSmallPool);
+  }
+}
+
+TEST(PlannerDiffTest, ProbeReturnsRowsInScanOrderAfterUpdate) {
+  // An UPDATE that keeps the indexed key must not move the row to the
+  // back of its key's probe result: probe, scan and oracle agree.
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
     Db db;
-    int num_tables = 0;
-    BuildRandomDb(&rng, &db, &num_tables);
+    db.Open(store);
+    db.Exec("CREATE TABLE t (k INTEGER, v INTEGER)");
+    db.Exec("INSERT INTO t VALUES (1, 10), (1, 20), (2, 30)");
+    db.Exec("CREATE INDEX i ON t (k)");
+    db.Exec("UPDATE t SET v = 12 WHERE v = 10");
     if (::testing::Test::HasFatalFailure()) return;
-    for (int q = 0; q < kQueriesPerSeed; ++q) {
-      SCOPED_TRACE("seed " + std::to_string(seed));
-      RunBoth(&db, RandomJoin(&rng, num_tables));
+    const std::vector<Row> expected = {{Value::Integer(1), Value::Integer(12)},
+                                       {Value::Integer(1), Value::Integer(20)}};
+    for (const char* where : {"k = 1", "k + 0 = 1"}) {
+      JoinOutcome out =
+          RunBoth(&db, std::string("SELECT * FROM t WHERE ") + where);
+      ASSERT_TRUE(out.planned.ok()) << out.planned.status();
+      EXPECT_EQ(out.planned->rows, expected) << where;
     }
   }
 }
@@ -249,18 +360,21 @@ TEST(PlannerDiffTest, UnresolvableWhereShapesMatchOracle) {
 TEST(PlannerDiffTest, PlannedPathNeverScansMoreThanNaive) {
   // rows_scanned on the planned path is bounded by the oracle's full
   // scans: probes can only shrink the fetch, never grow it.
-  for (uint64_t seed = 100; seed < 110; ++seed) {
-    Rng rng(seed);
-    Db db;
-    int num_tables = 0;
-    BuildRandomDb(&rng, &db, &num_tables);
-    if (::testing::Test::HasFatalFailure()) return;
-    for (int q = 0; q < 8; ++q) {
-      std::string sql = RandomJoin(&rng, num_tables);
-      JoinOutcome out = RunBoth(&db, sql);
-      if (!out.planned.ok() || !out.oracle.ok()) continue;
-      EXPECT_LE(out.planned->rows_scanned, out.oracle->rows_scanned)
-          << "seed " << seed << ": " << sql;
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    for (uint64_t seed = 100; seed < 110; ++seed) {
+      Rng rng(seed);
+      Db db;
+      int num_tables = 0;
+      BuildRandomDb(&rng, store, &db, &num_tables);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (int q = 0; q < 8; ++q) {
+        std::string sql = RandomJoin(&rng, num_tables);
+        JoinOutcome out = RunBoth(&db, sql);
+        if (!out.planned.ok() || !out.oracle.ok()) continue;
+        EXPECT_LE(out.planned->rows_scanned, out.oracle->rows_scanned)
+            << "seed " << seed << ": " << sql;
+      }
     }
   }
 }
