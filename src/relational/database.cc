@@ -52,15 +52,16 @@ Status Database::CreateTable(TableSchema schema) {
                                  "' already names a table or view in "
                                  "database '" + name_ + "'");
   }
+  std::unique_ptr<RowStore> store;
   if (storage_mgr_ != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(TableStorage * storage,
+    MSQL_ASSIGN_OR_RETURN(store,
                           storage_mgr_->CreateTableStorage(name_, schema));
-    MSQL_ASSIGN_OR_RETURN(std::unique_ptr<Table> table,
-                          Table::CreatePaged(std::move(schema), storage));
-    tables_.emplace(std::move(name), std::move(table));
-    return Status::OK();
+  } else {
+    store = NewMemoryRowStore();
   }
-  tables_.emplace(name, std::make_unique<Table>(std::move(schema)));
+  MSQL_ASSIGN_OR_RETURN(std::unique_ptr<Table> table,
+                        Table::Open(std::move(schema), std::move(store)));
+  tables_.emplace(std::move(name), std::move(table));
   return Status::OK();
 }
 
@@ -70,14 +71,11 @@ Result<std::unique_ptr<Table>> Database::DropTable(std::string_view table) {
     return Status::NotFound("table '" + std::string(table) +
                             "' does not exist in database '" + name_ + "'");
   }
+  if (storage_mgr_ != nullptr) {
+    MSQL_RETURN_IF_ERROR(storage_mgr_->OnDropTable(name_, it->first));
+  }
   std::unique_ptr<Table> owned = std::move(it->second);
   tables_.erase(it);
-  if (storage_mgr_ != nullptr && owned->paged()) {
-    // Logs DROP TABLE and moves the storage into the transaction's DDL
-    // delta; the Table keeps its (still valid) pointer for rollback.
-    MSQL_RETURN_IF_ERROR(
-        storage_mgr_->OnDropTable(name_, owned->schema().table_name()));
-  }
   return owned;
 }
 

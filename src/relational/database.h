@@ -22,8 +22,10 @@ class StorageManager;
 /// engine's capability profile makes DDL rollbackable (§3.2.2).
 ///
 /// With a StorageManager attached, catalog changes are WAL-logged and
-/// new tables are paged; without one the database is purely in-memory
-/// (the original engine behavior).
+/// new tables get a paged row store (one heap file per CREATE); without
+/// one they keep their rows in memory. Either way a Table owns its
+/// store, so a dropped table's rows live on exactly as long as an undo
+/// record holds the Table.
 class Database {
  public:
   explicit Database(std::string name);

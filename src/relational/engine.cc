@@ -92,28 +92,15 @@ Status LocalEngine::Recover() {
   MSQL_ASSIGN_OR_RETURN(RecoveryReport report, storage_->Recover());
 
   // Rebuild the catalog. Databases stay detached from the storage
-  // manager until fully rebuilt, so restoring tables/views/indexes is
-  // not re-logged.
+  // manager until fully rebuilt, so restoring tables and views is not
+  // re-logged.
   for (auto& [db_name, info] : report.databases) {
     auto db = std::make_unique<Database>(db_name);
-    for (auto& [table_name, tinfo] : info.tables) {
-      MSQL_ASSIGN_OR_RETURN(
-          std::unique_ptr<Table> table,
-          Table::CreatePaged(std::move(tinfo.schema), tinfo.storage));
-      for (const RecoveredIndexInfo& index : tinfo.indexes) {
-        MSQL_RETURN_IF_ERROR(table->RestoreIndex(index.name, index.column));
-      }
+    for (auto& [table_name, table] : info.tables) {
       MSQL_RETURN_IF_ERROR(db->RestoreTable(std::move(table)));
     }
-    for (const RecoveredViewInfo& view : info.views) {
-      MSQL_ASSIGN_OR_RETURN(StatementPtr stmt, ParseSql(view.sql));
-      if (stmt->kind() != StatementKind::kSelect) {
-        return Status::Corrupted("recovered view '" + view.name +
-                                 "' does not parse as a SELECT");
-      }
-      std::unique_ptr<SelectStmt> select(
-          static_cast<SelectStmt*>(stmt.release()));
-      MSQL_RETURN_IF_ERROR(db->CreateView(view.name, std::move(select)));
+    for (auto& [view_name, definition] : info.views) {
+      MSQL_RETURN_IF_ERROR(db->CreateView(view_name, std::move(definition)));
     }
     db->AttachStorageManager(storage_.get());
     databases_[db_name] = std::move(db);
@@ -175,8 +162,7 @@ Status LocalEngine::DropDatabase(std::string_view name) {
                             service_name_ + "'");
   }
   if (storage_ != nullptr) {
-    // After the Database (and its paged index objects) are gone, drop
-    // the heap storages and log the DDL.
+    // The Database took its tables' heap files and indexes with it.
     MSQL_RETURN_IF_ERROR(storage_->OnDropDatabase(key));
   }
   return Status::OK();
@@ -547,7 +533,7 @@ Result<ResultSet> LocalEngine::ExecuteStatement(SessionId session_id,
     session->last_state = TxnState::kActive;
   }
 
-  MSQL_ASSIGN_OR_RETURN(auto result, ExecuteInTxn(session, stmt));
+  MSQL_ASSIGN_OR_RETURN(auto result, ExecuteInTxn(session, stmt, is_ddl));
 
   // DDL that cannot be rolled back commits immediately even inside an
   // explicit transaction on Oracle-like engines. The commit decision
@@ -598,7 +584,8 @@ Result<std::string> LocalEngine::ExplainSql(SessionId session_id,
 }
 
 Result<ResultSet> LocalEngine::ExecuteInTxn(Session* session,
-                                            const Statement& stmt) {
+                                            const Statement& stmt,
+                                            bool is_ddl) {
   MSQL_ASSIGN_OR_RETURN(Database * db, GetDatabase(session->db_name));
   ExecutorOptions options;
   options.record_ddl_undo = profile_.ddl_rollbackable;
@@ -607,8 +594,12 @@ Result<ResultSet> LocalEngine::ExecuteInTxn(Session* session,
   options.metrics = metrics_;
   Executor executor(db, session->txn.get(), &locks_, options);
   if (storage_ != nullptr) {
-    storage_->SetCurrentTxn(session->txn->id(), session->id,
-                            session->db_name);
+    // DDL the profile cannot roll back is logged outside the
+    // transaction, as transaction 0: recovery replays it whatever the
+    // transaction's fate, as the executor keeps it in place on rollback.
+    TxnId logged_as =
+        is_ddl && !profile_.ddl_rollbackable ? 0 : session->txn->id();
+    storage_->SetCurrentTxn(logged_as, session->id, session->db_name);
   }
   auto result = executor.Execute(stmt);
   if (storage_ != nullptr) storage_->ClearCurrentTxn();

@@ -246,7 +246,10 @@ class LocalEngine {
   /// Finishes `txn` with commit, releasing locks.
   Status CommitTxn(Session* session);
 
-  Result<ResultSet> ExecuteInTxn(Session* session, const Statement& stmt);
+  /// Runs `stmt` in the session's transaction; `is_ddl` marks table,
+  /// index and view DDL.
+  Result<ResultSet> ExecuteInTxn(Session* session, const Statement& stmt,
+                                 bool is_ddl);
 
   std::string service_name_;
   CapabilityProfile profile_;

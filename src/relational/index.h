@@ -2,8 +2,8 @@
 #define MSQL_RELATIONAL_INDEX_H_
 
 #include <cstddef>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -12,18 +12,17 @@
 
 namespace msql::relational {
 
-/// Ordered secondary index over one column: value → live RowIds.
+/// Secondary index over one column: value → live RowIds.
 ///
 /// Maintained eagerly by the owning Table on every insert/delete/update;
 /// the planner probes it for pushed `col = literal` conjuncts. NULL
 /// keys are indexed too (IS NULL cannot use it — only `=` probes do, and
 /// `= NULL` never matches — but keeping them makes maintenance uniform).
 ///
-/// The base class is the in-memory implementation (a std::map). Paged
-/// tables substitute BtreeIndex (storage_engine.h), which overrides the
-/// virtual surface with a page-backed B+-tree; the executor and planner
-/// only use that surface (LookupIds / distinct_keys), so they work
-/// against either.
+/// An interface: each row store builds its own (RowStore::BuildIndex) —
+/// an ordered map in memory for the in-memory store, a page-backed
+/// B+-tree (BtreeIndex, storage_engine.h) for the paged one. The
+/// executor and planner only use this surface.
 class Index {
  public:
   Index(std::string name, size_t column_index)
@@ -36,44 +35,20 @@ class Index {
   const std::string& name() const { return name_; }
   size_t column_index() const { return column_index_; }
 
-  virtual Status Insert(const Value& key, RowId id) {
-    entries_[key].push_back(id);
-    return Status::OK();
-  }
+  virtual Status Insert(const Value& key, RowId id) = 0;
+  virtual Status Erase(const Value& key, RowId id) = 0;
 
-  virtual Status Erase(const Value& key, RowId id) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) return Status::OK();
-    auto& ids = it->second;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == id) {
-        ids.erase(ids.begin() + static_cast<ptrdiff_t>(i));
-        break;
-      }
-    }
-    if (ids.empty()) entries_.erase(it);
-    return Status::OK();
-  }
+  /// RowIds whose column equals `key`, ascending (empty when none). A
+  /// probe therefore fetches rows in the order a scan meets them, which
+  /// the planner's order restoration (DESIGN.md §10) relies on.
+  virtual Result<std::vector<RowId>> LookupIds(const Value& key) const = 0;
 
-  /// RowIds whose column equals `key`, in insertion order (empty when
-  /// none).
-  virtual Result<std::vector<RowId>> LookupIds(const Value& key) const {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) return std::vector<RowId>{};
-    return it->second;
-  }
+  /// Number of distinct keys (the planner's selectivity input).
+  virtual size_t distinct_keys() const = 0;
 
-  virtual size_t distinct_keys() const { return entries_.size(); }
-
- protected:
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const {
-      return a.Compare(b) < 0;
-    }
-  };
+ private:
   std::string name_;
   size_t column_index_;
-  std::map<Value, std::vector<RowId>, ValueLess> entries_;
 };
 
 }  // namespace msql::relational

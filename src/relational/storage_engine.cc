@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "relational/row_serde.h"
+#include "relational/sql/parser.h"
 #include "storage/page.h"
 
 namespace msql::relational {
@@ -117,11 +118,13 @@ std::string PrefixHi(const std::string& prefix) {
 // -- TableStorage ------------------------------------------------------------
 
 TableStorage::TableStorage(StorageManager* mgr, std::string db,
-                           std::string table, std::string path)
+                           std::string table, std::string path,
+                           TxnId creator)
     : mgr_(mgr),
       db_(std::move(db)),
       table_(std::move(table)),
-      path_(std::move(path)) {}
+      path_(std::move(path)),
+      creator_(creator) {}
 
 TableStorage::~TableStorage() {
   if (disk_ != nullptr && disk_->is_open()) {
@@ -139,31 +142,45 @@ Status TableStorage::OpenOrCreate() {
   return heap_->Open();
 }
 
-Status TableStorage::LoggedInsert(RowId id, const Row& row) {
+Status TableStorage::Insert(RowId id, Row row) {
   std::string bytes = SerializeRow(row);
-  MSQL_ASSIGN_OR_RETURN(uint64_t lsn,
-                        mgr_->LogInsert(db_, table_, id, bytes));
+  MSQL_ASSIGN_OR_RETURN(
+      uint64_t lsn,
+      mgr_->LogRow(storage::WalRecordType::kInsert, *this, id, {bytes}));
   return heap_->Put(id, lsn, mgr_->effective_txn(), bytes);
 }
 
-Status TableStorage::LoggedUpdate(RowId id, const Row& before,
-                                  const Row& after) {
-  std::string after_bytes = SerializeRow(after);
+Result<Row> TableStorage::Update(RowId id, Row row) {
+  MSQL_ASSIGN_OR_RETURN(std::string before, heap_->Get(id));
+  MSQL_ASSIGN_OR_RETURN(Row old, DeserializeRow(before));
+  std::string after = SerializeRow(row);
+  MSQL_ASSIGN_OR_RETURN(uint64_t lsn,
+                        mgr_->LogRow(storage::WalRecordType::kUpdate, *this,
+                                     id, {before, after}));
+  MSQL_RETURN_IF_ERROR(heap_->Put(id, lsn, mgr_->effective_txn(), after));
+  return old;
+}
+
+Result<Row> TableStorage::Delete(RowId id) {
+  MSQL_ASSIGN_OR_RETURN(std::string before, heap_->Get(id));
+  MSQL_ASSIGN_OR_RETURN(Row old, DeserializeRow(before));
   MSQL_ASSIGN_OR_RETURN(
       uint64_t lsn,
-      mgr_->LogUpdate(db_, table_, id, SerializeRow(before), after_bytes));
-  return heap_->Put(id, lsn, mgr_->effective_txn(), after_bytes);
+      mgr_->LogRow(storage::WalRecordType::kDelete, *this, id, {before}));
+  MSQL_RETURN_IF_ERROR(heap_->Delete(id, lsn, mgr_->effective_txn()));
+  return old;
 }
 
-Status TableStorage::LoggedDelete(RowId id, const Row& before) {
-  MSQL_ASSIGN_OR_RETURN(
-      uint64_t lsn, mgr_->LogDelete(db_, table_, id, SerializeRow(before)));
-  return heap_->Delete(id, lsn, mgr_->effective_txn());
-}
-
-Result<Row> TableStorage::ReadRow(RowId id) const {
+Result<Row> TableStorage::Read(RowId id) const {
   MSQL_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(id));
   return DeserializeRow(bytes);
+}
+
+Status TableStorage::Scan(std::vector<Row>* rows) const {
+  return ScanLiveRows([rows](RowId, Row row) {
+    rows->push_back(std::move(row));
+    return Status::OK();
+  });
 }
 
 Status TableStorage::ScanLiveRows(
@@ -173,6 +190,23 @@ Status TableStorage::ScanLiveRows(
         MSQL_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
         return fn(rowid, std::move(row));
       });
+}
+
+Status TableStorage::ScanSlots(
+    const std::function<Status(RowId, bool)>& fn) const {
+  return heap_->ScanEntries([&](uint64_t rowid, uint16_t flags) {
+    return fn(rowid, flags == 1);
+  });
+}
+
+Result<std::unique_ptr<Index>> TableStorage::BuildIndex(
+    const std::string& index_name, const ColumnDef& column,
+    size_t column_index, bool log) {
+  return mgr_->BuildIndex(this, index_name, column, column_index, log);
+}
+
+Status TableStorage::DropIndex(const std::string& index_name) {
+  return mgr_->OnDropIndex(db_, table_, index_name);
 }
 
 // -- BtreeIndex --------------------------------------------------------------
@@ -304,61 +338,20 @@ Status StorageManager::EnsureBegun() {
   return Status::OK();
 }
 
-bool StorageManager::UndoTargetsOwnIncarnation(
-    const std::string& db, const std::string& table) const {
-  if (!undo_mode_ || undo_txn_ == 0) return false;
-  auto it = deltas_.find(undo_txn_);
-  if (it == deltas_.end()) return false;
-  const std::vector<std::string>& created = it->second.created;
-  return std::find(created.begin(), created.end(), db + "." + table) !=
-         created.end();
-}
-
-Result<uint64_t> StorageManager::LogInsert(const std::string& db,
-                                           const std::string& table,
-                                           RowId id,
-                                           const std::string& bytes) {
-  if (UndoTargetsOwnIncarnation(db, table)) return uint64_t{0};
+Result<uint64_t> StorageManager::LogRow(
+    storage::WalRecordType type, const TableStorage& ts, RowId id,
+    std::initializer_list<std::string_view> images) {
+  if (undo_mode_ && undo_txn_ != 0 && ts.creator() == undo_txn_) {
+    return uint64_t{0};
+  }
   MSQL_RETURN_IF_ERROR(EnsureBegun());
   std::string payload;
   AppendU64(&payload, effective_txn());
-  AppendStr(&payload, db);
-  AppendStr(&payload, table);
+  AppendStr(&payload, ts.db());
+  AppendStr(&payload, ts.table());
   AppendU64(&payload, id);
-  AppendStr(&payload, bytes);
-  return wal_.Append(storage::WalRecordType::kInsert, std::move(payload));
-}
-
-Result<uint64_t> StorageManager::LogUpdate(const std::string& db,
-                                           const std::string& table,
-                                           RowId id,
-                                           const std::string& before,
-                                           const std::string& after) {
-  if (UndoTargetsOwnIncarnation(db, table)) return uint64_t{0};
-  MSQL_RETURN_IF_ERROR(EnsureBegun());
-  std::string payload;
-  AppendU64(&payload, effective_txn());
-  AppendStr(&payload, db);
-  AppendStr(&payload, table);
-  AppendU64(&payload, id);
-  AppendStr(&payload, before);
-  AppendStr(&payload, after);
-  return wal_.Append(storage::WalRecordType::kUpdate, std::move(payload));
-}
-
-Result<uint64_t> StorageManager::LogDelete(const std::string& db,
-                                           const std::string& table,
-                                           RowId id,
-                                           const std::string& before) {
-  if (UndoTargetsOwnIncarnation(db, table)) return uint64_t{0};
-  MSQL_RETURN_IF_ERROR(EnsureBegun());
-  std::string payload;
-  AppendU64(&payload, effective_txn());
-  AppendStr(&payload, db);
-  AppendStr(&payload, table);
-  AppendU64(&payload, id);
-  AppendStr(&payload, before);
-  return wal_.Append(storage::WalRecordType::kDelete, std::move(payload));
+  for (std::string_view image : images) AppendStr(&payload, image);
+  return wal_.Append(type, std::move(payload));
 }
 
 Result<uint64_t> StorageManager::AppendDdl(uint8_t op, const std::string& db,
@@ -379,80 +372,40 @@ Result<uint64_t> StorageManager::AppendDdl(uint8_t op, const std::string& db,
   } else {
     AppendU32(&payload, 0);
   }
-  return wal_.Append(storage::WalRecordType::kDdl, std::move(payload));
+  MSQL_ASSIGN_OR_RETURN(
+      uint64_t lsn,
+      wal_.Append(storage::WalRecordType::kDdl, std::move(payload)));
+  // Outside any transaction no COMMIT will flush it: make it durable now.
+  if (effective_txn() == 0) MSQL_RETURN_IF_ERROR(wal_.Flush());
+  return lsn;
 }
 
 Status StorageManager::OnCreateDatabase(const std::string& db) {
-  MSQL_RETURN_IF_ERROR(
-      AppendDdl(kDdlCreateDb, db, "", "", "", nullptr).status());
-  // Administrative, outside any transaction: make it durable now.
-  return wal_.Flush();
+  return AppendDdl(kDdlCreateDb, db, "", "", "", nullptr).status();
 }
 
 Status StorageManager::OnDropDatabase(const std::string& db) {
-  MSQL_RETURN_IF_ERROR(
-      AppendDdl(kDdlDropDb, db, "", "", "", nullptr).status());
-  std::string prefix = db + ".";
-  for (auto it = tables_.begin(); it != tables_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0) {
-      it = tables_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return wal_.Flush();
+  return AppendDdl(kDdlDropDb, db, "", "", "", nullptr).status();
 }
 
-Result<TableStorage*> StorageManager::CreateTableStorage(
+Result<std::unique_ptr<TableStorage>> StorageManager::CreateTableStorage(
     const std::string& db, const TableSchema& schema) {
   const std::string& table = schema.table_name();
-  std::string key = db + "." + table;
-  if (tables_.count(key) > 0) {
-    return Status::Internal("storage for '" + key + "' already exists");
-  }
-  std::string path;
-  if (undo_mode_) {
-    path = HeapPath(db, table + ".u" + std::to_string(++unlogged_counter_),
-                    0);
-  } else {
-    MSQL_ASSIGN_OR_RETURN(
-        uint64_t lsn, AppendDdl(kDdlCreateTable, db, table, "", "", &schema));
-    path = HeapPath(db, table, lsn);
-  }
-  auto ts = std::make_unique<TableStorage>(this, db, table, path);
+  MSQL_ASSIGN_OR_RETURN(
+      uint64_t lsn, AppendDdl(kDdlCreateTable, db, table, "", "", &schema));
+  auto ts = std::make_unique<TableStorage>(this, db, table,
+                                           HeapPath(db, table, lsn),
+                                           effective_txn());
   MSQL_RETURN_IF_ERROR(ts->OpenOrCreate());
-  TableStorage* raw = ts.get();
-  tables_[key] = std::move(ts);
-  if (!undo_mode_ && current_txn_ != 0) {
-    deltas_[current_txn_].created.push_back(key);
-  }
-  return raw;
+  return ts;
 }
 
 Status StorageManager::OnDropTable(const std::string& db,
                                    const std::string& table) {
-  // During rollback the creating transaction's delta already owns the
-  // teardown; the catalog record would be a lie (the drop is the undo
-  // of a create that recovery will discard wholesale).
+  // During rollback the drop undoes a create that recovery discards
+  // wholesale; a catalog record would be a lie.
   if (undo_mode_) return Status::OK();
-  std::string key = db + "." + table;
-  auto it = tables_.find(key);
-  if (it == tables_.end()) {
-    return Status::Internal("drop of unknown table storage '" + key + "'");
-  }
-  MSQL_RETURN_IF_ERROR(
-      AppendDdl(kDdlDropTable, db, table, "", "", nullptr).status());
-  if (current_txn_ == 0) {
-    tables_.erase(it);
-    return Status::OK();
-  }
-  TxnDelta& delta = deltas_[current_txn_];
-  bool created_here =
-      std::find(delta.created.begin(), delta.created.end(), key) !=
-      delta.created.end();
-  delta.dropped.push_back({key, std::move(it->second), created_here});
-  tables_.erase(it);
-  return Status::OK();
+  return AppendDdl(kDdlDropTable, db, table, "", "", nullptr).status();
 }
 
 Status StorageManager::OnDropIndex(const std::string& db,
@@ -477,14 +430,13 @@ Status StorageManager::OnDropView(const std::string& db,
 
 Result<std::unique_ptr<Index>> StorageManager::BuildIndex(
     TableStorage* storage, const std::string& index_name,
-    const std::string& column_name, size_t column_index, Type column_type,
-    bool log) {
+    const ColumnDef& column, size_t column_index, bool log) {
   std::string path;
   if (log && !undo_mode_) {
     MSQL_ASSIGN_OR_RETURN(
         uint64_t lsn,
         AppendDdl(kDdlCreateIndex, storage->db(), storage->table(),
-                  index_name, column_name, nullptr));
+                  index_name, column.name, nullptr));
     path = BtreePath(storage->db(), storage->table(), index_name,
                      std::to_string(lsn));
   } else {
@@ -492,39 +444,12 @@ Result<std::unique_ptr<Index>> StorageManager::BuildIndex(
                      "u" + std::to_string(++unlogged_counter_));
   }
   auto index = std::make_unique<BtreeIndex>(index_name, column_index,
-                                            column_type, this, path);
+                                            column.type, this, path);
   MSQL_RETURN_IF_ERROR(index->OpenOrReset());
   MSQL_RETURN_IF_ERROR(storage->ScanLiveRows([&](RowId id, Row row) {
     return index->Insert(row[column_index], id);
   }));
   return std::unique_ptr<Index>(std::move(index));
-}
-
-void StorageManager::ApplyDelta(TxnId txn, bool commit) {
-  auto it = deltas_.find(txn);
-  if (it == deltas_.end()) return;
-  TxnDelta& delta = it->second;
-  if (commit) {
-    // Creations stand; dropped incarnations are gone for good (their
-    // files are never deleted, just closed and forgotten).
-    delta.dropped.clear();
-  } else {
-    // Reverse order: a re-created name must vanish before the dropped
-    // original is re-attached.
-    for (auto key = delta.created.rbegin(); key != delta.created.rend();
-         ++key) {
-      tables_.erase(*key);
-    }
-    for (auto dropped = delta.dropped.rbegin();
-         dropped != delta.dropped.rend(); ++dropped) {
-      if (dropped->created_by_txn) {
-        dropped->storage.reset();
-      } else {
-        tables_[dropped->key] = std::move(dropped->storage);
-      }
-    }
-  }
-  deltas_.erase(it);
 }
 
 Status StorageManager::OnCommit(TxnId txn) {
@@ -538,7 +463,6 @@ Status StorageManager::OnCommit(TxnId txn) {
     begun_.erase(txn);
   }
   pool_.ReleaseTxn(txn);
-  ApplyDelta(txn, /*commit=*/true);
   return Status::OK();
 }
 
@@ -553,7 +477,6 @@ Status StorageManager::OnAbort(TxnId txn) {
     begun_.erase(txn);
   }
   pool_.ReleaseTxn(txn);
-  ApplyDelta(txn, /*commit=*/false);
   return Status::OK();
 }
 
@@ -600,8 +523,6 @@ Status StorageManager::Checkpoint(size_t max_pages) {
 void StorageManager::SimulateCrash() {
   pool_.DropAll();
   wal_.DropUnflushed();
-  tables_.clear();
-  deltas_.clear();
   begun_.clear();
   current_txn_ = 0;
   current_session_ = 0;
@@ -609,10 +530,47 @@ void StorageManager::SimulateCrash() {
   undo_mode_ = false;
 }
 
+namespace {
+
+/// One table incarnation as replay reaches each record.
+struct ReplayedTable {
+  TableSchema schema;
+  std::unique_ptr<TableStorage> storage;
+  /// (index name, column name) in creation order.
+  std::vector<std::pair<std::string, std::string>> indexes;
+};
+
+struct ReplayedDatabase {
+  std::map<std::string, ReplayedTable> tables;
+  /// (view name, defining SELECT text) in creation order.
+  std::vector<std::pair<std::string, std::string>> views;
+};
+
+/// A Table over a replayed incarnation, its indexes rebuilt unlogged.
+Result<std::unique_ptr<Table>> OpenReplayed(ReplayedTable replayed) {
+  MSQL_ASSIGN_OR_RETURN(std::unique_ptr<Table> table,
+                        Table::Open(std::move(replayed.schema),
+                                    std::move(replayed.storage)));
+  for (const auto& [name, column] : replayed.indexes) {
+    MSQL_RETURN_IF_ERROR(table->RestoreIndex(name, column));
+  }
+  return table;
+}
+
+Result<std::unique_ptr<SelectStmt>> ParseView(const std::string& name,
+                                              const std::string& sql) {
+  MSQL_ASSIGN_OR_RETURN(StatementPtr stmt, ParseSql(sql));
+  if (stmt->kind() != StatementKind::kSelect) {
+    return Status::Corrupted("recovered view '" + name +
+                             "' does not parse as a SELECT");
+  }
+  return std::unique_ptr<SelectStmt>(static_cast<SelectStmt*>(stmt.release()));
+}
+
+}  // namespace
+
 Result<RecoveryReport> StorageManager::Recover() {
   obs::ScopedSpan span(tracer_, "storage.recover", "storage");
-  tables_.clear();
-  deltas_.clear();
   begun_.clear();
   undo_mode_ = false;
   current_txn_ = 0;
@@ -685,8 +643,28 @@ Result<RecoveryReport> StorageManager::Recover() {
     image.db = ident[txn].db;
     prepared[txn] = std::move(image);
   }
+  // Appends the undo record inverting a prepared transaction's change
+  // to `db`.`name`, which the transaction still holds locked.
+  auto undo_for = [&](uint64_t txn, UndoRecord::Kind kind,
+                      const std::string& db,
+                      const std::string& name) -> UndoRecord& {
+    prepared_locks[txn].insert(db + "." + name);
+    UndoRecord& u = prepared[txn].undo.emplace_back();
+    u.kind = kind;
+    u.database = db;
+    u.table = name;
+    return u;
+  };
 
   // Pass 2: catalog replay + LSN-guarded redo, in log order.
+  std::map<std::string, ReplayedDatabase> catalog;
+  auto find_table = [&](const std::string& db,
+                        const std::string& table) -> ReplayedTable* {
+    auto db_it = catalog.find(db);
+    if (db_it == catalog.end()) return nullptr;
+    auto it = db_it->second.tables.find(table);
+    return it == db_it->second.tables.end() ? nullptr : &it->second;
+  };
   for (const storage::WalRecord& rec : records) {
     Reader r{rec.payload};
     uint64_t txn = r.U64();
@@ -699,92 +677,87 @@ Result<RecoveryReport> StorageManager::Recover() {
         std::string c = r.Str();
         if (!r.ok) return MalformedRecord(rec.lsn);
         if (!applied(txn)) break;
+        if (op == kDdlDropDb) {
+          catalog.erase(db);
+          break;
+        }
+        ReplayedDatabase& database = catalog[db];
         switch (op) {
           case kDdlCreateDb:
-            report.databases[db];
             break;
-          case kDdlDropDb: {
-            std::string prefix = db + ".";
-            for (auto it = tables_.begin(); it != tables_.end();) {
-              if (it->first.compare(0, prefix.size(), prefix) == 0) {
-                it = tables_.erase(it);
-              } else {
-                ++it;
-              }
-            }
-            report.databases.erase(db);
-            break;
-          }
           case kDdlCreateTable: {
             MSQL_ASSIGN_OR_RETURN(TableSchema schema,
                                   ReadSchema(&r, a, rec.lsn));
-            auto ts = std::make_unique<TableStorage>(this, db, a,
-                                                     HeapPath(db, a, rec.lsn));
+            auto ts = std::make_unique<TableStorage>(
+                this, db, a, HeapPath(db, a, rec.lsn), txn);
             MSQL_RETURN_IF_ERROR(ts->OpenOrCreate());
             // The durable tail pointer may lag data pages that
             // committed rows already occupy; never append over them.
             MSQL_RETURN_IF_ERROR(ts->heap()->ResetTail());
-            RecoveredTableInfo info;
-            info.schema = std::move(schema);
-            info.storage = ts.get();
-            tables_[db + "." + a] = std::move(ts);
-            report.databases[db].tables[a] = std::move(info);
+            database.tables[a] = {std::move(schema), std::move(ts), {}};
             if (is_prepared(txn)) {
-              UndoRecord u;
-              u.kind = UndoRecord::Kind::kCreateTable;
-              u.database = db;
-              u.table = a;
-              prepared[txn].undo.push_back(std::move(u));
-              prepared_locks[txn].insert(db + "." + a);
+              undo_for(txn, UndoRecord::Kind::kCreateTable, db, a);
             }
             break;
           }
-          case kDdlDropTable:
-            tables_.erase(db + "." + a);
-            report.databases[db].tables.erase(a);
-            break;
-          case kDdlCreateIndex: {
-            auto& table_info = report.databases[db].tables[a];
-            table_info.indexes.push_back({b, c});
+          case kDdlDropTable: {
+            auto it = database.tables.find(a);
+            if (it == database.tables.end()) break;
             if (is_prepared(txn)) {
-              UndoRecord u;
-              u.kind = UndoRecord::Kind::kCreateIndex;
-              u.database = db;
-              u.table = a;
-              u.index_name = b;
-              prepared[txn].undo.push_back(std::move(u));
-              prepared_locks[txn].insert(db + "." + a);
+              // Rolling the drop back re-attaches this very incarnation.
+              MSQL_ASSIGN_OR_RETURN(std::unique_ptr<Table> dropped,
+                                    OpenReplayed(std::move(it->second)));
+              undo_for(txn, UndoRecord::Kind::kDropTable, db, a)
+                  .dropped_table = std::move(dropped);
+            }
+            database.tables.erase(it);
+            break;
+          }
+          case kDdlCreateIndex: {
+            ReplayedTable* table = find_table(db, a);
+            if (table == nullptr) break;
+            table->indexes.emplace_back(b, c);
+            if (is_prepared(txn)) {
+              undo_for(txn, UndoRecord::Kind::kCreateIndex, db, a)
+                  .index_name = b;
             }
             break;
           }
           case kDdlDropIndex: {
-            auto& indexes = report.databases[db].tables[a].indexes;
-            indexes.erase(
-                std::remove_if(indexes.begin(), indexes.end(),
-                               [&](const RecoveredIndexInfo& info) {
-                                 return info.name == b;
-                               }),
-                indexes.end());
+            ReplayedTable* table = find_table(db, a);
+            if (table == nullptr) break;
+            auto index = std::find_if(
+                table->indexes.begin(), table->indexes.end(),
+                [&](const auto& entry) { return entry.first == b; });
+            if (index == table->indexes.end()) break;
+            if (is_prepared(txn)) {
+              UndoRecord& u =
+                  undo_for(txn, UndoRecord::Kind::kDropIndex, db, a);
+              u.index_name = b;
+              u.index_column = index->second;
+            }
+            table->indexes.erase(index);
             break;
           }
           case kDdlCreateView: {
-            report.databases[db].views.push_back({a, b});
+            database.views.emplace_back(a, b);
             if (is_prepared(txn)) {
-              UndoRecord u;
-              u.kind = UndoRecord::Kind::kCreateView;
-              u.database = db;
-              u.table = a;
-              prepared[txn].undo.push_back(std::move(u));
+              undo_for(txn, UndoRecord::Kind::kCreateView, db, a);
             }
             break;
           }
           case kDdlDropView: {
-            auto& views = report.databases[db].views;
-            views.erase(std::remove_if(views.begin(), views.end(),
-                                       [&](const RecoveredViewInfo& info) {
-                                         return info.name == a;
-                                       }),
-                        views.end());
+            auto view = std::find_if(
+                database.views.begin(), database.views.end(),
+                [&](const auto& entry) { return entry.first == a; });
+            if (view == database.views.end()) break;
+            if (is_prepared(txn)) {
+              MSQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> definition,
+                                    ParseView(a, view->second));
+              undo_for(txn, UndoRecord::Kind::kDropView, db, a)
+                  .dropped_view = std::move(definition);
+            }
+            database.views.erase(view);
             break;
           }
           default:
@@ -800,58 +773,57 @@ Result<RecoveryReport> StorageManager::Recover() {
         uint64_t rowid = r.U64();
         if (!r.ok) return MalformedRecord(rec.lsn);
         if (!applied(txn)) break;
-        auto it = tables_.find(db + "." + table);
+        ReplayedTable* replayed = find_table(db, table);
         // A compensation can reference a table whose creating
         // transaction was discarded; its data was discarded with it.
-        if (it == tables_.end()) break;
-        TableStorage* ts = it->second.get();
+        if (replayed == nullptr) break;
+        storage::HeapFile* heap = replayed->storage->heap();
         if (rec.type == storage::WalRecordType::kInsert) {
           std::string bytes = r.Str();
           if (!r.ok) return MalformedRecord(rec.lsn);
-          MSQL_RETURN_IF_ERROR(ts->heap()->RedoPut(rowid, rec.lsn, bytes));
+          MSQL_RETURN_IF_ERROR(heap->RedoPut(rowid, rec.lsn, bytes));
           if (is_prepared(txn)) {
-            UndoRecord u;
-            u.kind = UndoRecord::Kind::kInsert;
-            u.database = db;
-            u.table = table;
-            u.row_id = rowid;
-            prepared[txn].undo.push_back(std::move(u));
-            prepared_locks[txn].insert(db + "." + table);
+            undo_for(txn, UndoRecord::Kind::kInsert, db, table).row_id =
+                rowid;
           }
-        } else if (rec.type == storage::WalRecordType::kUpdate) {
-          std::string before = r.Str();
-          std::string after = r.Str();
-          if (!r.ok) return MalformedRecord(rec.lsn);
-          MSQL_RETURN_IF_ERROR(ts->heap()->RedoPut(rowid, rec.lsn, after));
-          if (is_prepared(txn)) {
-            UndoRecord u;
-            u.kind = UndoRecord::Kind::kUpdate;
-            u.database = db;
-            u.table = table;
-            u.row_id = rowid;
-            MSQL_ASSIGN_OR_RETURN(u.before, DeserializeRow(before));
-            prepared[txn].undo.push_back(std::move(u));
-            prepared_locks[txn].insert(db + "." + table);
-          }
+          break;
+        }
+        std::string before = r.Str();
+        std::string after =
+            rec.type == storage::WalRecordType::kUpdate ? r.Str() : "";
+        if (!r.ok) return MalformedRecord(rec.lsn);
+        if (rec.type == storage::WalRecordType::kUpdate) {
+          MSQL_RETURN_IF_ERROR(heap->RedoPut(rowid, rec.lsn, after));
         } else {
-          std::string before = r.Str();
-          if (!r.ok) return MalformedRecord(rec.lsn);
-          MSQL_RETURN_IF_ERROR(ts->heap()->RedoDelete(rowid, rec.lsn));
-          if (is_prepared(txn)) {
-            UndoRecord u;
-            u.kind = UndoRecord::Kind::kDelete;
-            u.database = db;
-            u.table = table;
-            u.row_id = rowid;
-            MSQL_ASSIGN_OR_RETURN(u.before, DeserializeRow(before));
-            prepared[txn].undo.push_back(std::move(u));
-            prepared_locks[txn].insert(db + "." + table);
-          }
+          MSQL_RETURN_IF_ERROR(heap->RedoDelete(rowid, rec.lsn));
+        }
+        if (is_prepared(txn)) {
+          UndoRecord& u = undo_for(txn,
+                                   rec.type == storage::WalRecordType::kUpdate
+                                       ? UndoRecord::Kind::kUpdate
+                                       : UndoRecord::Kind::kDelete,
+                                   db, table);
+          u.row_id = rowid;
+          MSQL_ASSIGN_OR_RETURN(u.before, DeserializeRow(before));
         }
         break;
       }
       default:
         break;
+    }
+  }
+
+  // Open every surviving incarnation, in database and table name order.
+  for (auto& [db, database] : catalog) {
+    RecoveredDatabaseInfo& info = report.databases[db];
+    for (auto& [name, replayed] : database.tables) {
+      MSQL_ASSIGN_OR_RETURN(info.tables[name],
+                            OpenReplayed(std::move(replayed)));
+    }
+    for (const auto& [name, sql] : database.views) {
+      MSQL_ASSIGN_OR_RETURN(std::unique_ptr<SelectStmt> definition,
+                            ParseView(name, sql));
+      info.views.emplace_back(name, std::move(definition));
     }
   }
 

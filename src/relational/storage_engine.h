@@ -3,17 +3,19 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "relational/index.h"
 #include "relational/schema.h"
+#include "relational/sql/ast.h"
 #include "relational/table.h"
 #include "relational/txn.h"
 #include "relational/value.h"
@@ -36,17 +38,21 @@ struct StorageConfig {
   size_t buffer_pool_pages = 64;
 };
 
-/// Paged persistence of one table incarnation (one heap file). A
-/// "drop then re-create" of the same table name gets a fresh
-/// TableStorage with a distinct file (stems embed the creating DDL
-/// record's LSN), so an aborted re-create can never clobber the old
-/// incarnation's data. Owned by the StorageManager; the Table object
-/// holds a non-owning pointer.
-class TableStorage {
+/// Paged row store of one table incarnation (one heap file). A "drop
+/// then re-create" of the same table name gets a fresh TableStorage with
+/// a distinct file (stems embed the creating DDL record's LSN), so an
+/// aborted re-create can never clobber the old incarnation's data. The
+/// Table that owns it decides its lifetime: the catalog holds it, an
+/// undo record holds it after a DROP that may still roll back, and it
+/// dies with the Table.
+///
+/// Every change is logged first (attributed to the manager's current
+/// transaction), then applied to the heap on the record's LSN.
+class TableStorage : public RowStore {
  public:
   TableStorage(StorageManager* mgr, std::string db, std::string table,
-               std::string path);
-  ~TableStorage();
+               std::string path, TxnId creator);
+  ~TableStorage() override;
 
   TableStorage(const TableStorage&) = delete;
   TableStorage& operator=(const TableStorage&) = delete;
@@ -56,16 +62,23 @@ class TableStorage {
 
   const std::string& db() const { return db_; }
   const std::string& table() const { return table_; }
-  StorageManager* manager() { return mgr_; }
+  /// Transaction the CREATE TABLE record of this incarnation carries (0
+  /// when the DDL was logged outside any transaction).
+  TxnId creator() const { return creator_; }
   storage::HeapFile* heap() { return heap_.get(); }
 
-  // Logged mutations: WAL record first (attributed to the manager's
-  // current transaction), then the heap change on the same LSN.
-  Status LoggedInsert(RowId id, const Row& row);
-  Status LoggedUpdate(RowId id, const Row& before, const Row& after);
-  Status LoggedDelete(RowId id, const Row& before);
-
-  Result<Row> ReadRow(RowId id) const;
+  Status Insert(RowId id, Row row) override;
+  Result<Row> Update(RowId id, Row row) override;
+  Result<Row> Delete(RowId id) override;
+  Result<Row> Read(RowId id) const override;
+  Status Scan(std::vector<Row>* rows) const override;
+  Status ScanSlots(
+      const std::function<Status(RowId, bool)>& fn) const override;
+  Result<std::unique_ptr<Index>> BuildIndex(const std::string& index_name,
+                                            const ColumnDef& column,
+                                            size_t column_index,
+                                            bool log) override;
+  Status DropIndex(const std::string& index_name) override;
 
   /// Deserializing scan over live rows in rowid order.
   Status ScanLiveRows(const std::function<Status(RowId, Row)>& fn) const;
@@ -75,6 +88,7 @@ class TableStorage {
   std::string db_;
   std::string table_;
   std::string path_;
+  TxnId creator_;
   std::unique_ptr<storage::DiskManager> disk_;
   uint32_t file_id_ = 0;
   std::unique_ptr<storage::HeapFile> heap_;
@@ -115,25 +129,11 @@ class BtreeIndex : public Index {
 
 // -- Recovery report ---------------------------------------------------------
 
-struct RecoveredIndexInfo {
-  std::string name;
-  std::string column;
-};
-
-struct RecoveredTableInfo {
-  TableSchema schema;
-  TableStorage* storage = nullptr;
-  std::vector<RecoveredIndexInfo> indexes;
-};
-
-struct RecoveredViewInfo {
-  std::string name;
-  std::string sql;
-};
-
 struct RecoveredDatabaseInfo {
-  std::map<std::string, RecoveredTableInfo> tables;
-  std::vector<RecoveredViewInfo> views;
+  /// Tables over their replayed incarnations, indexes rebuilt.
+  std::map<std::string, std::unique_ptr<Table>> tables;
+  /// View definitions in creation order.
+  std::vector<std::pair<std::string, std::unique_ptr<SelectStmt>>> views;
 };
 
 /// A transaction that crashed in the 2PC prepared state. The engine
@@ -159,9 +159,11 @@ struct RecoveryReport {
 
 // -- Storage manager ---------------------------------------------------------
 
-/// Durability brain of one LocalEngine: owns the buffer pool, the WAL
-/// and every TableStorage, and turns engine/transaction events into
-/// log records. Protocol invariants (see DESIGN.md §15):
+/// Durability brain of one LocalEngine: owns the buffer pool and the
+/// WAL, and turns engine/transaction events into log records. It owns
+/// no table: each TableStorage belongs to its Table, so a transaction's
+/// undo log alone decides whether a dropped or created incarnation
+/// survives. Protocol invariants (see DESIGN.md §15):
 ///   - WAL before data: every heap change appends its logical record
 ///     first and stamps the record's LSN on the heap entry.
 ///   - No-steal: pages dirtied by a transaction cannot reach disk until
@@ -171,6 +173,8 @@ struct RecoveryReport {
 ///   - Compensation: logical undo performed during rollback is logged
 ///     as transaction-0 records (always redone), which keeps a
 ///     prepared-then-aborted transaction's flushed pages correct.
+///   - DDL logged as transaction 0 (outside any transaction) is flushed
+///     at once; recovery always replays it.
 ///   - The WAL is never truncated; recovery replays it from the start,
 ///     which also makes it the only catalog (DDL records rebuild the
 ///     schema; no separate catalog file can get out of sync).
@@ -202,15 +206,18 @@ class StorageManager {
 
   // -- Transaction context (set by the engine around execution) ----------
 
+  /// Attributes the records that follow to `txn` (0: outside any
+  /// transaction, which is how DDL the engine's profile cannot roll
+  /// back is logged).
   void SetCurrentTxn(TxnId txn, uint64_t session, std::string db);
   void ClearCurrentTxn();
   /// During rollback, mutations are compensations: logged as
   /// transaction 0 (always redone) and DDL logging is suppressed.
   /// `txn` is the transaction being undone; compensations against
-  /// incarnations that transaction itself created are not logged at
-  /// all (replay discards the whole incarnation, and the table name
-  /// binds to an older incarnation there, so such a record would
-  /// corrupt it).
+  /// incarnations that transaction itself created (TableStorage::
+  /// creator) are not logged at all (replay discards the whole
+  /// incarnation, and the table name binds to an older incarnation
+  /// there, so such a record would corrupt it).
   void SetUndoMode(bool on, TxnId txn = 0) {
     undo_mode_ = on;
     undo_txn_ = on ? txn : 0;
@@ -221,13 +228,12 @@ class StorageManager {
 
   // -- Transaction outcomes ----------------------------------------------
 
-  /// Logs COMMIT, flushes, releases the no-steal holds and applies the
-  /// transaction's buffered DDL (dropped storages are destroyed).
-  /// Transactions that never logged anything skip the WAL entirely.
+  /// Logs COMMIT, flushes and releases the no-steal holds. Transactions
+  /// that never logged anything skip the WAL entirely.
   Status OnCommit(TxnId txn);
   /// Logs ABORT (the caller has already applied undo — with undo mode
-  /// set — so compensations precede this record), flushes, releases
-  /// holds and reverses the buffered DDL.
+  /// set — so compensations precede this record), flushes and releases
+  /// holds.
   Status OnAbort(TxnId txn);
   /// Forces BEGIN if missing, logs PREPARE, flushes and releases the
   /// no-steal holds: a prepared transaction's effects are durable and
@@ -244,9 +250,11 @@ class StorageManager {
 
   /// Replays the entire WAL: rebuilds the catalog from DDL records,
   /// redoes committed/prepared/compensation DML under per-entry LSN
-  /// guards, and reports prepared transactions for the engine to
-  /// re-instate. Indexes are not populated here — the engine rebuilds
-  /// them through Table::RestoreIndex.
+  /// guards, opens a Table (indexes rebuilt) over every surviving
+  /// incarnation, and reports prepared transactions with their undo
+  /// logs for the engine to re-instate. An incarnation a prepared
+  /// transaction dropped comes back inside that transaction's
+  /// kDropTable undo record.
   Result<RecoveryReport> Recover();
 
   // -- Catalog hooks (called from engine / Database / Table) -------------
@@ -254,13 +262,11 @@ class StorageManager {
   Status OnCreateDatabase(const std::string& db);
   Status OnDropDatabase(const std::string& db);
 
-  /// Logs CREATE TABLE, creates the incarnation's heap file and
-  /// registers it under the current transaction's DDL delta.
-  Result<TableStorage*> CreateTableStorage(const std::string& db,
-                                           const TableSchema& schema);
-  /// Logs DROP TABLE and detaches the storage into the transaction's
-  /// delta (the file is only discarded at commit, so rollback can
-  /// re-attach it). No-op in undo mode.
+  /// Logs CREATE TABLE and creates the incarnation's heap file, stamped
+  /// with the transaction the record carries.
+  Result<std::unique_ptr<TableStorage>> CreateTableStorage(
+      const std::string& db, const TableSchema& schema);
+  /// Logs DROP TABLE. No-op in undo mode.
   Status OnDropTable(const std::string& db, const std::string& table);
 
   Status OnDropIndex(const std::string& db, const std::string& table,
@@ -273,46 +279,29 @@ class StorageManager {
   /// undo mode) and populates it from the table's live rows.
   Result<std::unique_ptr<Index>> BuildIndex(TableStorage* storage,
                                             const std::string& index_name,
-                                            const std::string& column_name,
-                                            size_t column_index,
-                                            Type column_type, bool log);
+                                            const ColumnDef& column,
+                                            size_t column_index, bool log);
 
   // -- DML logging (called by TableStorage) ------------------------------
 
-  Result<uint64_t> LogInsert(const std::string& db, const std::string& table,
-                             RowId id, const std::string& bytes);
-  Result<uint64_t> LogUpdate(const std::string& db, const std::string& table,
-                             RowId id, const std::string& before,
-                             const std::string& after);
-  Result<uint64_t> LogDelete(const std::string& db, const std::string& table,
-                             RowId id, const std::string& before);
+  /// Logs an INSERT (`images` = after), UPDATE (before, after) or
+  /// DELETE (before) of row `id` of `ts`. Returns the record's LSN, or 0
+  /// for a compensation against an incarnation created by the
+  /// transaction being undone (see SetUndoMode).
+  Result<uint64_t> LogRow(storage::WalRecordType type, const TableStorage& ts,
+                          RowId id,
+                          std::initializer_list<std::string_view> images);
 
  private:
-  struct DroppedStorage {
-    std::string key;
-    std::unique_ptr<TableStorage> storage;
-    /// The same transaction also created it — destroy on abort too.
-    bool created_by_txn = false;
-  };
-  struct TxnDelta {
-    std::vector<std::string> created;
-    std::vector<DroppedStorage> dropped;
-  };
-
   /// Lazily logs BEGIN for the current transaction (so read-only
   /// transactions never touch the WAL).
   Status EnsureBegun();
-  /// True while undoing `undo_txn_` and `db.table` currently binds to
-  /// an incarnation that very transaction created: the compensation
-  /// must stay out of the WAL (see SetUndoMode).
-  bool UndoTargetsOwnIncarnation(const std::string& db,
-                                 const std::string& table) const;
+  /// Appends a DDL record; one logged outside any transaction is
+  /// flushed before this returns.
   Result<uint64_t> AppendDdl(uint8_t op, const std::string& db,
                              const std::string& a, const std::string& b,
                              const std::string& c,
                              const TableSchema* schema);
-  /// Applies or reverses a transaction's buffered DDL delta.
-  void ApplyDelta(TxnId txn, bool commit);
   std::string HeapPath(const std::string& db, const std::string& table,
                        uint64_t lsn) const;
   std::string BtreePath(const std::string& db, const std::string& table,
@@ -331,9 +320,6 @@ class StorageManager {
   /// Transactions with a durable-or-buffered BEGIN record.
   std::set<TxnId> begun_;
 
-  std::map<TxnId, TxnDelta> deltas_;
-  /// "db.table" → live storage (current incarnation).
-  std::map<std::string, std::unique_ptr<TableStorage>> tables_;
   /// Distinct file stems for unlogged index builds (undo / rebuild).
   uint64_t unlogged_counter_ = 0;
 };

@@ -1,51 +1,144 @@
 #include "relational/table.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "common/string_util.h"
 #include "relational/index.h"
-#include "relational/storage_engine.h"
 
 namespace msql::relational {
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {}
+namespace {
 
-Table::Table(TableSchema schema, TableStorage* storage)
-    : schema_(std::move(schema)), storage_(storage) {}
+struct ValueLess {
+  bool operator()(const Value& a, const Value& b) const {
+    return a.Compare(b) < 0;
+  }
+};
+
+/// In-memory index: key → ascending RowIds.
+class MapIndex : public Index {
+ public:
+  using Index::Index;
+
+  Status Insert(const Value& key, RowId id) override {
+    std::vector<RowId>& ids = entries_[key];
+    ids.insert(std::upper_bound(ids.begin(), ids.end(), id), id);
+    return Status::OK();
+  }
+
+  Status Erase(const Value& key, RowId id) override {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return Status::OK();
+    std::vector<RowId>& ids = it->second;
+    auto pos = std::lower_bound(ids.begin(), ids.end(), id);
+    if (pos != ids.end() && *pos == id) ids.erase(pos);
+    if (ids.empty()) entries_.erase(it);
+    return Status::OK();
+  }
+
+  Result<std::vector<RowId>> LookupIds(const Value& key) const override {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return std::vector<RowId>{};
+    return it->second;
+  }
+
+  size_t distinct_keys() const override { return entries_.size(); }
+
+ private:
+  std::map<Value, std::vector<RowId>, ValueLess> entries_;
+};
+
+/// In-memory row store: one slot per rowid, empty once tombstoned.
+class MemoryRowStore : public RowStore {
+ public:
+  Status Insert(RowId id, Row row) override {
+    if (id >= slots_.size()) slots_.resize(id + 1);
+    slots_[id] = std::move(row);
+    return Status::OK();
+  }
+
+  Result<Row> Update(RowId id, Row row) override {
+    Row before = std::move(*slots_[id]);
+    slots_[id] = std::move(row);
+    return before;
+  }
+
+  Result<Row> Delete(RowId id) override {
+    Row before = std::move(*slots_[id]);
+    slots_[id].reset();
+    return before;
+  }
+
+  Result<Row> Read(RowId id) const override { return *slots_[id]; }
+
+  Status Scan(std::vector<Row>* rows) const override {
+    for (const std::optional<Row>& slot : slots_) {
+      if (slot.has_value()) rows->push_back(*slot);
+    }
+    return Status::OK();
+  }
+
+  Status ScanSlots(
+      const std::function<Status(RowId, bool)>& fn) const override {
+    for (RowId id = 0; id < slots_.size(); ++id) {
+      MSQL_RETURN_IF_ERROR(fn(id, slots_[id].has_value()));
+    }
+    return Status::OK();
+  }
+
+  Result<std::unique_ptr<Index>> BuildIndex(const std::string& index_name,
+                                            const ColumnDef& /*column*/,
+                                            size_t column_index,
+                                            bool /*log*/) override {
+    auto index = std::make_unique<MapIndex>(index_name, column_index);
+    for (RowId id = 0; id < slots_.size(); ++id) {
+      if (slots_[id].has_value()) {
+        MSQL_RETURN_IF_ERROR(index->Insert((*slots_[id])[column_index], id));
+      }
+    }
+    return std::unique_ptr<Index>(std::move(index));
+  }
+
+  Status DropIndex(const std::string& /*index_name*/) override {
+    return Status::OK();
+  }
+
+ private:
+  std::vector<std::optional<Row>> slots_;
+};
+
+}  // namespace
+
+std::unique_ptr<RowStore> NewMemoryRowStore() {
+  return std::make_unique<MemoryRowStore>();
+}
+
+Table::Table(TableSchema schema, std::unique_ptr<RowStore> store)
+    : schema_(std::move(schema)), store_(std::move(store)) {}
 
 Table::~Table() = default;
 
-Result<std::unique_ptr<Table>> Table::CreatePaged(TableSchema schema,
-                                                  TableStorage* storage) {
-  std::unique_ptr<Table> table(new Table(std::move(schema), storage));
-  MSQL_RETURN_IF_ERROR(table->LoadFromStorage());
-  return table;
-}
-
-Status Table::LoadFromStorage() {
-  std::vector<std::pair<RowId, uint16_t>> entries;
-  MSQL_RETURN_IF_ERROR(storage_->heap()->ScanEntries(
-      [&](uint64_t rowid, uint16_t flags) -> Status {
-        entries.emplace_back(rowid, flags);
+Result<std::unique_ptr<Table>> Table::Open(TableSchema schema,
+                                           std::unique_ptr<RowStore> store) {
+  std::unique_ptr<Table> table(new Table(std::move(schema), std::move(store)));
+  Table& t = *table;
+  MSQL_RETURN_IF_ERROR(
+      t.store_->ScanSlots([&t](RowId id, bool live) -> Status {
+        // Rowids without a live entry — tombstoned, or gaps left by
+        // discarded transactions — are reusable.
+        for (RowId gap = t.next_rowid_; gap < id; ++gap) {
+          t.free_slots_.insert(gap);
+        }
+        if (live) {
+          ++t.live_count_;
+        } else {
+          t.free_slots_.insert(id);
+        }
+        t.next_rowid_ = id + 1;
         return Status::OK();
       }));
-  next_rowid_ = entries.empty() ? 0 : entries.back().first + 1;
-  live_count_ = 0;
-  free_slots_.clear();
-  // Rowids without a live entry — tombstoned, or gaps left by discarded
-  // transactions — are reusable.
-  size_t next_entry = 0;
-  for (RowId id = 0; id < next_rowid_; ++id) {
-    bool live = false;
-    if (next_entry < entries.size() && entries[next_entry].first == id) {
-      live = entries[next_entry].second == 1;
-      ++next_entry;
-    }
-    if (live) {
-      ++live_count_;
-    } else {
-      free_slots_.insert(id);
-    }
-  }
-  return Status::OK();
+  return table;
 }
 
 Result<Row> Table::Normalize(Row row) const {
@@ -61,88 +154,58 @@ Result<Row> Table::Normalize(Row row) const {
   return row;
 }
 
+void Table::MarkLive(RowId id) {
+  if (id == next_rowid_) {
+    ++next_rowid_;
+  } else {
+    free_slots_.erase(id);
+  }
+  ++live_count_;
+}
+
 Result<Row> Table::ReadRow(RowId id) const {
   if (!IsLive(id)) {
     return Status::Internal("read of dead slot " + std::to_string(id));
   }
-  if (storage_ != nullptr) return storage_->ReadRow(id);
-  return *slots_[id];
+  return store_->Read(id);
 }
 
 Result<RowId> Table::Insert(Row row) {
   MSQL_ASSIGN_OR_RETURN(Row normalized, Normalize(std::move(row)));
-  if (storage_ != nullptr) {
-    // Reuse the lowest tombstoned slot, as in-memory mode does.
-    RowId id = free_slots_.empty() ? next_rowid_ : *free_slots_.begin();
-    MSQL_RETURN_IF_ERROR(storage_->LoggedInsert(id, normalized));
-    Status indexed = IndexInsert(normalized, id);
-    if (!indexed.ok()) {
-      // Compensate the heap write so the slot is not half-born; the
-      // compensation is logged like any other mutation.
-      (void)storage_->LoggedDelete(id, normalized);
-      return indexed;
-    }
-    if (id == next_rowid_) {
-      ++next_rowid_;
-    } else {
-      free_slots_.erase(id);
-    }
-    ++live_count_;
-    return id;
+  // Reuse the lowest tombstoned slot so slot_count() stays bounded by
+  // the high-water mark of live rows, not by total inserts.
+  RowId id = free_slots_.empty() ? next_rowid_ : *free_slots_.begin();
+  IndexKeys keys = KeysOf(normalized);
+  MSQL_RETURN_IF_ERROR(store_->Insert(id, std::move(normalized)));
+  Status indexed = IndexInsert(keys, id);
+  if (!indexed.ok()) {
+    // Compensate the store write so the slot is not half-born; a paged
+    // store logs the compensation like any other change.
+    (void)store_->Delete(id);
+    return indexed;
   }
-  RowId id;
-  if (!free_slots_.empty()) {
-    // Reuse the lowest tombstoned slot so slot_count() stays bounded by
-    // the high-water mark of live rows, not by total inserts.
-    id = *free_slots_.begin();
-    free_slots_.erase(free_slots_.begin());
-    slots_[id] = std::move(normalized);
-  } else {
-    slots_.emplace_back(std::move(normalized));
-    id = static_cast<RowId>(slots_.size() - 1);
-  }
-  ++live_count_;
-  MSQL_RETURN_IF_ERROR(IndexInsert(*slots_[id], id));
+  MarkLive(id);
   return id;
 }
 
 Status Table::ResurrectRow(RowId id, Row row) {
-  if (storage_ != nullptr) {
-    if (IsLive(id)) {
-      return Status::Internal("resurrect of live slot " + std::to_string(id));
-    }
-    MSQL_RETURN_IF_ERROR(storage_->LoggedInsert(id, row));
-    free_slots_.erase(id);
-    if (id >= next_rowid_) next_rowid_ = id + 1;
-    ++live_count_;
-    return IndexInsert(row, id);
-  }
-  if (id >= slots_.size()) {
+  if (id >= next_rowid_) {
     return Status::Internal("resurrect of unknown slot " + std::to_string(id));
   }
-  if (slots_[id].has_value()) {
+  if (IsLive(id)) {
     return Status::Internal("resurrect of live slot " + std::to_string(id));
   }
-  slots_[id] = std::move(row);
-  free_slots_.erase(id);
-  ++live_count_;
-  return IndexInsert(*slots_[id], id);
+  IndexKeys keys = KeysOf(row);
+  MSQL_RETURN_IF_ERROR(store_->Insert(id, std::move(row)));
+  MarkLive(id);
+  return IndexInsert(keys, id);
 }
 
 Result<Row> Table::Delete(RowId id) {
   if (!IsLive(id)) {
     return Status::Internal("delete of dead slot " + std::to_string(id));
   }
-  if (storage_ != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(Row old, storage_->ReadRow(id));
-    MSQL_RETURN_IF_ERROR(storage_->LoggedDelete(id, old));
-    free_slots_.insert(id);
-    --live_count_;
-    MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-    return old;
-  }
-  Row old = std::move(*slots_[id]);
-  slots_[id].reset();
+  MSQL_ASSIGN_OR_RETURN(Row old, store_->Delete(id));
   free_slots_.insert(id);
   --live_count_;
   MSQL_RETURN_IF_ERROR(IndexErase(old, id));
@@ -154,31 +217,23 @@ Result<Row> Table::Update(RowId id, Row new_row) {
     return Status::Internal("update of dead slot " + std::to_string(id));
   }
   MSQL_ASSIGN_OR_RETURN(Row normalized, Normalize(std::move(new_row)));
-  if (storage_ != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(Row old, storage_->ReadRow(id));
-    MSQL_RETURN_IF_ERROR(storage_->LoggedUpdate(id, old, normalized));
-    MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-    MSQL_RETURN_IF_ERROR(IndexInsert(normalized, id));
-    return old;
-  }
-  Row old = std::move(*slots_[id]);
-  slots_[id] = std::move(normalized);
+  IndexKeys keys = KeysOf(normalized);
+  MSQL_ASSIGN_OR_RETURN(Row old, store_->Update(id, std::move(normalized)));
   MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-  MSQL_RETURN_IF_ERROR(IndexInsert(*slots_[id], id));
+  MSQL_RETURN_IF_ERROR(IndexInsert(keys, id));
   return old;
 }
 
 std::vector<RowId> Table::ScanRowIds() const {
   std::vector<RowId> ids;
   ids.reserve(live_count_);
-  if (storage_ != nullptr) {
-    for (RowId id = 0; id < next_rowid_; ++id) {
-      if (free_slots_.count(id) == 0) ids.push_back(id);
+  auto next_free = free_slots_.begin();
+  for (RowId id = 0; id < next_rowid_; ++id) {
+    if (next_free != free_slots_.end() && *next_free == id) {
+      ++next_free;
+    } else {
+      ids.push_back(id);
     }
-    return ids;
-  }
-  for (RowId id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].has_value()) ids.push_back(id);
   }
   return ids;
 }
@@ -186,17 +241,7 @@ std::vector<RowId> Table::ScanRowIds() const {
 Result<std::vector<Row>> Table::ScanRows() const {
   std::vector<Row> rows;
   rows.reserve(live_count_);
-  if (storage_ != nullptr) {
-    MSQL_RETURN_IF_ERROR(
-        storage_->ScanLiveRows([&](RowId, Row row) -> Status {
-          rows.push_back(std::move(row));
-          return Status::OK();
-        }));
-    return rows;
-  }
-  for (const auto& slot : slots_) {
-    if (slot.has_value()) rows.push_back(*slot);
-  }
+  MSQL_RETURN_IF_ERROR(store_->Scan(&rows));
   return rows;
 }
 
@@ -222,21 +267,9 @@ Status Table::CreateIndexInternal(std::string_view index_name,
     return Status::NotFound("column '" + std::string(column) +
                             "' not in table '" + schema_.table_name() + "'");
   }
-  if (storage_ != nullptr) {
-    MSQL_ASSIGN_OR_RETURN(
-        std::unique_ptr<Index> index,
-        storage_->manager()->BuildIndex(storage_, key,
-                                        schema_.column(*col).name, *col,
-                                        schema_.column(*col).type, log_ddl));
-    indexes_.emplace(std::move(key), std::move(index));
-    return Status::OK();
-  }
-  auto index = std::make_unique<Index>(key, *col);
-  for (RowId id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].has_value()) {
-      MSQL_RETURN_IF_ERROR(index->Insert((*slots_[id])[*col], id));
-    }
-  }
+  MSQL_ASSIGN_OR_RETURN(
+      std::unique_ptr<Index> index,
+      store_->BuildIndex(key, schema_.column(*col), *col, log_ddl));
   indexes_.emplace(std::move(key), std::move(index));
   return Status::OK();
 }
@@ -249,10 +282,7 @@ Result<std::string> Table::DropIndex(std::string_view index_name) {
                             "'");
   }
   std::string column = schema_.column(it->second->column_index()).name;
-  if (storage_ != nullptr) {
-    MSQL_RETURN_IF_ERROR(storage_->manager()->OnDropIndex(
-        storage_->db(), storage_->table(), it->first));
-  }
+  MSQL_RETURN_IF_ERROR(store_->DropIndex(it->first));
   indexes_.erase(it);
   return column;
 }
@@ -277,19 +307,26 @@ const Index* Table::FindIndexOnColumn(std::string_view column) const {
   return nullptr;
 }
 
-Status Table::IndexInsert(const Row& row, RowId id) {
-  std::vector<Index*> done;
+Table::IndexKeys Table::KeysOf(const Row& row) const {
+  IndexKeys keys;
+  keys.reserve(indexes_.size());
   for (const auto& [name, index] : indexes_) {
-    Status status = index->Insert(row[index->column_index()], id);
+    keys.emplace_back(index.get(), row[index->column_index()]);
+  }
+  return keys;
+}
+
+Status Table::IndexInsert(const IndexKeys& keys, RowId id) {
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Status status = keys[i].first->Insert(keys[i].second, id);
     if (!status.ok()) {
       // Back out the entries already made so no index half-covers the
       // row (best effort; the transaction is about to abort anyway).
-      for (Index* undo : done) {
-        (void)undo->Erase(row[undo->column_index()], id);
+      for (size_t done = 0; done < i; ++done) {
+        (void)keys[done].first->Erase(keys[done].second, id);
       }
       return status;
     }
-    done.push_back(index.get());
   }
   return Status::OK();
 }

@@ -2,12 +2,13 @@
 #define MSQL_RELATIONAL_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -16,7 +17,7 @@
 
 namespace msql::relational {
 
-class TableStorage;
+class Index;
 
 /// A row is a vector of values positionally aligned with a TableSchema.
 using Row = std::vector<Value>;
@@ -28,63 +29,90 @@ using Row = std::vector<Value>;
 /// undo of the operations that reused it.
 using RowId = uint64_t;
 
-/// Heap-organized table: slot array with tombstones.
+/// Where a Table keeps its row images. The Table decides which rowid a
+/// row occupies and which rowids are live; a store holds the image at
+/// each rowid it is given and builds the table's indexes over them.
+///
+/// Two implementations: the in-memory slot vector (NewMemoryRowStore)
+/// and the paged TableStorage (storage_engine.h), which WAL-logs every
+/// change and keeps rows in a heap file behind the engine's buffer pool.
+class RowStore {
+ public:
+  RowStore() = default;
+  virtual ~RowStore() = default;
+
+  RowStore(const RowStore&) = delete;
+  RowStore& operator=(const RowStore&) = delete;
+
+  /// Stores `row` at the free rowid `id`.
+  virtual Status Insert(RowId id, Row row) = 0;
+  /// Replaces the live row at `id`, returning the before-image.
+  virtual Result<Row> Update(RowId id, Row row) = 0;
+  /// Removes the live row at `id`, returning it.
+  virtual Result<Row> Delete(RowId id) = 0;
+  /// The live row at `id`.
+  virtual Result<Row> Read(RowId id) const = 0;
+
+  /// Appends every live row to `rows`, in rowid order.
+  virtual Status Scan(std::vector<Row>* rows) const = 0;
+  /// Calls `fn(id, live)` for every rowid the store has held, live or
+  /// tombstoned, in rowid order.
+  virtual Status ScanSlots(
+      const std::function<Status(RowId, bool)>& fn) const = 0;
+
+  /// A new index named `index_name` over `column` (at `column_index`),
+  /// populated from the live rows. `log` is false when recovery
+  /// rebuilds an index its log already records.
+  virtual Result<std::unique_ptr<Index>> BuildIndex(
+      const std::string& index_name, const ColumnDef& column,
+      size_t column_index, bool log) = 0;
+  /// Records that the index `index_name` was dropped.
+  virtual Status DropIndex(const std::string& index_name) = 0;
+};
+
+/// An empty store that keeps rows in memory.
+std::unique_ptr<RowStore> NewMemoryRowStore();
+
+/// Heap-organized table over a RowStore it owns: slot array with
+/// tombstones.
 ///
 /// Mutations go through the RowId-based primitives so that the
 /// transaction manager can record precise undo information (the inverse
-/// primitive).
-///
-/// Two storage modes share this interface:
-///   - in-memory (default): rows live in `slots_`, indexes are
-///     std::map-backed — the original engine, still what most tests and
-///     the netsim fixtures use;
-///   - paged: rows live in a TableStorage heap file behind the engine's
-///     buffer pool, every mutation is WAL-logged, and indexes are paged
-///     B+-trees. Only rowid bookkeeping (free list, live count) stays
-///     resident, so memory is bounded by the pool, not the data.
-/// Rows are read by copy in both modes (ReadRow, ScanRows).
+/// primitive). The Table keeps, for every store alike, the rowid
+/// allocation (lowest free slot first), the live count and index
+/// maintenance; rows are read by copy (ReadRow, ScanRows). Owning the
+/// store means a paged table incarnation (one heap file) lives exactly
+/// as long as the catalog or an undo record holds its Table.
 class Table {
  public:
-  // Constructor and destructor are out of line: indexes_ holds the
-  // incomplete Index type.
-  explicit Table(TableSchema schema);
+  /// A table over `store`, with the rowid bookkeeping rebuilt from the
+  /// slots the store already holds (none for a new table, the replayed
+  /// heap for a recovered one).
+  static Result<std::unique_ptr<Table>> Open(TableSchema schema,
+                                             std::unique_ptr<RowStore> store);
+  // Out of line: indexes_ holds the incomplete Index type.
   ~Table();
-
-  /// Builds a paged table over `storage`, rebuilding the rowid
-  /// bookkeeping from the heap's directory (used both by CREATE TABLE
-  /// and by recovery, where the heap already has rows).
-  static Result<std::unique_ptr<Table>> CreatePaged(TableSchema schema,
-                                                    TableStorage* storage);
 
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
   const TableSchema& schema() const { return schema_; }
 
-  bool paged() const { return storage_ != nullptr; }
-  TableStorage* storage() const { return storage_; }
-
   /// Number of live (non-deleted) rows.
   size_t live_row_count() const { return live_count_; }
 
   /// Upper bound on RowIds ever allocated (for iteration).
-  RowId slot_count() const {
-    return storage_ != nullptr ? next_rowid_
-                               : static_cast<RowId>(slots_.size());
-  }
+  RowId slot_count() const { return next_rowid_; }
 
   /// Tombstoned slots currently available for reuse by Insert.
   size_t free_slot_count() const { return free_slots_.size(); }
 
   /// True if `id` names a live row.
   bool IsLive(RowId id) const {
-    if (storage_ != nullptr) {
-      return id < next_rowid_ && free_slots_.count(id) == 0;
-    }
-    return id < slots_.size() && slots_[id].has_value();
+    return id < next_rowid_ && free_slots_.count(id) == 0;
   }
 
-  /// The live row at `id`, materialized (works in both modes).
+  /// The live row at `id`, materialized.
   Result<Row> ReadRow(RowId id) const;
 
   /// Appends a row after coercing each value to its column type.
@@ -115,8 +143,8 @@ class Table {
   /// the current rows. Fails on duplicate name or unknown column.
   Status CreateIndex(std::string_view index_name, std::string_view column);
 
-  /// Re-creates a paged index without logging DDL (crash recovery —
-  /// the catalog record that mandates it is already in the WAL).
+  /// Re-creates an index without logging DDL (crash recovery — the
+  /// catalog record that mandates it is already in the WAL).
   Status RestoreIndex(std::string_view index_name, std::string_view column);
 
   /// Drops the index (its column name is returned so DDL undo can
@@ -127,35 +155,38 @@ class Table {
   std::vector<std::string> IndexNames() const;
 
   /// An index over the named column, or nullptr.
-  const class Index* FindIndexOnColumn(std::string_view column) const;
+  const Index* FindIndexOnColumn(std::string_view column) const;
 
  private:
-  Table(TableSchema schema, TableStorage* storage);
+  Table(TableSchema schema, std::unique_ptr<RowStore> store);
 
   /// Checks arity and coerces values to the schema's column types.
   Result<Row> Normalize(Row row) const;
 
-  /// Rebuilds next_rowid_/free_slots_/live_count_ from the heap.
-  Status LoadFromStorage();
+  /// Bookkeeping for a row just stored at the free or fresh rowid `id`.
+  void MarkLive(RowId id);
 
   Status CreateIndexInternal(std::string_view index_name,
                              std::string_view column, bool log_ddl);
 
-  Status IndexInsert(const Row& row, RowId id);
+  /// Each index paired with its key in a row. Taken before the row
+  /// moves into the store, so no store has to copy it.
+  using IndexKeys = std::vector<std::pair<Index*, Value>>;
+  IndexKeys KeysOf(const Row& row) const;
+
+  Status IndexInsert(const IndexKeys& keys, RowId id);
   Status IndexErase(const Row& row, RowId id);
 
   TableSchema schema_;
-  TableStorage* storage_ = nullptr;  // non-owning; null = in-memory
-  std::vector<std::optional<Row>> slots_;
+  std::unique_ptr<RowStore> store_;
   /// Tombstoned slots eligible for reuse, lowest first (deterministic).
-  /// Without this, update/delete-heavy sessions grow `slots_`
+  /// Without this, update/delete-heavy sessions grow the slot range
   /// monotonically: unbounded memory and ever-slower slot iteration.
-  /// Paged tables use it the same way over heap tombstones.
   std::set<RowId> free_slots_;
-  /// Paged mode: first never-allocated rowid.
+  /// First never-allocated rowid.
   RowId next_rowid_ = 0;
   size_t live_count_ = 0;
-  std::map<std::string, std::unique_ptr<class Index>> indexes_;
+  std::map<std::string, std::unique_ptr<Index>> indexes_;
 };
 
 }  // namespace msql::relational

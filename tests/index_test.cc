@@ -2,10 +2,14 @@
 // transactions, the executor's access-path selection, and DDL undo.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
 
 #include "relational/engine.h"
 #include "relational/index.h"
+#include "relational/storage_engine.h"
 
 namespace msql::relational {
 namespace {
@@ -137,21 +141,51 @@ TEST_F(IndexTest, NullProbeNeverMatches) {
 }
 
 TEST_F(IndexTest, IndexStructureDirectly) {
-  Index index("i", 0);
-  index.Insert(Value::Integer(1), 10);
-  index.Insert(Value::Integer(1), 11);
-  index.Insert(Value::Integer(2), 12);
-  EXPECT_EQ(index.distinct_keys(), 2u);
-  auto ids = [&](const Value& key) { return *index.LookupIds(key); };
-  EXPECT_EQ(ids(Value::Integer(1)), (std::vector<RowId>{10, 11}));
-  index.Erase(Value::Integer(1), 10);
-  EXPECT_EQ(ids(Value::Integer(1)), (std::vector<RowId>{11}));
-  index.Erase(Value::Integer(1), 11);
-  EXPECT_TRUE(ids(Value::Integer(1)).empty());
-  EXPECT_EQ(index.distinct_keys(), 1u);
-  EXPECT_TRUE(ids(Value::Integer(9)).empty());
-  // Cross-numeric keys compare like values: 2 == 2.0.
-  EXPECT_EQ(ids(Value::Real(2.0)), (std::vector<RowId>{12}));
+  // Both index implementations, each built by its row store over an
+  // empty INTEGER column: the in-memory map and the paged B+-tree.
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("msql_index_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  StorageConfig config;
+  config.root_dir = root.string();
+  StorageManager mgr(config);
+  ASSERT_TRUE(mgr.Open().ok());
+  auto schema = TableSchema::Create("t", {{"k", Type::kInteger, 0}});
+  ASSERT_TRUE(schema.ok());
+  auto paged = mgr.CreateTableStorage("db", *schema);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  std::unique_ptr<RowStore> stores[] = {NewMemoryRowStore(),
+                                        std::move(*paged)};
+
+  for (auto& store : stores) {
+    SCOPED_TRACE(store.get() == stores[0].get() ? "memory" : "paged");
+    auto built = store->BuildIndex("i", schema->column(0), 0, true);
+    ASSERT_TRUE(built.ok()) << built.status();
+    Index& index = **built;
+    ASSERT_TRUE(index.Insert(Value::Integer(1), 10).ok());
+    ASSERT_TRUE(index.Insert(Value::Integer(1), 11).ok());
+    ASSERT_TRUE(index.Insert(Value::Integer(2), 12).ok());
+    EXPECT_EQ(index.distinct_keys(), 2u);
+    auto ids = [&](const Value& key) { return *index.LookupIds(key); };
+    EXPECT_EQ(ids(Value::Integer(1)), (std::vector<RowId>{10, 11}));
+    ASSERT_TRUE(index.Erase(Value::Integer(1), 10).ok());
+    EXPECT_EQ(ids(Value::Integer(1)), (std::vector<RowId>{11}));
+    // A lower rowid inserted after a higher one still comes back first:
+    // LookupIds is ascending, not insertion order.
+    ASSERT_TRUE(index.Insert(Value::Integer(1), 3).ok());
+    ASSERT_TRUE(index.Insert(Value::Integer(1), 10).ok());
+    EXPECT_EQ(ids(Value::Integer(1)), (std::vector<RowId>{3, 10, 11}));
+    for (RowId id : {3, 10, 11}) {
+      ASSERT_TRUE(index.Erase(Value::Integer(1), id).ok());
+    }
+    EXPECT_TRUE(ids(Value::Integer(1)).empty());
+    EXPECT_EQ(index.distinct_keys(), 1u);
+    EXPECT_TRUE(ids(Value::Integer(9)).empty());
+    // Cross-numeric keys compare like values: 2 == 2.0.
+    EXPECT_EQ(ids(Value::Real(2.0)), (std::vector<RowId>{12}));
+  }
+  for (auto& store : stores) store.reset();
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

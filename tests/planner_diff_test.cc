@@ -163,9 +163,8 @@ void BuildRandomDb(Rng* rng, Store store, Db* out, int* num_tables) {
     }
   }
   for (int t = 0; t < *num_tables; ++t) {
-    for (const std::string& sql : ChurnStatements(rng, "t" + std::to_string(t))) {
-      out->Exec(sql);
-    }
+    std::string name = "t" + std::to_string(t);
+    for (const std::string& sql : ChurnStatements(rng, name)) out->Exec(sql);
   }
   out->Exec("BEGIN");
   std::string victim = "t" + std::to_string(rng->NextBelow(*num_tables));

@@ -1,8 +1,16 @@
 // Values, schemas, tables and result sets of the local engine substrate.
+// Table cases run on both row stores: in memory and paged.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "relational/result_set.h"
 #include "relational/schema.h"
+#include "relational/storage_engine.h"
 #include "relational/table.h"
 #include "relational/value.h"
 
@@ -114,101 +122,146 @@ TEST(SchemaTest, ProjectPreservesOrder) {
   EXPECT_FALSE(schema.Project({"ghost"}).ok());
 }
 
-TEST(TableTest, InsertCoercesAndCounts) {
-  Table table(MakeCarsSchema());
-  auto id = table.Insert({Value::Integer(1), Value::Text("suv"),
-                          Value::Integer(40)});  // int→real coercion
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(table.live_row_count(), 1u);
-  EXPECT_TRUE(table.ReadRow(*id)->at(2).is_real());
-}
-
-TEST(TableTest, InsertRejectsBadArityAndType) {
-  Table table(MakeCarsSchema());
-  EXPECT_FALSE(table.Insert({Value::Integer(1)}).ok());
-  EXPECT_FALSE(table.Insert({Value::Text("x"), Value::Text("y"),
-                             Value::Real(1.0)}).ok());
-  EXPECT_EQ(table.live_row_count(), 0u);
-}
-
-TEST(TableTest, DeleteAndResurrectRoundTrip) {
-  Table table(MakeCarsSchema());
-  RowId id = *table.Insert(
-      {Value::Integer(7), Value::Text("van"), Value::Real(30.0)});
-  auto removed = table.Delete(id);
-  ASSERT_TRUE(removed.ok());
-  EXPECT_FALSE(table.IsLive(id));
-  EXPECT_EQ(table.live_row_count(), 0u);
-  ASSERT_TRUE(table.ResurrectRow(id, *removed).ok());
-  EXPECT_TRUE(table.IsLive(id));
-  EXPECT_EQ(table.ReadRow(id)->at(0), Value::Integer(7));
-  // Double resurrect is an internal error.
-  EXPECT_FALSE(table.ResurrectRow(id, *removed).ok());
-}
-
-TEST(TableTest, UpdateReturnsBeforeImage) {
-  Table table(MakeCarsSchema());
-  RowId id = *table.Insert(
-      {Value::Integer(1), Value::Text("suv"), Value::Real(40.0)});
-  auto before = table.Update(
-      id, {Value::Integer(1), Value::Text("suv"), Value::Real(44.0)});
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ((*before)[2], Value::Real(40.0));
-  EXPECT_EQ(table.ReadRow(id)->at(2), Value::Real(44.0));
-}
-
-TEST(TableTest, ScanSkipsTombstones) {
-  Table table(MakeCarsSchema());
-  RowId a = *table.Insert(
-      {Value::Integer(1), Value::Text("a"), Value::Real(1.0)});
-  RowId b = *table.Insert(
-      {Value::Integer(2), Value::Text("b"), Value::Real(2.0)});
-  (void)b;
-  ASSERT_TRUE(table.Delete(a).ok());
-  auto ids = table.ScanRowIds();
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(table.ReadRow(ids[0])->at(0), Value::Integer(2));
-  EXPECT_EQ(table.ScanRows()->size(), 1u);
-}
-
-TEST(TableTest, InsertReusesTombstonedSlots) {
-  Table table(MakeCarsSchema());
-  std::vector<RowId> ids;
-  for (int i = 0; i < 4; ++i) {
-    ids.push_back(*table.Insert(
-        {Value::Integer(i), Value::Text("t"), Value::Real(1.0)}));
+/// Runs each TableTest body on an empty cars table over the in-memory
+/// row store, then over a paged one (a StorageManager under a temp dir).
+class TableTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = std::filesystem::temp_directory_path() /
+            ("msql_table_test_" + std::to_string(::getpid()) + "_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(root_);
   }
-  EXPECT_EQ(table.slot_count(), 4u);
-  ASSERT_TRUE(table.Delete(ids[1]).ok());
-  ASSERT_TRUE(table.Delete(ids[3]).ok());
-  EXPECT_EQ(table.free_slot_count(), 2u);
+  void TearDown() override { std::filesystem::remove_all(root_); }
 
-  // The next insert takes the lowest tombstoned slot instead of growing
-  // the slot array.
-  RowId reused = *table.Insert(
-      {Value::Integer(10), Value::Text("r"), Value::Real(2.0)});
-  EXPECT_EQ(reused, ids[1]);
-  EXPECT_EQ(table.slot_count(), 4u);
-  EXPECT_EQ(table.free_slot_count(), 1u);
-  RowId reused2 = *table.Insert(
-      {Value::Integer(11), Value::Text("r"), Value::Real(2.0)});
-  EXPECT_EQ(reused2, ids[3]);
-  EXPECT_EQ(table.free_slot_count(), 0u);
+  template <typename Body>
+  void OnBothStores(Body body) {
+    {
+      SCOPED_TRACE("memory store");
+      auto table = Table::Open(MakeCarsSchema(), NewMemoryRowStore());
+      ASSERT_TRUE(table.ok()) << table.status();
+      body(**table);
+    }
+    {
+      SCOPED_TRACE("paged store");
+      StorageConfig config;
+      config.root_dir = root_.string();
+      StorageManager mgr(config);
+      ASSERT_TRUE(mgr.Open().ok());
+      auto storage = mgr.CreateTableStorage("db", MakeCarsSchema());
+      ASSERT_TRUE(storage.ok()) << storage.status();
+      auto table = Table::Open(MakeCarsSchema(), std::move(*storage));
+      ASSERT_TRUE(table.ok()) << table.status();
+      body(**table);
+    }
+  }
 
-  // Only once the free list drains does the table grow again.
-  RowId grown = *table.Insert(
-      {Value::Integer(12), Value::Text("g"), Value::Real(3.0)});
-  EXPECT_EQ(grown, 4u);
-  EXPECT_EQ(table.slot_count(), 5u);
+  std::filesystem::path root_;
+};
 
-  // Churning delete/insert in a loop must not leak slots.
-  for (int i = 0; i < 100; ++i) {
+TEST_F(TableTest, InsertCoercesAndCounts) {
+  OnBothStores([](Table& table) {
+    auto id = table.Insert({Value::Integer(1), Value::Text("suv"),
+                            Value::Integer(40)});  // int→real coercion
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(table.live_row_count(), 1u);
+    EXPECT_TRUE(table.ReadRow(*id)->at(2).is_real());
+  });
+}
+
+TEST_F(TableTest, InsertRejectsBadArityAndType) {
+  OnBothStores([](Table& table) {
+    EXPECT_FALSE(table.Insert({Value::Integer(1)}).ok());
+    EXPECT_FALSE(table.Insert({Value::Text("x"), Value::Text("y"),
+                               Value::Real(1.0)}).ok());
+    EXPECT_EQ(table.live_row_count(), 0u);
+  });
+}
+
+TEST_F(TableTest, DeleteAndResurrectRoundTrip) {
+  OnBothStores([](Table& table) {
     RowId id = *table.Insert(
-        {Value::Integer(100 + i), Value::Text("x"), Value::Real(1.0)});
-    ASSERT_TRUE(table.Delete(id).ok());
-  }
-  EXPECT_LE(table.slot_count(), 6u);
-  EXPECT_EQ(table.live_row_count(), 5u);
+        {Value::Integer(7), Value::Text("van"), Value::Real(30.0)});
+    auto removed = table.Delete(id);
+    ASSERT_TRUE(removed.ok());
+    EXPECT_FALSE(table.IsLive(id));
+    EXPECT_EQ(table.live_row_count(), 0u);
+    ASSERT_TRUE(table.ResurrectRow(id, *removed).ok());
+    EXPECT_TRUE(table.IsLive(id));
+    EXPECT_EQ(table.ReadRow(id)->at(0), Value::Integer(7));
+    // Double resurrect is an internal error, and so is resurrecting a
+    // slot that was never allocated.
+    EXPECT_FALSE(table.ResurrectRow(id, *removed).ok());
+    EXPECT_FALSE(table.ResurrectRow(id + 1, *removed).ok());
+  });
+}
+
+TEST_F(TableTest, UpdateReturnsBeforeImage) {
+  OnBothStores([](Table& table) {
+    RowId id = *table.Insert(
+        {Value::Integer(1), Value::Text("suv"), Value::Real(40.0)});
+    auto before = table.Update(
+        id, {Value::Integer(1), Value::Text("suv"), Value::Real(44.0)});
+    ASSERT_TRUE(before.ok());
+    EXPECT_EQ((*before)[2], Value::Real(40.0));
+    EXPECT_EQ(table.ReadRow(id)->at(2), Value::Real(44.0));
+  });
+}
+
+TEST_F(TableTest, ScanSkipsTombstones) {
+  OnBothStores([](Table& table) {
+    RowId a = *table.Insert(
+        {Value::Integer(1), Value::Text("a"), Value::Real(1.0)});
+    RowId b = *table.Insert(
+        {Value::Integer(2), Value::Text("b"), Value::Real(2.0)});
+    (void)b;
+    ASSERT_TRUE(table.Delete(a).ok());
+    auto ids = table.ScanRowIds();
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(table.ReadRow(ids[0])->at(0), Value::Integer(2));
+    EXPECT_EQ(table.ScanRows()->size(), 1u);
+  });
+}
+
+TEST_F(TableTest, InsertReusesTombstonedSlots) {
+  OnBothStores([](Table& table) {
+    std::vector<RowId> ids;
+    for (int i = 0; i < 4; ++i) {
+      ids.push_back(*table.Insert(
+          {Value::Integer(i), Value::Text("t"), Value::Real(1.0)}));
+    }
+    EXPECT_EQ(table.slot_count(), 4u);
+    ASSERT_TRUE(table.Delete(ids[1]).ok());
+    ASSERT_TRUE(table.Delete(ids[3]).ok());
+    EXPECT_EQ(table.free_slot_count(), 2u);
+
+    // The next insert takes the lowest tombstoned slot instead of
+    // growing the slot array.
+    RowId reused = *table.Insert(
+        {Value::Integer(10), Value::Text("r"), Value::Real(2.0)});
+    EXPECT_EQ(reused, ids[1]);
+    EXPECT_EQ(table.slot_count(), 4u);
+    EXPECT_EQ(table.free_slot_count(), 1u);
+    RowId reused2 = *table.Insert(
+        {Value::Integer(11), Value::Text("r"), Value::Real(2.0)});
+    EXPECT_EQ(reused2, ids[3]);
+    EXPECT_EQ(table.free_slot_count(), 0u);
+
+    // Only once the free list drains does the table grow again.
+    RowId grown = *table.Insert(
+        {Value::Integer(12), Value::Text("g"), Value::Real(3.0)});
+    EXPECT_EQ(grown, 4u);
+    EXPECT_EQ(table.slot_count(), 5u);
+
+    // Churning delete/insert in a loop must not leak slots.
+    for (int i = 0; i < 100; ++i) {
+      RowId id = *table.Insert(
+          {Value::Integer(100 + i), Value::Text("x"), Value::Real(1.0)});
+      ASSERT_TRUE(table.Delete(id).ok());
+    }
+    EXPECT_LE(table.slot_count(), 6u);
+    EXPECT_EQ(table.live_row_count(), 5u);
+  });
 }
 
 TEST(ResultSetTest, ToStringRendersTable) {

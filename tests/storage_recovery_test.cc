@@ -48,6 +48,121 @@ class StorageRecoveryTest : public ::testing::Test {
     return out;
   }
 
+  /// Every table of `db` with its indexes and rows in scan order, then
+  /// every view with its rows: "t(i1,i2): 1|x; 2|y" lines.
+  static std::string CatalogDump(LocalEngine& engine, SessionId s,
+                                 const std::string& db) {
+    auto database = engine.GetDatabaseConst(db);
+    if (!database.ok()) return "<error: " + database.status().message() + ">";
+    auto rows = [&](const std::string& from) {
+      auto rs = engine.Execute(s, "SELECT * FROM " + from + ";");
+      if (!rs.ok()) return "<error: " + rs.status().message() + ">";
+      std::string out;
+      for (const Row& row : rs->rows) {
+        if (!out.empty()) out += "; ";
+        for (size_t i = 0; i < row.size(); ++i) {
+          out += (i > 0 ? "|" : "") + row[i].ToDisplayString();
+        }
+      }
+      return out;
+    };
+    std::string out;
+    for (const std::string& name : (*database)->TableNames()) {
+      std::string indexes;
+      for (const std::string& index :
+           (*(*database)->GetTableConst(name))->IndexNames()) {
+        indexes += (indexes.empty() ? "" : ",") + index;
+      }
+      out += name + "(" + indexes + "): " + rows(name) + "\n";
+    }
+    for (const std::string& name : (*database)->ViewNames()) {
+      out += "view " + name + ": " + rows(name) + "\n";
+    }
+    return out;
+  }
+
+  /// DDL inside a transaction that `profile` cannot roll back, then a
+  /// ROLLBACK: the DDL stands, the freed name can be re-created, the
+  /// new table takes rows, and a crash and recovery bring back exactly
+  /// that catalog and those rows.
+  void RunNonRollbackableDdlCase(const CapabilityProfile& profile) {
+    ASSERT_FALSE(profile.ddl_rollbackable);
+    LocalEngine engine("srv", profile);
+    ASSERT_TRUE(engine.AttachStorage(Config()).ok());
+    ASSERT_TRUE(engine.CreateDatabase("d").ok());
+    auto s = engine.OpenSession("d");
+    ASSERT_TRUE(s.ok());
+    for (const char* sql :
+         {"CREATE TABLE keep (a INTEGER);", "BEGIN;", "DROP TABLE keep;",
+          "CREATE TABLE fresh (b INTEGER);", "ROLLBACK;"}) {
+      auto rs = engine.Execute(*s, sql);
+      ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
+    }
+    EXPECT_EQ(CatalogDump(engine, *s, "d"), "fresh(): \n");
+    for (const char* sql :
+         {"CREATE TABLE keep (a INTEGER);", "INSERT INTO fresh VALUES (7);",
+          "INSERT INTO keep VALUES (1);"}) {
+      auto rs = engine.Execute(*s, sql);
+      ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
+    }
+    const std::string before = CatalogDump(engine, *s, "d");
+    EXPECT_EQ(before, "fresh(): 7\nkeep(): 1\n");
+
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    engine.SimulateCrash();
+    { Status rec = engine.Recover(); ASSERT_TRUE(rec.ok()) << rec; }
+    auto s2 = engine.OpenSession("d");
+    ASSERT_TRUE(s2.ok());
+    EXPECT_EQ(CatalogDump(engine, *s2, "d"), before);
+  }
+
+  /// `t` with an index, a view over it and one committed row; then a
+  /// transaction runs `prepared_work`, prepares and the site crashes.
+  /// After recovery the coordinator rolls it back: the live catalog and
+  /// rows, and those after a checkpoint and a second crash, must equal
+  /// the state before the transaction began.
+  void RunPreparedDdlRollbackCase(
+      const std::vector<std::string>& prepared_work) {
+    LocalEngine engine("srv", CapabilityProfile::IngresLike());
+    ASSERT_TRUE(engine.AttachStorage(Config()).ok());
+    ASSERT_TRUE(engine.CreateDatabase("d").ok());
+    auto s = engine.OpenSession("d");
+    ASSERT_TRUE(s.ok());
+    for (const char* sql :
+         {"CREATE TABLE t (a INTEGER);", "CREATE INDEX t_a ON t (a);",
+          "CREATE VIEW v AS SELECT a FROM t;", "INSERT INTO t VALUES (1);"}) {
+      auto rs = engine.Execute(*s, sql);
+      ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
+    }
+    const std::string before = CatalogDump(engine, *s, "d");
+    ASSERT_EQ(before, "t(t_a): 1\nview v: 1\n");
+
+    ASSERT_TRUE(engine.Execute(*s, "BEGIN;").ok());
+    for (const std::string& sql : prepared_work) {
+      auto rs = engine.Execute(*s, sql);
+      ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
+    }
+    ASSERT_TRUE(engine.Prepare(*s).ok());
+
+    engine.SimulateCrash();
+    { Status rec = engine.Recover(); ASSERT_TRUE(rec.ok()) << rec; }
+    ASSERT_TRUE(engine.Rollback(*s).ok());
+    auto s2 = engine.OpenSession("d");
+    ASSERT_TRUE(s2.ok());
+    EXPECT_EQ(CatalogDump(engine, *s2, "d"), before);
+    // The restored index answers probes.
+    auto probed = engine.Execute(*s2, "SELECT a FROM t WHERE a = 1;");
+    ASSERT_TRUE(probed.ok()) << probed.status();
+    EXPECT_EQ(probed->rows_scanned, 1);
+
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    engine.SimulateCrash();
+    { Status rec = engine.Recover(); ASSERT_TRUE(rec.ok()) << rec; }
+    auto s3 = engine.OpenSession("d");
+    ASSERT_TRUE(s3.ok());
+    EXPECT_EQ(CatalogDump(engine, *s3, "d"), before);
+  }
+
   std::filesystem::path root_;
 };
 
@@ -242,6 +357,28 @@ TEST_F(StorageRecoveryTest, DdlInAbortedTransactionLeavesOldIncarnation) {
   auto s2 = engine.OpenSession("d");
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(Snapshot(engine, *s2), "1:ada");
+}
+
+TEST_F(StorageRecoveryTest, NonRollbackableDdlSurvivesCrashSybaseLike) {
+  RunNonRollbackableDdlCase(CapabilityProfile::SybaseLike());
+}
+
+TEST_F(StorageRecoveryTest, NonRollbackableDdlSurvivesCrashOracleLike) {
+  RunNonRollbackableDdlCase(CapabilityProfile::OracleLike());
+}
+
+TEST_F(StorageRecoveryTest, PreparedDropTableRollsBackAfterCrash) {
+  RunPreparedDdlRollbackCase({"DROP TABLE t;", "CREATE TABLE t (a INTEGER);",
+                              "INSERT INTO t VALUES (99);"});
+}
+
+TEST_F(StorageRecoveryTest, PreparedDropIndexRollsBackAfterCrash) {
+  RunPreparedDdlRollbackCase(
+      {"DROP INDEX t_a ON t;", "INSERT INTO t VALUES (99);"});
+}
+
+TEST_F(StorageRecoveryTest, PreparedDropViewRollsBackAfterCrash) {
+  RunPreparedDdlRollbackCase({"DROP VIEW v;", "INSERT INTO t VALUES (99);"});
 }
 
 TEST_F(StorageRecoveryTest, FailedRollbackIsRepairedByRecovery) {
