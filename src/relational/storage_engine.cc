@@ -552,7 +552,7 @@ Result<std::unique_ptr<Table>> OpenReplayed(ReplayedTable replayed) {
                         Table::Open(std::move(replayed.schema),
                                     std::move(replayed.storage)));
   for (const auto& [name, column] : replayed.indexes) {
-    MSQL_RETURN_IF_ERROR(table->RestoreIndex(name, column));
+    MSQL_RETURN_IF_ERROR(table->CreateIndex(name, column, /*log=*/false));
   }
   return table;
 }

@@ -246,17 +246,7 @@ Result<std::vector<Row>> Table::ScanRows() const {
 }
 
 Status Table::CreateIndex(std::string_view index_name,
-                          std::string_view column) {
-  return CreateIndexInternal(index_name, column, /*log_ddl=*/true);
-}
-
-Status Table::RestoreIndex(std::string_view index_name,
-                           std::string_view column) {
-  return CreateIndexInternal(index_name, column, /*log_ddl=*/false);
-}
-
-Status Table::CreateIndexInternal(std::string_view index_name,
-                                  std::string_view column, bool log_ddl) {
+                          std::string_view column, bool log) {
   std::string key = ToLower(index_name);
   if (indexes_.count(key) > 0) {
     return Status::AlreadyExists("index '" + key + "' already exists on '" +
@@ -269,7 +259,7 @@ Status Table::CreateIndexInternal(std::string_view index_name,
   }
   MSQL_ASSIGN_OR_RETURN(
       std::unique_ptr<Index> index,
-      store_->BuildIndex(key, schema_.column(*col), *col, log_ddl));
+      store_->BuildIndex(key, schema_.column(*col), *col, log));
   indexes_.emplace(std::move(key), std::move(index));
   return Status::OK();
 }

@@ -141,11 +141,10 @@ class Table {
 
   /// Creates an index named `index_name` over `column`, populated from
   /// the current rows. Fails on duplicate name or unknown column.
-  Status CreateIndex(std::string_view index_name, std::string_view column);
-
-  /// Re-creates an index without logging DDL (crash recovery — the
-  /// catalog record that mandates it is already in the WAL).
-  Status RestoreIndex(std::string_view index_name, std::string_view column);
+  /// `log` is false when crash recovery re-creates an index whose
+  /// catalog record is already in the WAL.
+  Status CreateIndex(std::string_view index_name, std::string_view column,
+                     bool log = true);
 
   /// Drops the index (its column name is returned so DDL undo can
   /// rebuild it).
@@ -165,9 +164,6 @@ class Table {
 
   /// Bookkeeping for a row just stored at the free or fresh rowid `id`.
   void MarkLive(RowId id);
-
-  Status CreateIndexInternal(std::string_view index_name,
-                             std::string_view column, bool log_ddl);
 
   /// Each index paired with its key in a row. Taken before the row
   /// moves into the store, so no store has to copy it.
