@@ -201,8 +201,19 @@ Status TableStorage::ScanSlots(
 
 Result<std::unique_ptr<Index>> TableStorage::BuildIndex(
     const std::string& index_name, const ColumnDef& column,
-    size_t column_index, bool log) {
-  return mgr_->BuildIndex(this, index_name, column, column_index, log);
+    size_t column_index) {
+  auto index = std::make_unique<BtreeIndex>(
+      index_name, column_index, column.type, mgr_,
+      mgr_->NewIndexPath(db_, table_, index_name));
+  MSQL_RETURN_IF_ERROR(index->OpenOrReset());
+  MSQL_RETURN_IF_ERROR(ScanLiveRows([&](RowId id, Row row) {
+    return index->Insert(row[column_index], id);
+  }));
+  // DDL logged outside a transaction is durable at once and replayed by
+  // every recovery, so only a built index may reach the log.
+  MSQL_RETURN_IF_ERROR(
+      mgr_->OnCreateIndex(db_, table_, index_name, column.name));
+  return std::unique_ptr<Index>(std::move(index));
 }
 
 Status TableStorage::DropIndex(const std::string& index_name) {
@@ -316,12 +327,11 @@ std::string StorageManager::HeapPath(const std::string& db,
          std::to_string(lsn) + ".heap";
 }
 
-std::string StorageManager::BtreePath(const std::string& db,
-                                      const std::string& table,
-                                      const std::string& index,
-                                      const std::string& tag) const {
+std::string StorageManager::NewIndexPath(const std::string& db,
+                                         const std::string& table,
+                                         const std::string& index) {
   return config_.root_dir + "/" + db + "." + table + "." + index + "." +
-         tag + ".btree";
+         std::to_string(++index_files_) + ".btree";
 }
 
 Status StorageManager::EnsureBegun() {
@@ -408,6 +418,15 @@ Status StorageManager::OnDropTable(const std::string& db,
   return AppendDdl(kDdlDropTable, db, table, "", "", nullptr).status();
 }
 
+Status StorageManager::OnCreateIndex(const std::string& db,
+                                     const std::string& table,
+                                     const std::string& index,
+                                     const std::string& column) {
+  if (undo_mode_ || replaying_) return Status::OK();
+  return AppendDdl(kDdlCreateIndex, db, table, index, column, nullptr)
+      .status();
+}
+
 Status StorageManager::OnDropIndex(const std::string& db,
                                    const std::string& table,
                                    const std::string& index) {
@@ -426,30 +445,6 @@ Status StorageManager::OnDropView(const std::string& db,
                                   const std::string& view) {
   if (undo_mode_) return Status::OK();
   return AppendDdl(kDdlDropView, db, view, "", "", nullptr).status();
-}
-
-Result<std::unique_ptr<Index>> StorageManager::BuildIndex(
-    TableStorage* storage, const std::string& index_name,
-    const ColumnDef& column, size_t column_index, bool log) {
-  std::string path;
-  if (log && !undo_mode_) {
-    MSQL_ASSIGN_OR_RETURN(
-        uint64_t lsn,
-        AppendDdl(kDdlCreateIndex, storage->db(), storage->table(),
-                  index_name, column.name, nullptr));
-    path = BtreePath(storage->db(), storage->table(), index_name,
-                     std::to_string(lsn));
-  } else {
-    path = BtreePath(storage->db(), storage->table(), index_name,
-                     "u" + std::to_string(++unlogged_counter_));
-  }
-  auto index = std::make_unique<BtreeIndex>(index_name, column_index,
-                                            column.type, this, path);
-  MSQL_RETURN_IF_ERROR(index->OpenOrReset());
-  MSQL_RETURN_IF_ERROR(storage->ScanLiveRows([&](RowId id, Row row) {
-    return index->Insert(row[column_index], id);
-  }));
-  return std::unique_ptr<Index>(std::move(index));
 }
 
 Status StorageManager::OnCommit(TxnId txn) {
@@ -546,13 +541,14 @@ struct ReplayedDatabase {
   std::vector<std::pair<std::string, std::string>> views;
 };
 
-/// A Table over a replayed incarnation, its indexes rebuilt unlogged.
+/// A Table over a replayed incarnation, its indexes rebuilt (Recover's
+/// replaying state keeps the rebuilds out of the log).
 Result<std::unique_ptr<Table>> OpenReplayed(ReplayedTable replayed) {
   MSQL_ASSIGN_OR_RETURN(std::unique_ptr<Table> table,
                         Table::Open(std::move(replayed.schema),
                                     std::move(replayed.storage)));
   for (const auto& [name, column] : replayed.indexes) {
-    MSQL_RETURN_IF_ERROR(table->CreateIndex(name, column, /*log=*/false));
+    MSQL_RETURN_IF_ERROR(table->CreateIndex(name, column));
   }
   return table;
 }
@@ -570,6 +566,13 @@ Result<std::unique_ptr<SelectStmt>> ParseView(const std::string& name,
 }  // namespace
 
 Result<RecoveryReport> StorageManager::Recover() {
+  replaying_ = true;
+  Result<RecoveryReport> report = Replay();
+  replaying_ = false;
+  return report;
+}
+
+Result<RecoveryReport> StorageManager::Replay() {
   obs::ScopedSpan span(tracer_, "storage.recover", "storage");
   begun_.clear();
   undo_mode_ = false;

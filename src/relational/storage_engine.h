@@ -74,16 +74,18 @@ class TableStorage : public RowStore {
   Status Scan(std::vector<Row>* rows) const override;
   Status ScanSlots(
       const std::function<Status(RowId, bool)>& fn) const override;
+  /// A BtreeIndex populated from the heap. CREATE INDEX is logged once
+  /// the tree is built, so a build the data defeats (a key longer than
+  /// the tree accepts) leaves no record behind.
   Result<std::unique_ptr<Index>> BuildIndex(const std::string& index_name,
                                             const ColumnDef& column,
-                                            size_t column_index,
-                                            bool log) override;
+                                            size_t column_index) override;
   Status DropIndex(const std::string& index_name) override;
 
+ private:
   /// Deserializing scan over live rows in rowid order.
   Status ScanLiveRows(const std::function<Status(RowId, Row)>& fn) const;
 
- private:
   StorageManager* mgr_;
   std::string db_;
   std::string table_;
@@ -174,7 +176,8 @@ struct RecoveryReport {
 ///     as transaction-0 records (always redone), which keeps a
 ///     prepared-then-aborted transaction's flushed pages correct.
 ///   - DDL logged as transaction 0 (outside any transaction) is flushed
-///     at once; recovery always replays it.
+///     at once and recovery always replays it, so CREATE INDEX is
+///     logged only after its tree is built.
 ///   - The WAL is never truncated; recovery replays it from the start,
 ///     which also makes it the only catalog (DDL records rebuild the
 ///     schema; no separate catalog file can get out of sync).
@@ -269,18 +272,19 @@ class StorageManager {
   /// Logs DROP TABLE. No-op in undo mode.
   Status OnDropTable(const std::string& db, const std::string& table);
 
+  /// A fresh file for an index's B+-tree. Indexes are rebuilt at every
+  /// recovery, so the name only has to be unique within this process.
+  std::string NewIndexPath(const std::string& db, const std::string& table,
+                           const std::string& index);
+  /// Logs CREATE INDEX. No-op in undo mode and while Recover re-creates
+  /// the indexes its log already records.
+  Status OnCreateIndex(const std::string& db, const std::string& table,
+                       const std::string& index, const std::string& column);
   Status OnDropIndex(const std::string& db, const std::string& table,
                      const std::string& index);
   Status OnCreateView(const std::string& db, const std::string& view,
                       const std::string& sql);
   Status OnDropView(const std::string& db, const std::string& view);
-
-  /// Builds a paged index (logging CREATE INDEX when `log` and not in
-  /// undo mode) and populates it from the table's live rows.
-  Result<std::unique_ptr<Index>> BuildIndex(TableStorage* storage,
-                                            const std::string& index_name,
-                                            const ColumnDef& column,
-                                            size_t column_index, bool log);
 
   // -- DML logging (called by TableStorage) ------------------------------
 
@@ -302,10 +306,10 @@ class StorageManager {
                              const std::string& a, const std::string& b,
                              const std::string& c,
                              const TableSchema* schema);
+  /// Recover's work, run with `replaying_` set.
+  Result<RecoveryReport> Replay();
   std::string HeapPath(const std::string& db, const std::string& table,
                        uint64_t lsn) const;
-  std::string BtreePath(const std::string& db, const std::string& table,
-                        const std::string& index, const std::string& tag) const;
 
   StorageConfig config_;
   storage::BufferManager pool_;
@@ -317,11 +321,13 @@ class StorageManager {
   std::string current_db_;
   bool undo_mode_ = false;
   TxnId undo_txn_ = 0;
+  /// Set while Recover opens the replayed tables.
+  bool replaying_ = false;
   /// Transactions with a durable-or-buffered BEGIN record.
   std::set<TxnId> begun_;
 
-  /// Distinct file stems for unlogged index builds (undo / rebuild).
-  uint64_t unlogged_counter_ = 0;
+  /// Index files handed out so far (NewIndexPath).
+  uint64_t index_files_ = 0;
 };
 
 }  // namespace msql::relational

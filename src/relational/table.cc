@@ -89,8 +89,7 @@ class MemoryRowStore : public RowStore {
 
   Result<std::unique_ptr<Index>> BuildIndex(const std::string& index_name,
                                             const ColumnDef& /*column*/,
-                                            size_t column_index,
-                                            bool /*log*/) override {
+                                            size_t column_index) override {
     auto index = std::make_unique<MapIndex>(index_name, column_index);
     for (RowId id = 0; id < slots_.size(); ++id) {
       if (slots_[id].has_value()) {
@@ -246,7 +245,7 @@ Result<std::vector<Row>> Table::ScanRows() const {
 }
 
 Status Table::CreateIndex(std::string_view index_name,
-                          std::string_view column, bool log) {
+                          std::string_view column) {
   std::string key = ToLower(index_name);
   if (indexes_.count(key) > 0) {
     return Status::AlreadyExists("index '" + key + "' already exists on '" +
@@ -259,7 +258,7 @@ Status Table::CreateIndex(std::string_view index_name,
   }
   MSQL_ASSIGN_OR_RETURN(
       std::unique_ptr<Index> index,
-      store_->BuildIndex(key, schema_.column(*col), *col, log));
+      store_->BuildIndex(key, schema_.column(*col), *col));
   indexes_.emplace(std::move(key), std::move(index));
   return Status::OK();
 }

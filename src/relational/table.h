@@ -61,11 +61,10 @@ class RowStore {
       const std::function<Status(RowId, bool)>& fn) const = 0;
 
   /// A new index named `index_name` over `column` (at `column_index`),
-  /// populated from the live rows. `log` is false when recovery
-  /// rebuilds an index its log already records.
+  /// populated from the live rows.
   virtual Result<std::unique_ptr<Index>> BuildIndex(
       const std::string& index_name, const ColumnDef& column,
-      size_t column_index, bool log) = 0;
+      size_t column_index) = 0;
   /// Records that the index `index_name` was dropped.
   virtual Status DropIndex(const std::string& index_name) = 0;
 };
@@ -141,10 +140,7 @@ class Table {
 
   /// Creates an index named `index_name` over `column`, populated from
   /// the current rows. Fails on duplicate name or unknown column.
-  /// `log` is false when crash recovery re-creates an index whose
-  /// catalog record is already in the WAL.
-  Status CreateIndex(std::string_view index_name, std::string_view column,
-                     bool log = true);
+  Status CreateIndex(std::string_view index_name, std::string_view column);
 
   /// Drops the index (its column name is returned so DDL undo can
   /// rebuild it).

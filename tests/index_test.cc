@@ -159,7 +159,7 @@ TEST_F(IndexTest, IndexStructureDirectly) {
 
   for (auto& store : stores) {
     SCOPED_TRACE(store.get() == stores[0].get() ? "memory" : "paged");
-    auto built = store->BuildIndex("i", schema->column(0), 0, true);
+    auto built = store->BuildIndex("i", schema->column(0), 0);
     ASSERT_TRUE(built.ok()) << built.status();
     Index& index = **built;
     ASSERT_TRUE(index.Insert(Value::Integer(1), 10).ok());

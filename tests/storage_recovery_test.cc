@@ -116,6 +116,47 @@ class StorageRecoveryTest : public ::testing::Test {
     EXPECT_EQ(CatalogDump(engine, *s2, "d"), before);
   }
 
+  /// A CREATE INDEX whose build fails on the data (a TEXT key longer
+  /// than the B+-tree accepts) leaves no index, neither live nor after
+  /// a crash and recovery; once the row is gone the same index builds
+  /// and survives the next crash.
+  void RunFailedIndexBuildCase(const CapabilityProfile& profile) {
+    LocalEngine engine("srv", profile);
+    ASSERT_TRUE(engine.AttachStorage(Config()).ok());
+    ASSERT_TRUE(engine.CreateDatabase("d").ok());
+    auto s = engine.OpenSession("d");
+    ASSERT_TRUE(s.ok());
+    const std::string wide(1000, 'x');
+    for (const std::string& sql :
+         {std::string("CREATE TABLE t (s TEXT);"),
+          "INSERT INTO t VALUES ('" + wide + "');"}) {
+      auto rs = engine.Execute(*s, sql);
+      ASSERT_TRUE(rs.ok()) << rs.status();
+    }
+    auto failed = engine.Execute(*s, "CREATE INDEX i ON t (s);");
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+    const std::string before = CatalogDump(engine, *s, "d");
+    EXPECT_EQ(before, "t(): " + wide + "\n");
+
+    engine.SimulateCrash();
+    { Status rec = engine.Recover(); ASSERT_TRUE(rec.ok()) << rec; }
+    auto s2 = engine.OpenSession("d");
+    ASSERT_TRUE(s2.ok());
+    EXPECT_EQ(CatalogDump(engine, *s2, "d"), before);
+
+    for (const char* sql : {"DELETE FROM t;", "CREATE INDEX i ON t (s);",
+                            "INSERT INTO t VALUES ('a');"}) {
+      auto rs = engine.Execute(*s2, sql);
+      ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
+    }
+    engine.SimulateCrash();
+    { Status rec = engine.Recover(); ASSERT_TRUE(rec.ok()) << rec; }
+    auto s3 = engine.OpenSession("d");
+    ASSERT_TRUE(s3.ok());
+    EXPECT_EQ(CatalogDump(engine, *s3, "d"), "t(i): a\n");
+  }
+
   /// `t` with an index, a view over it and one committed row; then a
   /// transaction runs `prepared_work`, prepares and the site crashes.
   /// After recovery the coordinator rolls it back: the live catalog and
@@ -365,6 +406,18 @@ TEST_F(StorageRecoveryTest, NonRollbackableDdlSurvivesCrashSybaseLike) {
 
 TEST_F(StorageRecoveryTest, NonRollbackableDdlSurvivesCrashOracleLike) {
   RunNonRollbackableDdlCase(CapabilityProfile::OracleLike());
+}
+
+TEST_F(StorageRecoveryTest, FailedIndexBuildLeavesNoIndexSybaseLike) {
+  RunFailedIndexBuildCase(CapabilityProfile::SybaseLike());
+}
+
+TEST_F(StorageRecoveryTest, FailedIndexBuildLeavesNoIndexOracleLike) {
+  RunFailedIndexBuildCase(CapabilityProfile::OracleLike());
+}
+
+TEST_F(StorageRecoveryTest, FailedIndexBuildLeavesNoIndexIngresLike) {
+  RunFailedIndexBuildCase(CapabilityProfile::IngresLike());
 }
 
 TEST_F(StorageRecoveryTest, PreparedDropTableRollsBackAfterCrash) {
