@@ -9,6 +9,7 @@
 //
 // Usage: bench_e19_storage [--quick] [--out FILE] [--rows N]
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -193,8 +194,12 @@ int main(int argc, char** argv) {
   if (quick) rows = 4000;
 
   BenchStats stats;
+  // Per process, so concurrent runs (two build trees' ctest) never
+  // share a storage directory.
   const std::string root =
-      (std::filesystem::temp_directory_path() / "msql_bench_e19").string();
+      (std::filesystem::temp_directory_path() /
+       ("msql_bench_e19_" + std::to_string(::getpid())))
+          .string();
   if (!RunBench(rows, root, &stats)) return 1;
 
   std::printf(

@@ -6,8 +6,8 @@
 // Inputs end at a ';' on its own or at end of line; multitransactions
 // end at END MULTITRANSACTION. Meta commands: \gdd (dump dictionary),
 // \dol (toggle printing generated DOL programs), \plan (toggle printing
-// each SELECT task's local physical plan — pushdown, index probes, join
-// order), \trace (toggle span tracing; each input then prints its span
+// each SELECT, UPDATE and DELETE task's local physical plan — pushdown,
+// index probes, join order), \trace (toggle span tracing; each input then prints its span
 // tree), \trace FILE (write the accumulated trace as Chrome trace-event
 // JSON, loadable in Perfetto), \metrics (dump federation
 // counters/histograms), \metrics on|off (toggle counter collection

@@ -88,8 +88,8 @@ struct ExecutionReport {
   /// outermost MSQL input — nested view/trigger executions appear as
   /// subtrees of the outer input instead of reporting their own.
   std::string trace_text;
-  /// Local physical plans of this input's SELECT tasks, one block per
-  /// task in task-name order (the shell's `\plan`). Filled only when
+  /// Local physical plans of this input's SELECT, UPDATE and DELETE
+  /// tasks, one block per task in task-name order (the shell's `\plan`). Filled only when
   /// plan collection is on (MultidatabaseSystem::set_collect_plans).
   std::string plan_text;
   /// EXPLAIN ANALYZE rendering of this input (DESIGN.md §11): phase
@@ -196,8 +196,9 @@ class MultidatabaseSystem {
   Result<relational::LocalEngine*> GetEngine(std::string_view service);
 
   /// Toggles local plan collection on every registered service: each
-  /// SELECT task's result then carries its planner rendering, which
-  /// AssembleRunReport gathers into ExecutionReport::plan_text.
+  /// SELECT, UPDATE and DELETE task's result then carries its planner
+  /// rendering, which AssembleRunReport gathers into
+  /// ExecutionReport::plan_text.
   void set_collect_plans(bool on);
   bool collect_plans() const { return collect_plans_; }
 

@@ -150,10 +150,11 @@ class LocalEngine {
   Result<ResultSet> ExecuteStatement(SessionId session,
                                      const Statement& stmt);
 
-  /// EXPLAIN: parses `sql` (which must be a SELECT) and returns the
+  /// EXPLAIN: parses `sql` (a SELECT, UPDATE or DELETE) and returns the
   /// local planner's text rendering of its physical plan without
-  /// running the join. Uses the session's open transaction when there
-  /// is one, a short-lived read transaction otherwise.
+  /// running it; for UPDATE and DELETE that is the plan that picks the
+  /// target rows. Uses the session's open transaction when there is
+  /// one, a short-lived read transaction otherwise.
   Result<std::string> ExplainSql(SessionId session, std::string_view sql);
 
   // -- Observability / plan text ------------------------------------------
@@ -169,7 +170,8 @@ class LocalEngine {
     }
   }
 
-  /// When true, every SELECT result carries its plan text (`\plan`).
+  /// When true, every SELECT, UPDATE and DELETE result carries its plan
+  /// text (`\plan`).
   void set_collect_plan_text(bool on) { collect_plan_text_ = on; }
   bool collect_plan_text() const { return collect_plan_text_; }
 

@@ -267,7 +267,8 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   SelectPlan plan;
   {
     obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
-    MSQL_ASSIGN_OR_RETURN(plan, PlanSelect(stmt, PlannerSources(sources)));
+    MSQL_ASSIGN_OR_RETURN(
+        plan, PlanSelect(stmt.where.get(), PlannerSources(sources)));
   }
   int64_t rows_scanned = recursive_scanned;
   int64_t rows_evaluated = 0;
@@ -511,7 +512,7 @@ std::vector<PlannerSource> Executor::PlannerSources(
 Result<std::vector<Row>> Executor::RunPlannedJoin(
     const SelectPlan& plan, std::vector<ResolvedSource>* sources,
     const ExprEvaluator& evaluator, int64_t* rows_scanned,
-    int64_t* rows_evaluated) {
+    int64_t* rows_evaluated, std::vector<RowId>* ids) {
   obs::ScopedSpan join_span(options_.tracer, "sql.join", "sql");
   if (join_span.active()) {
     join_span.Annotate("sources",
@@ -534,15 +535,14 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
       if (options_.metrics != nullptr) {
         options_.metrics->Inc("sql.index_probes");
       }
-      MSQL_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                            probe->index->LookupIds(probe->key));
-      src.rows.reserve(ids.size());
-      for (RowId id : ids) {
+      MSQL_ASSIGN_OR_RETURN(src.ids, probe->index->LookupIds(probe->key));
+      src.rows.reserve(src.ids.size());
+      for (RowId id : src.ids) {
         MSQL_ASSIGN_OR_RETURN(Row row, src.table->ReadRow(id));
         src.rows.push_back(std::move(row));
       }
     } else {
-      MSQL_ASSIGN_OR_RETURN(src.rows, src.table->ScanRows());
+      MSQL_ASSIGN_OR_RETURN(src.rows, src.table->ScanRows(&src.ids));
     }
     *rows_scanned += static_cast<int64_t>(src.rows.size());
   }
@@ -570,19 +570,24 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
           return EvalScalarSubquery(sub);
         });
     std::vector<Row> kept;
+    std::vector<RowId> kept_ids;
     kept.reserve(src.rows.size());
-    for (auto& row : src.rows) {
+    kept_ids.reserve(src.ids.size());
+    for (size_t r = 0; r < src.rows.size(); ++r) {
       ++*rows_evaluated;
       bool keep = true;
       for (const auto& f : plan.filters) {
         if (f.source != i) continue;
-        MSQL_ASSIGN_OR_RETURN(keep,
-                              local_eval.EvalPredicate(*f.conjunct, row));
+        MSQL_ASSIGN_OR_RETURN(
+            keep, local_eval.EvalPredicate(*f.conjunct, src.rows[r]));
         if (!keep) break;
       }
-      if (keep) kept.push_back(std::move(row));
+      if (!keep) continue;
+      kept.push_back(std::move(src.rows[r]));
+      if (!src.ids.empty()) kept_ids.push_back(src.ids[r]);
     }
     src.rows = std::move(kept);
+    src.ids = std::move(kept_ids);
   }
 
   size_t total_width = 0;
@@ -701,32 +706,103 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
       MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*res, j.row));
       if (!keep) break;
     }
-    if (keep) matched_rows.push_back(std::move(j.row));
+    if (!keep) continue;
+    if (ids != nullptr) ids->push_back((*sources)[0].ids[j.ord[0]]);
+    matched_rows.push_back(std::move(j.row));
   }
   return matched_rows;
 }
 
-Result<std::string> Executor::ExplainSelect(const SelectStmt& stmt) {
-  if (stmt.from.empty()) {
-    return Status::ExecutionError("SELECT without FROM is not supported");
-  }
+Result<std::string> Executor::Explain(const Statement& stmt) {
   obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
   std::vector<ResolvedSource> sources;
-  RowBinding binding;
-  int64_t recursive_scanned = 0;
-  MSQL_RETURN_IF_ERROR(
-      ResolveSources(stmt, &sources, &binding, &recursive_scanned));
-  MSQL_ASSIGN_OR_RETURN(SelectPlan plan,
-                        PlanSelect(stmt, PlannerSources(sources)));
+  SelectPlan plan;
+  switch (stmt.kind()) {
+    case StatementKind::kSelect: {
+      const auto& select = static_cast<const SelectStmt&>(stmt);
+      if (select.from.empty()) {
+        return Status::ExecutionError("SELECT without FROM is not supported");
+      }
+      RowBinding binding;
+      int64_t recursive_scanned = 0;
+      MSQL_RETURN_IF_ERROR(
+          ResolveSources(select, &sources, &binding, &recursive_scanned));
+      MSQL_ASSIGN_OR_RETURN(
+          plan, PlanSelect(select.where.get(), PlannerSources(sources)));
+      break;
+    }
+    case StatementKind::kUpdate:
+    case StatementKind::kDelete: {
+      const bool update = stmt.kind() == StatementKind::kUpdate;
+      const TableRef& ref =
+          update ? static_cast<const UpdateStmt&>(stmt).table
+                 : static_cast<const DeleteStmt&>(stmt).table;
+      const Expr* where =
+          update ? static_cast<const UpdateStmt&>(stmt).where.get()
+                 : static_cast<const DeleteStmt&>(stmt).where.get();
+      // Planning only reads the target, so EXPLAIN takes a shared lock.
+      MSQL_ASSIGN_OR_RETURN(Table * table,
+                            LockTarget(ref, LockManager::Mode::kShared));
+      MSQL_ASSIGN_OR_RETURN(plan, PlanTarget(ref, table, where, &sources));
+      break;
+    }
+    default:
+      return Status::InvalidArgument(
+          "EXPLAIN requires a SELECT, UPDATE or DELETE statement");
+  }
   return plan.Explain();
 }
 
+Result<Table*> Executor::LockTarget(const TableRef& ref,
+                                    LockManager::Mode mode) {
+  MSQL_RETURN_IF_ERROR(CheckQualifier(ref));
+  MSQL_RETURN_IF_ERROR(RejectViewTarget(ref));
+  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ref.table), mode));
+  return db_->GetTable(ref.table);
+}
+
+Result<SelectPlan> Executor::PlanTarget(const TableRef& ref,
+                                        const Table* table, const Expr* where,
+                                        std::vector<ResolvedSource>* sources) {
+  ResolvedSource source;
+  source.effective_name = ToLower(ref.EffectiveName());
+  source.schema = table->schema();
+  source.table = table;
+  sources->push_back(std::move(source));
+  return PlanSelect(where, PlannerSources(*sources));
+}
+
+Status Executor::MatchTargets(const TableRef& ref, const Table* table,
+                              const Expr* where, std::vector<RowId>* ids,
+                              std::vector<Row>* rows, ResultSet* out) {
+  std::vector<ResolvedSource> sources;
+  SelectPlan plan;
+  {
+    obs::ScopedSpan plan_span(options_.tracer, "sql.plan", "sql");
+    MSQL_ASSIGN_OR_RETURN(plan, PlanTarget(ref, table, where, &sources));
+  }
+  RowBinding binding;
+  binding.AddTable(sources[0].effective_name, sources[0].schema);
+  ExprEvaluator evaluator(
+      &binding, [this](const SelectStmt& sub) -> Result<Value> {
+        return EvalScalarSubquery(sub);
+      });
+  // Both access paths fetch in ascending rowid order (a scan walks the
+  // slots, LookupIds is ascending) and the join keeps fetch order, so
+  // `ids` comes out ascending.
+  MSQL_ASSIGN_OR_RETURN(*rows, RunPlannedJoin(plan, &sources, evaluator,
+                                              &out->rows_scanned,
+                                              &out->rows_evaluated, ids));
+  if (options_.metrics != nullptr) {
+    options_.metrics->Observe("sql.rows_evaluated", out->rows_evaluated);
+  }
+  if (options_.collect_plan_text) out->plan_text = plan.Explain();
+  return Status::OK();
+}
+
 Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
-  MSQL_RETURN_IF_ERROR(RejectViewTarget(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(stmt.table.table),
-                                       LockManager::Mode::kExclusive));
-  MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table.table));
+  MSQL_ASSIGN_OR_RETURN(Table * table,
+                        LockTarget(stmt.table, LockManager::Mode::kExclusive));
   const TableSchema& schema = table->schema();
 
   // Resolve target column positions.
@@ -793,20 +869,9 @@ Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
 }
 
 Result<ResultSet> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
-  MSQL_RETURN_IF_ERROR(RejectViewTarget(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(stmt.table.table),
-                                       LockManager::Mode::kExclusive));
-  MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table.table));
+  MSQL_ASSIGN_OR_RETURN(Table * table,
+                        LockTarget(stmt.table, LockManager::Mode::kExclusive));
   const TableSchema& schema = table->schema();
-
-  std::string effective = ToLower(stmt.table.EffectiveName());
-  RowBinding binding;
-  binding.AddTable(effective, schema);
-  ExprEvaluator evaluator(
-      &binding, [this](const SelectStmt& sub) -> Result<Value> {
-        return EvalScalarSubquery(sub);
-      });
 
   // Resolve assignment targets.
   std::vector<size_t> targets;
@@ -819,85 +884,65 @@ Result<ResultSet> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
     targets.push_back(*idx);
   }
 
-  // Phase 1: collect matching rows and compute their new images against
+  // Phase 1: select the target rows and compute their new images against
   // the pre-update state (scalar subqueries in WHERE/SET therefore see a
   // consistent snapshot).
-  struct Planned {
-    RowId id;
-    Row new_row;
-  };
-  std::vector<Planned> planned;
-  for (RowId id : table->ScanRowIds()) {
-    MSQL_ASSIGN_OR_RETURN(Row row, table->ReadRow(id));
-    bool keep = true;
-    if (stmt.where != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*stmt.where, row));
-    }
-    if (!keep) continue;
-    Row new_row = row;
-    for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-      MSQL_ASSIGN_OR_RETURN(Value v,
-                            evaluator.Eval(*stmt.assignments[i].value, row));
-      new_row[targets[i]] = std::move(v);
-    }
-    planned.push_back(Planned{id, std::move(new_row)});
-  }
-
-  // Phase 2: apply.
-  for (auto& p : planned) {
-    MSQL_ASSIGN_OR_RETURN(Row before, table->Update(p.id, std::move(p.new_row)));
-    UndoRecord rec;
-    rec.kind = UndoRecord::Kind::kUpdate;
-    rec.database = db_->name();
-    rec.table = schema.table_name();
-    rec.row_id = p.id;
-    rec.before = std::move(before);
-    txn_->RecordUndo(std::move(rec));
-  }
   ResultSet out;
-  out.rows_affected = static_cast<int64_t>(planned.size());
-  out.rows_scanned = static_cast<int64_t>(table->ScanRowIds().size());
-  return out;
-}
-
-Result<ResultSet> Executor::ExecuteDelete(const DeleteStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
-  MSQL_RETURN_IF_ERROR(RejectViewTarget(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(stmt.table.table),
-                                       LockManager::Mode::kExclusive));
-  MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table.table));
-  const TableSchema& schema = table->schema();
-
-  std::string effective = ToLower(stmt.table.EffectiveName());
+  std::vector<RowId> ids;
+  std::vector<Row> rows;
+  MSQL_RETURN_IF_ERROR(
+      MatchTargets(stmt.table, table, stmt.where.get(), &ids, &rows, &out));
   RowBinding binding;
-  binding.AddTable(effective, schema);
+  binding.AddTable(ToLower(stmt.table.EffectiveName()), schema);
   ExprEvaluator evaluator(
       &binding, [this](const SelectStmt& sub) -> Result<Value> {
         return EvalScalarSubquery(sub);
       });
-
-  std::vector<RowId> victims;
-  for (RowId id : table->ScanRowIds()) {
-    MSQL_ASSIGN_OR_RETURN(Row row, table->ReadRow(id));
-    bool keep = true;
-    if (stmt.where != nullptr) {
-      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*stmt.where, row));
+  std::vector<Value> values(targets.size());
+  for (Row& row : rows) {
+    for (size_t i = 0; i < targets.size(); ++i) {
+      MSQL_ASSIGN_OR_RETURN(values[i],
+                            evaluator.Eval(*stmt.assignments[i].value, row));
     }
-    if (keep) victims.push_back(id);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      row[targets[i]] = std::move(values[i]);
+    }
   }
-  for (RowId id : victims) {
+
+  // Phase 2: apply, in ascending rowid order.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    MSQL_ASSIGN_OR_RETURN(Row before, table->Update(ids[i], std::move(rows[i])));
+    UndoRecord rec;
+    rec.kind = UndoRecord::Kind::kUpdate;
+    rec.database = db_->name();
+    rec.table = schema.table_name();
+    rec.row_id = ids[i];
+    rec.before = std::move(before);
+    txn_->RecordUndo(std::move(rec));
+  }
+  out.rows_affected = static_cast<int64_t>(ids.size());
+  return out;
+}
+
+Result<ResultSet> Executor::ExecuteDelete(const DeleteStmt& stmt) {
+  MSQL_ASSIGN_OR_RETURN(Table * table,
+                        LockTarget(stmt.table, LockManager::Mode::kExclusive));
+  ResultSet out;
+  std::vector<RowId> ids;
+  std::vector<Row> rows;
+  MSQL_RETURN_IF_ERROR(
+      MatchTargets(stmt.table, table, stmt.where.get(), &ids, &rows, &out));
+  for (RowId id : ids) {
     MSQL_ASSIGN_OR_RETURN(Row before, table->Delete(id));
     UndoRecord rec;
     rec.kind = UndoRecord::Kind::kDelete;
     rec.database = db_->name();
-    rec.table = schema.table_name();
+    rec.table = table->schema().table_name();
     rec.row_id = id;
     rec.before = std::move(before);
     txn_->RecordUndo(std::move(rec));
   }
-  ResultSet out;
-  out.rows_affected = static_cast<int64_t>(victims.size());
-  out.rows_scanned = static_cast<int64_t>(table->ScanRowIds().size());
+  out.rows_affected = static_cast<int64_t>(ids.size());
   return out;
 }
 

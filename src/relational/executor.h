@@ -43,6 +43,14 @@ struct ExecutorOptions {
 /// the planner cannot split runs as its cross-product plan. Either way
 /// the joined rows are those of the odometer cross product filtered by
 /// the WHERE, in the same order (tests/naive_join_oracle.h checks this).
+///
+/// UPDATE and DELETE pick their rows with the same one-source plan:
+/// they modify exactly the rows `SELECT * FROM target WHERE ...` returns
+/// (an indexed `col = literal` probes instead of scanning) and fail
+/// exactly when it fails. Phase 1 collects those rows and, for UPDATE,
+/// their new images on the pre-statement state; phase 2 applies them in
+/// ascending rowid order. `rows_scanned`, `rows_evaluated` and the
+/// plan text mean what they mean for that SELECT.
 class Executor {
  public:
   Executor(Database* db, Transaction* txn, LockManager* locks,
@@ -64,19 +72,21 @@ class Executor {
   Result<ResultSet> ExecuteCreateIndex(const CreateIndexStmt& stmt);
   Result<ResultSet> ExecuteDropIndex(const DropIndexStmt& stmt);
 
-  /// EXPLAIN: resolves and plans the SELECT without running the join,
-  /// returning the plan's deterministic text rendering. Views are still
-  /// materialized (their cardinality feeds the join-order estimates).
-  Result<std::string> ExplainSelect(const SelectStmt& stmt);
+  /// EXPLAIN: plans a SELECT, or the row selection of an UPDATE or
+  /// DELETE, without running it, returning the plan's deterministic text
+  /// rendering. Views are still materialized (their cardinality feeds
+  /// the join-order estimates). Other statements are kInvalidArgument.
+  Result<std::string> Explain(const Statement& stmt);
 
  private:
   /// One resolved FROM source: schema, effective name, and (for views)
   /// pre-materialized rows. Base-table rows are fetched later, once the
-  /// plan has chosen an access path.
+  /// plan has chosen an access path, together with their ids.
   struct ResolvedSource {
     std::string effective_name;
     TableSchema schema;
     std::vector<Row> rows;
+    std::vector<RowId> ids;        // base tables: one per fetched row
     const Table* table = nullptr;  // null for views
   };
 
@@ -93,12 +103,32 @@ class Executor {
 
   /// The planned SELECT pipeline: fetch per access path, filter pushed
   /// conjuncts per source, run the hash/nested-loop join steps, apply
-  /// the final residual. Produces joined rows in FROM-major order.
+  /// the final residual. Produces joined rows in FROM-major order. With
+  /// `ids` (a plan over one base table), also returns each row's id.
   Result<std::vector<Row>> RunPlannedJoin(const SelectPlan& plan,
                                           std::vector<ResolvedSource>* sources,
                                           const ExprEvaluator& evaluator,
                                           int64_t* rows_scanned,
-                                          int64_t* rows_evaluated);
+                                          int64_t* rows_evaluated,
+                                          std::vector<RowId>* ids = nullptr);
+
+  /// The table an INSERT, UPDATE or DELETE names, after the qualifier
+  /// and not-a-view checks, locked in `mode`.
+  Result<Table*> LockTarget(const TableRef& ref, LockManager::Mode mode);
+
+  /// Plans the row selection of an UPDATE or DELETE of `table`: the plan
+  /// of `SELECT * FROM ref WHERE where`, over the one source it puts in
+  /// `sources`.
+  Result<SelectPlan> PlanTarget(const TableRef& ref, const Table* table,
+                                const Expr* where,
+                                std::vector<ResolvedSource>* sources);
+
+  /// The rows of `table` an UPDATE or DELETE modifies, with their ids in
+  /// ascending order: those the target plan fetches and keeps. Fills
+  /// `out`'s rows_scanned, rows_evaluated and plan text.
+  Status MatchTargets(const TableRef& ref, const Table* table,
+                      const Expr* where, std::vector<RowId>* ids,
+                      std::vector<Row>* rows, ResultSet* out);
 
   /// Evaluates a scalar subquery: one column, at most one row; zero rows
   /// yield SQL NULL.

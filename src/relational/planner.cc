@@ -63,7 +63,7 @@ std::string FormatEst(double est) {
 /// evaluates it left to right on each combined row in FROM-major order,
 /// so the binding error surfaces on the first row that reaches the bad
 /// name — or never, when short-circuiting skips it on every row.
-SelectPlan CrossProductPlan(const SelectStmt& stmt,
+SelectPlan CrossProductPlan(const Expr* where,
                             const std::vector<PlannerSource>& sources,
                             SelectPlan plan) {
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -74,7 +74,7 @@ SelectPlan CrossProductPlan(const SelectStmt& stmt,
     step.estimated_rows = plan.estimated_rows[i];
     plan.steps.push_back(std::move(step));
   }
-  plan.final_residual.push_back(stmt.where.get());
+  plan.final_residual.push_back(where);
   return plan;
 }
 
@@ -132,7 +132,7 @@ std::string SelectPlan::Explain() const {
   return out;
 }
 
-Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
+Result<SelectPlan> PlanSelect(const Expr* where,
                               const std::vector<PlannerSource>& sources) {
   SelectPlan plan;
   size_t offset = 0;
@@ -145,9 +145,9 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
 
   // -- Conjunct classification -------------------------------------------
   std::vector<ConjunctInfo> conjuncts;
-  if (stmt.where != nullptr) {
+  if (where != nullptr) {
     std::vector<const Expr*> split;
-    SplitConjuncts(*stmt.where, &split);
+    SplitConjuncts(*where, &split);
     for (const Expr* c : split) {
       ConjunctInfo info;
       info.expr = c;
@@ -165,7 +165,7 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
         if (matches.size() != 1) {
           // Unknown or ambiguous name: whether (and on which row) it
           // errors depends on the data, so the WHERE stays whole.
-          return CrossProductPlan(stmt, sources, std::move(plan));
+          return CrossProductPlan(where, sources, std::move(plan));
         }
         info.source_set.push_back(matches[0]);
       }

@@ -64,9 +64,10 @@ struct JoinStep {
   double estimated_rows = 0.0;  // of this source, after pushed filters
 };
 
-/// Physical plan for one SELECT: per-source access paths and filters,
-/// a join order, and the leftover predicate. All Expr pointers borrow
-/// from the planned statement.
+/// Physical plan for one SELECT, or for the row selection of one UPDATE
+/// or DELETE: per-source access paths and filters, a join order, and the
+/// leftover predicate. All Expr pointers borrow from the planned
+/// statement.
 struct SelectPlan {
   std::vector<std::string> source_names;
   std::vector<size_t> source_offsets;  // combined-row offset per source
@@ -93,19 +94,21 @@ struct SelectPlan {
   std::string Explain() const;
 };
 
-/// Rewrites a SELECT into a physical plan: splits the WHERE into
-/// top-level AND conjuncts, pushes single-source conjuncts below the
-/// join, selects per-source index probes from pushed `col = literal`
-/// conjuncts, turns two-source `a.x = b.y` conjuncts into hash-join
-/// keys, and orders joins greedily by estimated cardinality (smallest
-/// estimated source first, preferring sources hash-connected to the
-/// joined prefix). Pure analysis — no locks, no data access.
+/// Plans `SELECT * FROM sources WHERE where` (a null `where` keeps
+/// every row): splits the WHERE into top-level AND conjuncts, pushes
+/// single-source conjuncts below the join, selects per-source index
+/// probes from pushed `col = literal` conjuncts, turns two-source
+/// `a.x = b.y` conjuncts into hash-join keys, and orders joins greedily
+/// by estimated cardinality (smallest estimated source first, preferring
+/// sources hash-connected to the joined prefix). Pure analysis — no
+/// locks, no data access. SELECT plans its FROM list this way; UPDATE
+/// and DELETE plan their one target table.
 ///
 /// Every statement gets a plan. A WHERE naming a column no single
 /// source owns cannot be split, so it gets the cross-product plan: every
 /// source scanned, nested loops in FROM order, and the whole WHERE as
 /// the one final residual.
-Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
+Result<SelectPlan> PlanSelect(const Expr* where,
                               const std::vector<PlannerSource>& sources);
 
 }  // namespace msql::relational

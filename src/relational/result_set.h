@@ -22,9 +22,11 @@ struct ResultSet {
   std::vector<Row> rows;
   /// Rows touched by INSERT/UPDATE/DELETE.
   int64_t rows_affected = 0;
-  /// Rows the executor had to examine to produce this result (scan cost;
-  /// diagnostics only — excluded from equality). Includes base-table
-  /// rows scanned while materializing view sources.
+  /// Rows the executor had to examine to produce this result: the rows
+  /// each source's access path fetched (scan cost; diagnostics only —
+  /// excluded from equality). Includes base-table rows scanned while
+  /// materializing view sources. UPDATE and DELETE count the rows their
+  /// target plan fetched.
   int64_t rows_scanned = 0;
   /// Row candidates the executor formed and tested: per-source filter
   /// evaluations plus join candidate pairs (rows formed by steps after
@@ -32,9 +34,10 @@ struct ResultSet {
   /// counted. Diagnostics only — excluded from equality and wire
   /// accounting.
   int64_t rows_evaluated = 0;
-  /// Physical-plan rendering of the SELECT that produced this result.
-  /// Filled only when the engine collects plans (`\plan`); excluded from
-  /// equality and wire accounting.
+  /// Physical-plan rendering of the SELECT that produced this result, or
+  /// of the row selection of an UPDATE or DELETE. Filled only when the
+  /// engine collects plans (`\plan`); excluded from equality and wire
+  /// accounting.
   std::string plan_text;
 
   bool IsQueryResult() const { return !columns.empty(); }

@@ -176,9 +176,11 @@ Result<Row> TableStorage::Read(RowId id) const {
   return DeserializeRow(bytes);
 }
 
-Status TableStorage::Scan(std::vector<Row>* rows) const {
-  return ScanLiveRows([rows](RowId, Row row) {
+Status TableStorage::Scan(std::vector<Row>* rows,
+                          std::vector<RowId>* ids) const {
+  return ScanLiveRows([rows, ids](RowId id, Row row) {
     rows->push_back(std::move(row));
+    if (ids != nullptr) ids->push_back(id);
     return Status::OK();
   });
 }

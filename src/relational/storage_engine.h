@@ -71,7 +71,8 @@ class TableStorage : public RowStore {
   Result<Row> Update(RowId id, Row row) override;
   Result<Row> Delete(RowId id) override;
   Result<Row> Read(RowId id) const override;
-  Status Scan(std::vector<Row>* rows) const override;
+  Status Scan(std::vector<Row>* rows,
+              std::vector<RowId>* ids) const override;
   Status ScanSlots(
       const std::function<Status(RowId, bool)>& fn) const override;
   /// A BtreeIndex populated from the heap. CREATE INDEX is logged once

@@ -72,9 +72,12 @@ class MemoryRowStore : public RowStore {
 
   Result<Row> Read(RowId id) const override { return *slots_[id]; }
 
-  Status Scan(std::vector<Row>* rows) const override {
-    for (const std::optional<Row>& slot : slots_) {
-      if (slot.has_value()) rows->push_back(*slot);
+  Status Scan(std::vector<Row>* rows,
+              std::vector<RowId>* ids) const override {
+    for (RowId id = 0; id < slots_.size(); ++id) {
+      if (!slots_[id].has_value()) continue;
+      rows->push_back(*slots_[id]);
+      if (ids != nullptr) ids->push_back(id);
     }
     return Status::OK();
   }
@@ -219,28 +222,24 @@ Result<Row> Table::Update(RowId id, Row new_row) {
   IndexKeys keys = KeysOf(normalized);
   MSQL_ASSIGN_OR_RETURN(Row old, store_->Update(id, std::move(normalized)));
   MSQL_RETURN_IF_ERROR(IndexErase(old, id));
-  MSQL_RETURN_IF_ERROR(IndexInsert(keys, id));
+  Status indexed = IndexInsert(keys, id);
+  if (!indexed.ok()) {
+    // Compensate as Insert does: the before-image and its keys go back,
+    // so the failed statement leaves nothing for undo to repair; a
+    // paged store logs the compensation like any other change.
+    IndexKeys old_keys = KeysOf(old);
+    (void)store_->Update(id, std::move(old));
+    (void)IndexInsert(old_keys, id);
+    return indexed;
+  }
   return old;
 }
 
-std::vector<RowId> Table::ScanRowIds() const {
-  std::vector<RowId> ids;
-  ids.reserve(live_count_);
-  auto next_free = free_slots_.begin();
-  for (RowId id = 0; id < next_rowid_; ++id) {
-    if (next_free != free_slots_.end() && *next_free == id) {
-      ++next_free;
-    } else {
-      ids.push_back(id);
-    }
-  }
-  return ids;
-}
-
-Result<std::vector<Row>> Table::ScanRows() const {
+Result<std::vector<Row>> Table::ScanRows(std::vector<RowId>* ids) const {
   std::vector<Row> rows;
   rows.reserve(live_count_);
-  MSQL_RETURN_IF_ERROR(store_->Scan(&rows));
+  if (ids != nullptr) ids->reserve(ids->size() + live_count_);
+  MSQL_RETURN_IF_ERROR(store_->Scan(&rows, ids));
   return rows;
 }
 

@@ -53,8 +53,10 @@ class RowStore {
   /// The live row at `id`.
   virtual Result<Row> Read(RowId id) const = 0;
 
-  /// Appends every live row to `rows`, in rowid order.
-  virtual Status Scan(std::vector<Row>* rows) const = 0;
+  /// Appends every live row to `rows`, in rowid order, and its rowid to
+  /// `ids` when given.
+  virtual Status Scan(std::vector<Row>* rows,
+                      std::vector<RowId>* ids) const = 0;
   /// Calls `fn(id, live)` for every rowid the store has held, live or
   /// tombstoned, in rowid order.
   virtual Status ScanSlots(
@@ -125,16 +127,15 @@ class Table {
   /// Tombstones a live row, returning its content for the undo log.
   Result<Row> Delete(RowId id);
 
-  /// Replaces a live row's content, returning the before-image.
+  /// Replaces a live row's content, returning the before-image. When an
+  /// index rejects the new key, the before-image and its keys are put
+  /// back and the index's error is returned.
   Result<Row> Update(RowId id, Row new_row);
-
-  /// All live RowIds in slot order (deterministic scan order).
-  std::vector<RowId> ScanRowIds() const;
 
   /// All live rows in slot order (copy; paged tables materialize every
   /// row — the planner's scan access path, while index probes stay
-  /// bounded).
-  Result<std::vector<Row>> ScanRows() const;
+  /// bounded). Appends each row's id to `ids` when given.
+  Result<std::vector<Row>> ScanRows(std::vector<RowId>* ids = nullptr) const;
 
   // -- Secondary indexes ------------------------------------------------
 

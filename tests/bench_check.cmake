@@ -1,14 +1,18 @@
 # bench_check: schema-validates the committed bench baselines under
 # bench/baselines/ and — when a bench has been re-run in this build tree
 # (a fresh BENCH_*.json under ${BINARY_DIR}/bench) — compares its
-# deterministic simulated-clock metrics against the baseline, failing on
-# a >25% regression. Wall-clock metrics are never compared (host time is
-# noisy); every compared metric lives on the netsim clock and is exact
-# for a fixed seed. Baselines are the benches' `--quick` outputs;
-# comparisons are guarded on the workload-scale fields, so a full-scale
-# re-run simply skips entries whose scale differs from the baseline.
+# deterministic metrics against the baseline, failing on a >25%
+# regression. Wall-clock metrics are never compared (host time is
+# noisy); every compared metric is a simulated-clock figure or a work
+# counter (E19's page reads/writes and WAL appends), exact for a fixed
+# seed. Baselines are the benches' `--quick` outputs; comparisons are
+# guarded on the workload-scale fields, so a full-scale re-run simply
+# skips entries whose scale differs from the baseline. E19 needs no
+# manual re-run: the bench_e19_quick ctest fixture writes a fresh
+# BENCH_storage.json before this check runs.
 #
-# Run via ctest: `ctest -R bench_check` (label `bench`). Invoked as
+# Run via ctest: `ctest -L bench` (label `bench`; `ctest -R bench_check`
+# pulls in the fixture too). Invoked as
 #   cmake -DSOURCE_DIR=... -DBINARY_DIR=... -P bench_check.cmake
 
 if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BINARY_DIR)

@@ -4,13 +4,16 @@
 // joins, or the cross-product plan — and on the naive cross-product
 // oracle (naive_join_oracle.h) over the same database. Both must produce
 // the same rows in the same order, or fail with the same Status text.
-// The randomized workloads run on the in-memory row store and on the
-// paged one, with a buffer pool that holds the data and with one that
-// does not.
+// UPDATE and DELETE with a generated WHERE must touch exactly the rows
+// the engine's own one-table SELECT with that WHERE returns. The
+// randomized workloads run on the in-memory row store and on the paged
+// one, with a buffer pool that holds the data and with one that does
+// not.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -101,6 +104,80 @@ JoinOutcome RunBoth(Db* db, const std::string& sql) {
         << sql;
   }
   return out;
+}
+
+/// The engine's own rows of `table`, in scan order.
+std::vector<Row> ScanOf(Db* db, const std::string& table) {
+  auto rs = db->engine->Execute(db->session, "SELECT * FROM " + table);
+  EXPECT_TRUE(rs.ok()) << table << " -> " << rs.status();
+  return rs.ok() ? rs->rows : std::vector<Row>{};
+}
+
+/// SET clauses of the differential UPDATE over (k INTEGER, g TEXT,
+/// v REAL); Assigned() gives the image each one makes of a row.
+constexpr const char* kDmlSets[] = {"k = k + 1", "v = v + 1", "g = 'g9'"};
+
+Row Assigned(Row row, size_t set) {
+  switch (set) {
+    case 0:
+      if (!row[0].is_null()) row[0] = Value::Integer(row[0].AsInteger() + 1);
+      break;
+    case 1:
+      if (!row[2].is_null()) row[2] = Value::Real(row[2].AsReal() + 1);
+      break;
+    default:
+      row[1] = Value::Text("g9");
+  }
+  return row;
+}
+
+/// Holds `DELETE FROM t0 a0 WHERE <where>` and `UPDATE t0 a0 SET
+/// kDmlSets[set] WHERE <where>`, each run inside BEGIN ... ROLLBACK, to
+/// the engine's own `SELECT * FROM t0 a0 WHERE <where>` (itself held to
+/// the oracle): they touch exactly the rows it returns, count its
+/// rows_scanned and rows_evaluated, or fail with its Status text; the
+/// rest of the scan is left as it was, in order, and the rollback
+/// restores the scan taken before.
+void CheckDmlMatchesSelect(Db* db, const std::string& where, size_t set) {
+  const std::string suffix = where.empty() ? "" : " WHERE " + where;
+  SCOPED_TRACE("t0 a0" + suffix);
+  const std::vector<Row> before = ScanOf(db, "t0");
+  const Result<ResultSet> select =
+      RunBoth(db, "SELECT * FROM t0 a0" + suffix).planned;
+  for (bool update : {false, true}) {
+    const std::string dml =
+        update ? "UPDATE t0 a0 SET " + std::string(kDmlSets[set]) + suffix
+               : "DELETE FROM t0 a0" + suffix;
+    db->Exec("BEGIN");
+    auto result = db->engine->Execute(db->session, dml);
+    if (!select.ok()) {
+      // The failed statement aborted its transaction.
+      ASSERT_FALSE(result.ok()) << dml;
+      EXPECT_EQ(result.status().ToString(), select.status().ToString())
+          << dml;
+      EXPECT_EQ(ScanOf(db, "t0"), before) << dml;
+      continue;
+    }
+    ASSERT_TRUE(result.ok()) << dml << " -> " << result.status();
+    const std::vector<Row>& chosen = select->rows;
+    EXPECT_EQ(result->rows_affected, static_cast<int64_t>(chosen.size()))
+        << dml;
+    EXPECT_EQ(result->rows_scanned, select->rows_scanned) << dml;
+    EXPECT_EQ(result->rows_evaluated, select->rows_evaluated) << dml;
+    // Equal rows meet the WHERE alike, so membership by value names the
+    // chosen rows.
+    std::vector<Row> expected;
+    for (const Row& row : before) {
+      if (std::find(chosen.begin(), chosen.end(), row) == chosen.end()) {
+        expected.push_back(row);
+      } else if (update) {
+        expected.push_back(Assigned(row, set));
+      }
+    }
+    EXPECT_EQ(ScanOf(db, "t0"), expected) << dml;
+    db->Exec("ROLLBACK");
+    EXPECT_EQ(ScanOf(db, "t0"), before) << dml;
+  }
 }
 
 /// One random `(k, g, v)` row literal, NULLs sprinkled into every
@@ -201,6 +278,18 @@ std::string RandomConjunct(Rng* rng, int num_tables) {
   }
 }
 
+/// A random AND of 0..3 conjuncts over a0..a{num_tables-1} (empty for
+/// none).
+std::string RandomWhere(Rng* rng, int num_tables) {
+  std::string where;
+  int conjuncts = static_cast<int>(rng->NextInRange(0, 3));
+  for (int c = 0; c < conjuncts; ++c) {
+    if (c > 0) where += " AND ";
+    where += RandomConjunct(rng, num_tables);
+  }
+  return where;
+}
+
 /// One random join stage over 1..`num_tables` aliased sources.
 std::string RandomJoin(Rng* rng, int num_tables) {
   int from_count = static_cast<int>(rng->NextInRange(1, num_tables));
@@ -209,12 +298,8 @@ std::string RandomJoin(Rng* rng, int num_tables) {
     if (t > 0) sql += ", ";
     sql += "t" + std::to_string(t) + " a" + std::to_string(t);
   }
-  int conjuncts = static_cast<int>(rng->NextInRange(0, 3));
-  for (int c = 0; c < conjuncts; ++c) {
-    sql += (c == 0 ? " WHERE " : " AND ");
-    sql += RandomConjunct(rng, from_count);
-  }
-  return sql;
+  std::string where = RandomWhere(rng, from_count);
+  return where.empty() ? sql : sql + " WHERE " + where;
 }
 
 TEST(PlannerDiffTest, PlannedAndNaivePathsAgreeOnRandomizedWorkload) {
@@ -225,6 +310,9 @@ TEST(PlannerDiffTest, PlannedAndNaivePathsAgreeOnRandomizedWorkload) {
     int64_t evictions = 0;
     for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
       Rng rng(seed * 0x51ed2701);
+      // The DML WHEREs draw from their own stream, so the joins above
+      // stay the ones every earlier run of this test generated.
+      Rng dml_rng(seed * 0x2545f491);
       Db db;
       int num_tables = 0;
       BuildRandomDb(&rng, store, &db, &num_tables);
@@ -232,6 +320,9 @@ TEST(PlannerDiffTest, PlannedAndNaivePathsAgreeOnRandomizedWorkload) {
       for (int q = 0; q < kQueriesPerSeed; ++q) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         RunBoth(&db, RandomJoin(&rng, num_tables));
+        CheckDmlMatchesSelect(&db, RandomWhere(&dml_rng, 1),
+                              static_cast<size_t>(q) % std::size(kDmlSets));
+        if (::testing::Test::HasFatalFailure()) return;
       }
       if (db.engine->storage() != nullptr) {
         evictions += db.engine->storage()->pool().evictions();
@@ -262,6 +353,81 @@ TEST(PlannerDiffTest, ProbeReturnsRowsInScanOrderAfterUpdate) {
       ASSERT_TRUE(out.planned.ok()) << out.planned.status();
       EXPECT_EQ(out.planned->rows, expected) << where;
     }
+  }
+}
+
+TEST(PlannerDiffTest, IndexedDmlNeverEvaluatesRowsOutsideTheProbe) {
+  // With an index on k, `k = 1` is a probe: the row (2, 0), on which
+  // `10 / v` divides by zero, is never fetched, so UPDATE and DELETE
+  // succeed as the SELECT does. Without the index every row is
+  // evaluated and all three fail alike.
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    Db db;
+    db.Open(store);
+    db.Exec("CREATE TABLE t (k INTEGER, v INTEGER)");
+    db.Exec("INSERT INTO t VALUES (1, 5), (2, 0)");
+    db.Exec("CREATE INDEX t_k ON t (k)");
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::string where = " WHERE 10 / v > 1 AND k = 1";
+    auto select = db.engine->Execute(db.session, "SELECT * FROM t" + where);
+    ASSERT_TRUE(select.ok()) << select.status();
+    EXPECT_EQ(select->rows,
+              (std::vector<Row>{{Value::Integer(1), Value::Integer(5)}}));
+    EXPECT_EQ(select->rows_scanned, 1);
+
+    auto updated =
+        db.engine->Execute(db.session, "UPDATE t SET v = 4" + where);
+    ASSERT_TRUE(updated.ok()) << updated.status();
+    EXPECT_EQ(updated->rows_affected, 1);
+    EXPECT_EQ(updated->rows_scanned, 1);
+    EXPECT_EQ(ScanOf(&db, "t"),
+              (std::vector<Row>{{Value::Integer(1), Value::Integer(4)},
+                                {Value::Integer(2), Value::Integer(0)}}));
+    auto deleted = db.engine->Execute(db.session, "DELETE FROM t" + where);
+    ASSERT_TRUE(deleted.ok()) << deleted.status();
+    EXPECT_EQ(deleted->rows_affected, 1);
+    EXPECT_EQ(ScanOf(&db, "t"),
+              (std::vector<Row>{{Value::Integer(2), Value::Integer(0)}}));
+
+    db.Exec("INSERT INTO t VALUES (1, 5)");
+    db.Exec("DROP INDEX t_k ON t");
+    if (::testing::Test::HasFatalFailure()) return;
+    auto scanned = db.engine->Execute(db.session, "SELECT * FROM t" + where);
+    ASSERT_FALSE(scanned.ok());
+    for (const std::string& dml :
+         {"UPDATE t SET v = 4" + where, "DELETE FROM t" + where}) {
+      auto failed = db.engine->Execute(db.session, dml);
+      ASSERT_FALSE(failed.ok()) << dml;
+      EXPECT_EQ(failed.status().ToString(), scanned.status().ToString());
+    }
+  }
+}
+
+TEST(PlannerDiffTest, UpdateOfTheProbedKeyUpdatesEachRowOnce) {
+  // The probe on k = 1 picks the rows before any of them moves to
+  // k = 2, so each is updated exactly once.
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    Db db;
+    db.Open(store);
+    db.Exec("CREATE TABLE t (k INTEGER, v INTEGER)");
+    db.Exec("INSERT INTO t VALUES (1, 10), (2, 20), (1, 30)");
+    db.Exec("CREATE INDEX t_k ON t (k)");
+    if (::testing::Test::HasFatalFailure()) return;
+    auto updated =
+        db.engine->Execute(db.session, "UPDATE t SET k = k + 1 WHERE k = 1");
+    ASSERT_TRUE(updated.ok()) << updated.status();
+    EXPECT_EQ(updated->rows_affected, 2);
+    EXPECT_EQ(updated->rows_scanned, 2);
+    const std::vector<Row> expected = {{Value::Integer(2), Value::Integer(10)},
+                                       {Value::Integer(2), Value::Integer(20)},
+                                       {Value::Integer(2), Value::Integer(30)}};
+    EXPECT_EQ(ScanOf(&db, "t"), expected);
+    JoinOutcome probed = RunBoth(&db, "SELECT * FROM t WHERE k = 2");
+    ASSERT_TRUE(probed.planned.ok()) << probed.planned.status();
+    EXPECT_EQ(probed.planned->rows, expected);
+    EXPECT_EQ(probed.planned->rows_scanned, 3);
   }
 }
 
@@ -346,6 +512,10 @@ TEST(PlannerDiffTest, UnresolvableWhereShapesMatchOracle) {
                               (shape.sources == 2 ? ", t1 a1" : "") +
                               " WHERE " + shape.where;
       SCOPED_TRACE("variant " + std::to_string(variant));
+      if (shape.sources == 1) {
+        CheckDmlMatchesSelect(&db, shape.where, 0);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
       JoinOutcome out = RunBoth(&db, sql);
       if (!out.planned.ok() || !out.oracle.ok()) continue;
       EXPECT_EQ(out.planned->rows_scanned, out.oracle->rows_scanned) << sql;

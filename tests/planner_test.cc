@@ -10,6 +10,8 @@
 #include <string>
 #include <utility>
 
+#include "core/fixtures.h"
+#include "core/mdbs_system.h"
 #include "naive_join_oracle.h"
 #include "relational/engine.h"
 
@@ -309,11 +311,83 @@ TEST_F(PlannerTest, UnresolvableWhereScansDespiteIndex) {
   EXPECT_EQ(indexed.status().ToString(), unindexed.status().ToString());
 }
 
-TEST_F(PlannerTest, ExplainRequiresSelect) {
+TEST_F(PlannerTest, ExplainRejectsInsertAndDdl) {
   SeedFlights();
-  auto text = engine_->ExplainSql(session_, "DELETE FROM flights");
-  EXPECT_FALSE(text.ok());
-  EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
+  for (const char* sql :
+       {"INSERT INTO flights VALUES (7, 'sfo', 99.0)",
+        "CREATE TABLE extra (a INTEGER)", "DROP TABLE seats",
+        "CREATE INDEX idx_dep ON flights (dep)",
+        "CREATE VIEW cheap AS SELECT fno FROM flights"}) {
+    auto text = engine_->ExplainSql(session_, sql);
+    ASSERT_FALSE(text.ok()) << sql;
+    EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  // Nothing ran.
+  EXPECT_EQ(Exec("SELECT * FROM flights").rows.size(), 6u);
+  EXPECT_EQ(Exec("SELECT * FROM seats").rows.size(), 8u);
+}
+
+TEST_F(PlannerTest, GoldenExplainForUpdateProbeAndDeleteScan) {
+  // UPDATE and DELETE pick their rows with the one-source plan of
+  // `SELECT * FROM target WHERE ...`: an indexed `col = literal` is a
+  // probe, the rest are pushed filters. With plan collection on, the
+  // statement's result carries the same text.
+  SeedFlights();
+  Exec("CREATE INDEX idx_fno ON flights (fno)");
+  const std::string update =
+      "UPDATE flights SET price = price * 2 WHERE fno = 3 AND dep = 'jfk'";
+  const std::string update_plan =
+      "plan: 1 source(s), 1 pushed conjunct(s), 0 equi-join key(s)\n"
+      "  source 0 (flights): index probe idx_fno [fno = 3]; "
+      "filter dep = 'jfk'; est 1 row(s)\n"
+      "join order:\n"
+      "  [0] start source 0 (flights)\n";
+  EXPECT_EQ(Explain(update), update_plan);
+  const std::string del = "DELETE FROM seats s WHERE s.avail = 0";
+  const std::string delete_plan =
+      "plan: 1 source(s), 1 pushed conjunct(s), 0 equi-join key(s)\n"
+      "  source 0 (s): scan; filter s.avail = 0; est 1 row(s)\n"
+      "join order:\n"
+      "  [0] start source 0 (s)\n";
+  EXPECT_EQ(Explain(del), delete_plan);
+
+  engine_->set_collect_plan_text(true);
+  ResultSet updated = Exec(update);
+  EXPECT_EQ(updated.plan_text, update_plan);
+  EXPECT_EQ(updated.rows_affected, 1);
+  EXPECT_EQ(updated.rows_scanned, 1);
+  EXPECT_EQ(updated.rows_evaluated, 1);
+  ResultSet deleted = Exec(del);
+  EXPECT_EQ(deleted.plan_text, delete_plan);
+  EXPECT_EQ(deleted.rows_affected, 2);
+  EXPECT_EQ(deleted.rows_scanned, 8);
+  EXPECT_EQ(deleted.rows_evaluated, 8);
+}
+
+TEST(PlannerFederationTest, CollectedPlansCoverUpdateTasks) {
+  // The shell's `\plan` shows the row selection of every UPDATE task of
+  // the fare raise, as it shows SELECT tasks.
+  auto sys = msql::core::BuildPaperFederation();
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  (*sys)->set_collect_plans(true);
+  auto report = (*sys)->Execute(
+      "USE continental VITAL delta united VITAL\n"
+      "UPDATE flight% SET rate% = rate% * 1.1\n"
+      "WHERE sour% = 'Houston' AND dest% = 'San Antonio'");
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_NE(report->plan_text.find(
+                "task t_united:\n"
+                "plan: 1 source(s), 2 pushed conjunct(s), 0 equi-join "
+                "key(s)\n"
+                "  source 0 (flight): scan; filter sour = 'Houston'; "
+                "filter dest = 'San Antonio'; est 1 row(s)\n"
+                "join order:\n"
+                "  [0] start source 0 (flight)\n"),
+            std::string::npos)
+      << report->plan_text;
+  EXPECT_NE(report->plan_text.find("task t_continental:\n"),
+            std::string::npos);
+  EXPECT_NE(report->plan_text.find("task t_delta:\n"), std::string::npos);
 }
 
 TEST_F(PlannerTest, PlanTextTravelsWithResultWhenCollected) {

@@ -434,6 +434,42 @@ TEST_F(StorageRecoveryTest, PreparedDropViewRollsBackAfterCrash) {
   RunPreparedDdlRollbackCase({"DROP VIEW v;", "INSERT INTO t VALUES (99);"});
 }
 
+TEST_F(StorageRecoveryTest, FailedIndexedUpdateLeavesTheRowAsItWas) {
+  // The new key is over the B+-tree's 900-byte limit, so the UPDATE
+  // fails. The live scan, a probe of the old key and the scan after a
+  // crash and recovery must all show the row as it was before.
+  LocalEngine engine("srv", CapabilityProfile::IngresLike());
+  ASSERT_TRUE(engine.AttachStorage(Config()).ok());
+  ASSERT_TRUE(engine.CreateDatabase("d").ok());
+  auto s = engine.OpenSession("d");
+  ASSERT_TRUE(s.ok());
+  for (const char* sql :
+       {"CREATE TABLE t (id INTEGER, s TEXT);", "CREATE INDEX t_s ON t (s);",
+        "INSERT INTO t VALUES (1, 'a');"}) {
+    auto rs = engine.Execute(*s, sql);
+    ASSERT_TRUE(rs.ok()) << sql << " -> " << rs.status();
+  }
+  const std::string before = CatalogDump(engine, *s, "d");
+  ASSERT_EQ(before, "t(t_s): 1|a\n");
+
+  auto failed = engine.Execute(
+      *s, "UPDATE t SET s = '" + std::string(1000, 'x') + "' WHERE id = 1;");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CatalogDump(engine, *s, "d"), before);
+  auto probed = engine.Execute(*s, "SELECT id, s FROM t WHERE s = 'a';");
+  ASSERT_TRUE(probed.ok()) << probed.status();
+  EXPECT_EQ(probed->rows,
+            (std::vector<Row>{{Value::Integer(1), Value::Text("a")}}));
+  EXPECT_EQ(probed->rows_scanned, 1);
+
+  engine.SimulateCrash();
+  { Status rec = engine.Recover(); ASSERT_TRUE(rec.ok()) << rec; }
+  auto s2 = engine.OpenSession("d");
+  ASSERT_TRUE(s2.ok());
+  EXPECT_EQ(CatalogDump(engine, *s2, "d"), before);
+}
+
 TEST_F(StorageRecoveryTest, FailedRollbackIsRepairedByRecovery) {
   LocalEngine engine("srv", CapabilityProfile::IngresLike());
   ASSERT_TRUE(engine.AttachStorage(Config()).ok());
