@@ -247,29 +247,19 @@ Status BtreeIndex::OpenOrReset() {
   return tree_->Reset();
 }
 
-Result<bool> BtreeIndex::AnyWithPrefix(const std::string& prefix) const {
-  bool found = false;
-  MSQL_RETURN_IF_ERROR(tree_->ScanRange(prefix, PrefixHi(prefix),
-                                        [&](std::string_view) {
-                                          found = true;
-                                          return false;
-                                        }));
-  return found;
-}
-
 Status BtreeIndex::Insert(const Value& key, RowId id) {
-  std::string prefix = EncodeIndexKey(key);
-  MSQL_ASSIGN_OR_RETURN(bool existed, AnyWithPrefix(prefix));
-  MSQL_RETURN_IF_ERROR(tree_->Insert(EncodeIndexEntry(key, id)));
+  std::string entry = EncodeIndexEntry(key, id);
+  MSQL_ASSIGN_OR_RETURN(bool existed,
+                        tree_->Insert(entry, entry.size() - sizeof(RowId)));
   if (!existed) ++distinct_;
   return Status::OK();
 }
 
 Status BtreeIndex::Erase(const Value& key, RowId id) {
-  std::string prefix = EncodeIndexKey(key);
-  MSQL_RETURN_IF_ERROR(tree_->Erase(EncodeIndexEntry(key, id)));
-  MSQL_ASSIGN_OR_RETURN(bool any, AnyWithPrefix(prefix));
-  if (!any && distinct_ > 0) --distinct_;
+  std::string entry = EncodeIndexEntry(key, id);
+  MSQL_ASSIGN_OR_RETURN(bool remains,
+                        tree_->Erase(entry, entry.size() - sizeof(RowId)));
+  if (!remains) --distinct_;
   return Status::OK();
 }
 

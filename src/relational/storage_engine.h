@@ -117,16 +117,14 @@ class BtreeIndex : public Index {
   size_t distinct_keys() const override { return distinct_; }
 
  private:
-  /// Any composite entry whose value part equals `prefix`?
-  Result<bool> AnyWithPrefix(const std::string& prefix) const;
-
   Type column_type_;
   StorageManager* mgr_;
   std::string path_;
   std::unique_ptr<storage::DiskManager> disk_;
   uint32_t file_id_ = 0;
   std::unique_ptr<storage::BTree> tree_;
-  /// Maintained incrementally (planner selectivity input); exact.
+  /// Maintained from the tree's prefix answers on every insert and
+  /// erase (planner selectivity input); exact.
   size_t distinct_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "relational/value.h"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
 
 #include "common/string_util.h"
 
@@ -92,9 +92,11 @@ std::string Value::ToSqlLiteral() const {
   if (is_null()) return "NULL";
   if (is_integer()) return std::to_string(AsInteger());
   if (is_real()) {
-    std::ostringstream os;
-    os << AsReal();
-    std::string s = os.str();
+    // The shortest text that reads back as the same double: rows ship
+    // between sites as SQL literals, so any rounding here would change
+    // the values a remote join compares.
+    char buf[32];
+    std::string s(buf, std::to_chars(buf, buf + sizeof buf, AsReal()).ptr);
     // Keep the literal recognizably REAL when it round-trips via SQL text.
     if (s.find('.') == std::string::npos &&
         s.find('e') == std::string::npos &&

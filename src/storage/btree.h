@@ -6,8 +6,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "common/result.h"
 #include "storage/buffer_manager.h"
@@ -33,7 +31,16 @@ inline constexpr uint32_t kMaxBtreeKeyBytes = 900;
 ///   leaf cell      [klen u16][key bytes]
 ///   internal cell  [klen u16][key bytes][child u32]
 /// An internal node keeps its leftmost child in the header; cell i
-/// routes keys >= its key to its child.
+/// routes keys >= its key to its child. Header bytes 12–15 hold the
+/// cell top, the offset of the lowest cell byte.
+///
+/// Every operation binary-searches the pinned frame's slot array and
+/// edits it in place: an insert writes its cell below the cell top and
+/// shifts the slots after it, an erase drops its slot and leaves the
+/// cell bytes behind. A node is repacked only when an insert finds the
+/// gap between slot array and cell top too small for its cell but the
+/// node's live cells leave room; otherwise it splits in half by cell
+/// count.
 class BTree {
  public:
   BTree(BufferManager* pool, uint32_t file_id) noexcept
@@ -51,17 +58,24 @@ class BTree {
   /// Validates the meta page of an existing file.
   Status Open();
 
-  /// Inserts `key` (no-op when already present).
-  Status Insert(std::string_view key);
+  /// Inserts `key` (no-op when already present). Returns whether the
+  /// tree already held a key starting with the first `prefix_len`
+  /// bytes of `key` — true for a duplicate.
+  Result<bool> Insert(std::string_view key, size_t prefix_len = 0);
 
-  /// Removes `key` (no-op when absent).
-  Status Erase(std::string_view key);
+  /// Removes `key` (no-op when absent). Returns false exactly when it
+  /// removed the tree's last key starting with the first `prefix_len`
+  /// bytes of `key`, so a caller counting distinct prefixes stays
+  /// exact.
+  Result<bool> Erase(std::string_view key, size_t prefix_len = 0);
 
   /// True when `key` is present.
   Result<bool> Contains(std::string_view key) const;
 
   /// Calls `fn(key)` for every key in [lo, hi] (inclusive, byte
-  /// order). `fn` returns false to stop early.
+  /// order). `fn` returns false to stop early. The key views point
+  /// into a pinned page and die with the call; `fn` must not modify
+  /// the tree.
   Status ScanRange(std::string_view lo, std::string_view hi,
                    const std::function<bool(std::string_view)>& fn) const;
 
@@ -69,36 +83,53 @@ class BTree {
   Result<int64_t> CountKeys() const;
 
  private:
-  struct Cell {
+  /// A split's result for the parent: the separator key and the new
+  /// right sibling it routes to.
+  struct Separator {
     std::string key;
-    PageId child = 0;  // internal nodes only
+    PageId right = 0;
   };
-  struct Node {
-    bool is_leaf = true;
-    PageId next = 0;      // leaf chain (0 = end)
-    PageId leftmost = 0;  // internal: child for keys below cells[0]
-    std::vector<Cell> cells;
-  };
+  struct Descent;  // btree.cc
 
   static constexpr uint32_t kMagic = 0x4d514254;  // "MQBT"
-  static constexpr uint32_t kNodeHeader = 16;
-
-  Result<Node> ReadNode(PageId id) const;
-  Status WriteNode(PageId id, const Node& node);
-  static size_t NodeBytes(const Node& node);
-  static bool NodeFits(const Node& node);
 
   Result<PageId> Root() const;
   Status SetRoot(PageId root);
-  Result<PageId> NewNodePage(const Node& node);
+  /// Allocates a node page holding one empty leaf.
+  Result<PageId> NewLeaf();
 
-  /// Inserts into the subtree at `id`; on split returns the promoted
-  /// separator key and the new right sibling.
-  Result<std::optional<std::pair<std::string, PageId>>> InsertRec(
-      PageId id, std::string_view key);
+  /// Pins node page `id`; Corrupted (nothing pinned) when its type byte
+  /// or slot-array bounds are bad.
+  Result<Frame*> PinNode(PageId id) const;
 
-  /// Leaf page whose range covers `key` (descends from the root).
-  Result<PageId> FindLeaf(std::string_view key) const;
+  /// Root-to-leaf descent towards `key`; the leaf comes back pinned.
+  /// Notes whether the separators bounding the leaf start with
+  /// `prefix`, and with `record_path` the internal nodes passed.
+  Result<Descent> Descend(std::string_view key, std::string_view prefix,
+                          bool record_path) const;
+
+  /// Puts raw `cell` at slot `pos` of the pinned node `id`, repacking
+  /// first when only fragmented space is left, and unpins it. A node
+  /// that cannot hold the cell is split instead.
+  Result<std::optional<Separator>> Place(Frame* frame, PageId id,
+                                         size_t pos, std::string_view cell);
+
+  /// Splits the pinned node `id` as if `cell` sat at slot `pos`: the
+  /// lower half of the cells stays, the upper half moves to a new right
+  /// sibling. Unpins the node first, so pins and LRU touches follow
+  /// node, sibling, node.
+  Result<Separator> Split(Frame* frame, PageId id, size_t pos,
+                          std::string_view cell);
+
+  /// Calls `fn` on every key >= `lo` in order until it returns false.
+  Status Walk(std::string_view lo,
+              const std::function<bool(std::string_view)>& fn) const;
+
+  /// Whether a key other than `key` starts with `prefix`: the range
+  /// probe behind Insert's and Erase's answer when a separator bounding
+  /// the leaf itself starts with the prefix.
+  Result<bool> AnyOtherWithPrefix(std::string_view key,
+                                  std::string_view prefix) const;
 
   BufferManager* pool_;
   uint32_t file_id_;

@@ -7,12 +7,12 @@
 # counter (E19's page reads/writes and WAL appends), exact for a fixed
 # seed. Baselines are the benches' `--quick` outputs; comparisons are
 # guarded on the workload-scale fields, so a full-scale re-run simply
-# skips entries whose scale differs from the baseline. E19 needs no
-# manual re-run: the bench_e19_quick ctest fixture writes a fresh
-# BENCH_storage.json before this check runs.
+# skips entries whose scale differs from the baseline. No bench needs a
+# manual re-run: the bench_e16_quick … bench_e20_quick ctest fixtures
+# write fresh BENCH_*.json files before this check runs.
 #
 # Run via ctest: `ctest -L bench` (label `bench`; `ctest -R bench_check`
-# pulls in the fixture too). Invoked as
+# pulls in the fixtures too). Invoked as
 #   cmake -DSOURCE_DIR=... -DBINARY_DIR=... -P bench_check.cmake
 
 if(NOT DEFINED SOURCE_DIR OR NOT DEFINED BINARY_DIR)

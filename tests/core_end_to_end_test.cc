@@ -129,6 +129,36 @@ TEST_F(EndToEndTest, JoinResultMatchesManualComputation) {
   EXPECT_EQ(report.join_result.rows[0][0].AsInteger(), expected);
 }
 
+TEST_F(EndToEndTest, RealValuesKeepEveryDigitBetweenSites) {
+  // Two rates that agree to six significant digits. The decomposed join
+  // ships one site's rows to the other as SQL literals, so the literals
+  // must carry the exact values or the join compares rounded copies.
+  ASSERT_EQ(Exec("USE continental\n"
+                 "UPDATE flights SET rate = 1234568.2 WHERE flnu = 107")
+                .outcome,
+            GlobalOutcome::kSuccess);
+  ASSERT_EQ(Exec("USE delta\n"
+                 "UPDATE flight SET rate = 1234567.89 WHERE fnu = 100")
+                .outcome,
+            GlobalOutcome::kSuccess);
+  auto equal = Exec(
+      "USE continental delta\n"
+      "SELECT flights.flnu, flight.fnu "
+      "FROM continental.flights, delta.flight "
+      "WHERE flights.rate = flight.rate AND flight.rate > 1000000");
+  EXPECT_EQ(equal.outcome, GlobalOutcome::kSuccess);
+  EXPECT_TRUE(equal.join_result.rows.empty());
+  auto less = Exec(
+      "USE continental delta\n"
+      "SELECT flights.flnu, flight.fnu "
+      "FROM continental.flights, delta.flight "
+      "WHERE flight.rate < flights.rate AND flight.rate > 1000000");
+  EXPECT_EQ(less.outcome, GlobalOutcome::kSuccess);
+  ASSERT_EQ(less.join_result.rows.size(), 1u);
+  EXPECT_EQ(less.join_result.rows[0][0].AsInteger(), 107);
+  EXPECT_EQ(less.join_result.rows[0][1].AsInteger(), 100);
+}
+
 TEST_F(EndToEndTest, MultidatabaseDdlCreatesEverywhereAndSyncsGdd) {
   auto report = Exec(
       "USE avis national CREATE TABLE bookings (bid INTEGER, who TEXT)");

@@ -4,8 +4,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <random>
 
 #include "relational/engine.h"
 #include "relational/index.h"
@@ -185,6 +187,85 @@ TEST_F(IndexTest, IndexStructureDirectly) {
     EXPECT_EQ(ids(Value::Real(2.0)), (std::vector<RowId>{12}));
   }
   for (auto& store : stores) store.reset();
+  std::filesystem::remove_all(root);
+}
+
+TEST_F(IndexTest, BtreeDistinctKeysStayExactUnderChurn) {
+  // One 100-byte TEXT value shared by 300 rows spans many B+-tree
+  // leaves, so separators inside the tree carry it. Unique values flank
+  // the run, some sharing all but its last bytes. Whole leaves of the
+  // run empty out from either end and refill; after every step the
+  // B+-tree's distinct count and probes must equal the memory map's.
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("msql_index_churn_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  StorageConfig config;
+  config.root_dir = root.string();
+  StorageManager mgr(config);
+  ASSERT_TRUE(mgr.Open().ok());
+  auto schema = TableSchema::Create("t", {{"k", Type::kText, 0}});
+  ASSERT_TRUE(schema.ok());
+  auto paged_store = mgr.CreateTableStorage("db", *schema);
+  ASSERT_TRUE(paged_store.ok()) << paged_store.status();
+  std::unique_ptr<RowStore> memory_store = NewMemoryRowStore();
+  auto paged = (*paged_store)->BuildIndex("i", schema->column(0), 0);
+  auto memory = memory_store->BuildIndex("i", schema->column(0), 0);
+  ASSERT_TRUE(paged.ok() && memory.ok());
+  Index* indexes[] = {paged->get(), memory->get()};
+
+  const std::string shared(100, 's');
+  // Odd rowids get unique values below, just below, just above and
+  // above the shared one.
+  auto flank = [&](RowId id) {
+    std::string tail = std::to_string(id);
+    switch (id % 8) {
+      case 1: return Value::Text("a" + tail);
+      case 3: return Value::Text(shared.substr(0, 99) + "r" + tail);
+      case 5: return Value::Text(shared + tail);
+      default: return Value::Text("t" + tail);
+    }
+  };
+  auto check = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(indexes[0]->distinct_keys(), indexes[1]->distinct_keys());
+    for (const Value& probe : {Value::Text(shared), flank(1), flank(3)}) {
+      auto got = indexes[0]->LookupIds(probe);
+      auto want = indexes[1]->LookupIds(probe);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(*got, *want);
+    }
+  };
+  auto insert = [&](const Value& key, RowId id) {
+    for (Index* index : indexes) ASSERT_TRUE(index->Insert(key, id).ok());
+    check("insert " + std::to_string(id));
+  };
+  auto erase = [&](const Value& key, RowId id) {
+    for (Index* index : indexes) ASSERT_TRUE(index->Erase(key, id).ok());
+    check("erase " + std::to_string(id));
+  };
+
+  for (RowId id = 0; id < 600; ++id) {
+    insert(id % 2 == 0 ? Value::Text(shared) : flank(id), id);
+  }
+  EXPECT_EQ(indexes[0]->distinct_keys(), 301u);
+  // Empty the run's lowest leaves, then its highest ones.
+  for (RowId id = 0; id < 200; id += 2) erase(Value::Text(shared), id);
+  for (RowId id = 598; id >= 400; id -= 2) erase(Value::Text(shared), id);
+  // Refill the emptied low leaves from the top down, and drop flanking
+  // values next to the run.
+  for (RowId id = 198; id >= 100; id -= 2) insert(Value::Text(shared), id);
+  for (RowId id = 3; id < 600; id += 8) erase(flank(id), id);
+  for (RowId id = 5; id < 600; id += 8) erase(flank(id), id);
+  // Whatever is left of the run goes in random order.
+  std::vector<RowId> rest;
+  for (RowId id = 100; id < 400; id += 2) rest.push_back(id);
+  std::shuffle(rest.begin(), rest.end(), std::mt19937_64(1993));
+  for (RowId id : rest) erase(Value::Text(shared), id);
+  EXPECT_TRUE(indexes[0]->LookupIds(Value::Text(shared))->empty());
+  EXPECT_EQ(indexes[0]->distinct_keys(), 150u);
+
+  paged->reset();
+  paged_store->reset();
   std::filesystem::remove_all(root);
 }
 

@@ -3,6 +3,8 @@
 // and the write-ahead log's durability boundary.
 
 #include <filesystem>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -271,6 +273,188 @@ TEST_F(StorageTest, BtreeResetEmptiesReusedFile) {
   ASSERT_TRUE(tree.Insert("three").ok());
   EXPECT_TRUE(*tree.Contains("three"));
   EXPECT_FALSE(*tree.Contains("one"));
+  disk.Close();
+}
+
+// Whether `model` holds a key starting with `prefix`.
+bool ModelHasPrefix(const std::set<std::string>& model,
+                    std::string_view prefix) {
+  auto it = model.lower_bound(std::string(prefix));
+  return it != model.end() && it->starts_with(prefix);
+}
+
+// Drives one tree and a std::set through the same seeded operations and
+// checks every answer: Insert's and Erase's prefix verdicts, Contains,
+// ScanRange and CountKeys. Keys share one of a few random stems (so
+// prefix runs span leaves and separators carry them), mix in every
+// byte value, and run from 1 byte to kMaxBtreeKeyBytes.
+void RunAgainstModel(const std::string& path, size_t frames,
+                     uint64_t seed) {
+  SCOPED_TRACE("frames=" + std::to_string(frames) +
+               " seed=" + std::to_string(seed));
+  DiskManager disk;
+  ASSERT_TRUE(disk.Open(path).ok());
+  BufferManager pool(frames);
+  uint32_t fid = pool.RegisterFile(&disk);
+  BTree tree(&pool, fid);
+  ASSERT_TRUE(tree.Create().ok());
+  std::mt19937_64 rng(seed);
+  auto uniform = [&](size_t lo, size_t hi) {
+    return std::uniform_int_distribution<size_t>(lo, hi)(rng);
+  };
+  auto random_bytes = [&](size_t n) {
+    std::string out(n, '\0');
+    for (char& c : out) c = static_cast<char>(uniform(0, 255));
+    return out;
+  };
+  std::vector<std::string> stems;
+  for (int i = 0; i < 12; ++i) stems.push_back(random_bytes(uniform(1, 60)));
+  auto random_key = [&]() -> std::string {
+    switch (uniform(0, 9)) {
+      case 0:
+        return random_bytes(1);
+      case 1:
+        return random_bytes(kMaxBtreeKeyBytes);
+      case 2:
+        return random_bytes(uniform(1, kMaxBtreeKeyBytes));
+      default: {
+        const std::string& stem = stems[uniform(0, stems.size() - 1)];
+        return stem + random_bytes(uniform(0, 120));
+      }
+    }
+  };
+  std::set<std::string> model;
+  auto any_model_key = [&]() -> std::string {
+    auto it = model.lower_bound(random_key());
+    return it == model.end() ? random_key() : *it;
+  };
+
+  auto insert = [&](const std::string& key) {
+    size_t prefix_len = uniform(0, key.size());
+    bool had = ModelHasPrefix(model, key.substr(0, prefix_len));
+    auto result = tree.Insert(key, prefix_len);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(*result, had) << "insert prefix verdict";
+    model.insert(key);
+  };
+  auto erase = [&](const std::string& key) {
+    size_t prefix_len = uniform(0, key.size());
+    bool present = model.erase(key) > 0;
+    bool left = !present || ModelHasPrefix(model, key.substr(0, prefix_len));
+    auto result = tree.Erase(key, prefix_len);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(*result, left) << "erase prefix verdict";
+  };
+  auto check_probe = [&] {
+    std::string key = uniform(0, 1) == 0 ? any_model_key() : random_key();
+    auto contains = tree.Contains(key);
+    ASSERT_TRUE(contains.ok());
+    EXPECT_EQ(*contains, model.count(key) > 0);
+    std::string lo = any_model_key();
+    std::string hi = uniform(0, 3) == 0 ? lo : any_model_key();
+    if (hi < lo) std::swap(lo, hi);
+    std::vector<std::string> got;
+    ASSERT_TRUE(tree.ScanRange(lo, hi, [&](std::string_view k) {
+                      got.emplace_back(k);
+                      return true;
+                    }).ok());
+    std::vector<std::string> want(model.lower_bound(lo),
+                                  model.upper_bound(hi));
+    EXPECT_EQ(got, want);
+  };
+  auto check_count = [&] {
+    auto count = tree.CountKeys();
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(*count, static_cast<int64_t>(model.size()));
+  };
+
+  // Grow: leaves split, then the root, then its internal children.
+  for (int i = 0; i < 2500; ++i) {
+    if (uniform(0, 9) == 0 && !model.empty()) {
+      insert(any_model_key());  // duplicate
+    } else {
+      insert(random_key());
+    }
+    if (i % 25 == 0) check_probe();
+  }
+  check_count();
+  int64_t pins_before = pool.pin_hits() + pool.page_reads();
+  ASSERT_TRUE(tree.Contains(*model.begin()).ok());
+  // Meta page, root, at least one internal level, leaf.
+  EXPECT_GE(pool.pin_hits() + pool.page_reads() - pins_before, 4);
+
+  // Erase-heavy churn: leaves empty out, separators go stale.
+  for (int i = 0; i < 4000; ++i) {
+    if (uniform(0, 9) < 7) {
+      erase(uniform(0, 3) == 0 ? random_key() : any_model_key());
+    } else {
+      insert(random_key());
+    }
+    if (i % 25 == 0) check_probe();
+    if (i % 500 == 0) check_count();
+  }
+  check_count();
+
+  // Re-inserting erased keys into their own leaves must reuse the space
+  // they freed: a run of neighbouring keys churned far past a page's
+  // worth of bytes repacks its leaves in place and adds no page.
+  std::vector<std::string> run;
+  for (auto it = model.lower_bound(any_model_key());
+       it != model.end() && run.size() < 40; ++it) {
+    run.push_back(*it);
+  }
+  size_t pages = disk.page_count();
+  for (int round = 0; round < 30; ++round) {
+    for (const std::string& key : run) erase(key);
+    for (const std::string& key : run) insert(key);
+  }
+  EXPECT_EQ(disk.page_count(), pages);
+  for (int i = 0; i < 50; ++i) check_probe();
+  check_count();
+  disk.Close();
+}
+
+TEST_F(StorageTest, BtreeMatchesSetModelOnSmallAndLargePools) {
+  RunAgainstModel(Path("small.db"), 8, 1993);
+  RunAgainstModel(Path("large.db"), 64, 2000);
+}
+
+TEST_F(StorageTest, BtreeRejectsCorruptNodePages) {
+  DiskManager disk;
+  ASSERT_TRUE(disk.Open(Path("bad.db")).ok());
+  BufferManager pool(8);
+  uint32_t fid = pool.RegisterFile(&disk);
+  BTree tree(&pool, fid);
+  ASSERT_TRUE(tree.Create().ok());  // page 0 meta, page 1 the root leaf
+  ASSERT_TRUE(tree.Insert("a").ok());
+  ASSERT_TRUE(tree.Insert("b").ok());
+  auto poke = [&](uint32_t offset, char byte) {
+    auto frame = pool.Pin(fid, 1);
+    ASSERT_TRUE(frame.ok());
+    (*frame)->data[offset] = byte;
+    pool.MarkDirty(*frame, 0);
+    pool.Unpin(*frame);
+  };
+  auto expect_corrupted = [&] {
+    EXPECT_EQ(tree.Insert("c").status().code(), StatusCode::kCorrupted);
+    EXPECT_EQ(tree.Erase("a").status().code(), StatusCode::kCorrupted);
+    EXPECT_EQ(tree.Contains("a").status().code(), StatusCode::kCorrupted);
+    EXPECT_EQ(tree.CountKeys().status().code(), StatusCode::kCorrupted);
+    Status scan = tree.ScanRange("a", "z", [](std::string_view) {
+      return true;
+    });
+    EXPECT_EQ(scan.code(), StatusCode::kCorrupted);
+  };
+
+  poke(0, 7);  // type byte: neither leaf (1) nor internal (2)
+  expect_corrupted();
+  poke(0, 1);
+  ASSERT_TRUE(tree.Contains("a").ok());
+  // A cell top (bytes 12-15) below the slot array would let an insert
+  // write over the slots.
+  poke(12, 2);
+  poke(13, 0);
+  expect_corrupted();
   disk.Close();
 }
 
