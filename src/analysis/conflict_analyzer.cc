@@ -61,46 +61,15 @@ void CollectSelectReads(const relational::SelectStmt& select,
 
 /// Reads hidden inside scalar subqueries, at any depth.
 void CollectExprReads(const relational::Expr& expr, AccessSink* sink) {
-  using relational::ExprKind;
-  switch (expr.kind()) {
-    case ExprKind::kScalarSubquery:
-      CollectSelectReads(
-          static_cast<const relational::ScalarSubqueryExpr&>(expr).select(),
-          sink);
-      break;
-    case ExprKind::kUnary:
-      CollectExprReads(
-          static_cast<const relational::UnaryExpr&>(expr).operand(), sink);
-      break;
-    case ExprKind::kBinary: {
-      const auto& binary = static_cast<const relational::BinaryExpr&>(expr);
-      CollectExprReads(binary.left(), sink);
-      CollectExprReads(binary.right(), sink);
-      break;
-    }
-    case ExprKind::kFunctionCall:
-      for (const auto& arg :
-           static_cast<const relational::FunctionCallExpr&>(expr).args()) {
-        CollectExprReads(*arg, sink);
-      }
-      break;
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const relational::InListExpr&>(expr);
-      CollectExprReads(in.operand(), sink);
-      for (const auto& item : in.list()) CollectExprReads(*item, sink);
-      break;
-    }
-    case ExprKind::kBetween: {
-      const auto& between = static_cast<const relational::BetweenExpr&>(expr);
-      CollectExprReads(between.operand(), sink);
-      CollectExprReads(between.lo(), sink);
-      CollectExprReads(between.hi(), sink);
-      break;
-    }
-    case ExprKind::kLiteral:
-    case ExprKind::kColumnRef:
-      break;
+  if (expr.kind() == relational::ExprKind::kScalarSubquery) {
+    CollectSelectReads(
+        static_cast<const relational::ScalarSubqueryExpr&>(expr).select(),
+        sink);
+    return;
   }
+  relational::ForEachChild(expr, [sink](const relational::Expr& child) {
+    CollectExprReads(child, sink);
+  });
 }
 
 void CollectSelectReads(const relational::SelectStmt& select,
@@ -108,15 +77,9 @@ void CollectSelectReads(const relational::SelectStmt& select,
   for (const auto& ref : select.from) {
     sink->Add(ref.table, PredictedMode::kShared);
   }
-  for (const auto& item : select.items) {
-    if (item.expr) CollectExprReads(*item.expr, sink);
-  }
-  if (select.where) CollectExprReads(*select.where, sink);
-  for (const auto& expr : select.group_by) CollectExprReads(*expr, sink);
-  if (select.having) CollectExprReads(*select.having, sink);
-  for (const auto& item : select.order_by) {
-    if (item.expr) CollectExprReads(*item.expr, sink);
-  }
+  relational::ForEachClause(select, [sink](const relational::Expr& expr) {
+    CollectExprReads(expr, sink);
+  });
 }
 
 /// Predicted accesses of one statement of a task body, mirroring the

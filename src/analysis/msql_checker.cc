@@ -7,163 +7,21 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "relational/sql/ast.h"
+#include "msql/expander.h"
 #include "relational/value.h"
 
 namespace msql::analysis {
 
 namespace {
 
-using lang::CompClause;
 using lang::LetBinding;
 using lang::MsqlQuery;
 using lang::UseEntry;
-using relational::ColumnRefExpr;
-using relational::Expr;
-using relational::ExprKind;
-using relational::SelectStmt;
-using relational::Statement;
 using relational::StatementKind;
 using relational::TableSchema;
 
-// ---------------------------------------------------------------------------
-// Span-aware identifier inventory
-// ---------------------------------------------------------------------------
-
-struct Ident {
-  SourceSpan span;
-  bool optional = true;  // columns: true only if *every* occurrence is '~'
-};
-
-struct Inventory {
-  std::map<std::string, Ident> tables;   // unqualified FROM/target tables
-  std::map<std::string, Ident> columns;  // column names (qualifier ignored)
-};
-
 SourceSpan SpanOf(const std::string& name, int line, int column) {
   return SourceSpan::At(line, column, static_cast<int>(name.size()));
-}
-
-void NoteTable(const relational::TableRef& ref, Inventory* inv) {
-  // Db-qualified references name a concrete database directly; they are
-  // resolved by the decomposer, not by multiple-query expansion.
-  if (!ref.database.empty()) return;
-  auto [it, inserted] =
-      inv->tables.emplace(ref.table, Ident{SpanOf(ref.table, ref.line,
-                                                  ref.column)});
-  (void)it;
-  (void)inserted;
-}
-
-void NoteColumn(const std::string& name, bool optional, SourceSpan span,
-                Inventory* inv) {
-  auto [it, inserted] = inv->columns.emplace(name, Ident{span, optional});
-  if (!inserted) {
-    it->second.optional = it->second.optional && optional;
-    if (!it->second.span.known() && span.known()) it->second.span = span;
-  }
-}
-
-void CollectExpr(const Expr& e, Inventory* inv);
-
-void CollectSelect(const SelectStmt& stmt, Inventory* inv) {
-  for (const auto& ref : stmt.from) NoteTable(ref, inv);
-  for (const auto& item : stmt.items) {
-    if (item.expr != nullptr) CollectExpr(*item.expr, inv);
-  }
-  if (stmt.where != nullptr) CollectExpr(*stmt.where, inv);
-  for (const auto& g : stmt.group_by) CollectExpr(*g, inv);
-  if (stmt.having != nullptr) CollectExpr(*stmt.having, inv);
-  for (const auto& ob : stmt.order_by) CollectExpr(*ob.expr, inv);
-}
-
-void CollectExpr(const Expr& e, Inventory* inv) {
-  switch (e.kind()) {
-    case ExprKind::kLiteral:
-      return;
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      NoteColumn(ref.name(), ref.optional_column(),
-                 SpanOf(ref.name(), ref.line(), ref.column()), inv);
-      return;
-    }
-    case ExprKind::kUnary:
-      CollectExpr(static_cast<const relational::UnaryExpr&>(e).operand(),
-                  inv);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const relational::BinaryExpr&>(e);
-      CollectExpr(b.left(), inv);
-      CollectExpr(b.right(), inv);
-      return;
-    }
-    case ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const relational::FunctionCallExpr&>(e);
-      for (const auto& a : f.args()) CollectExpr(*a, inv);
-      return;
-    }
-    case ExprKind::kScalarSubquery:
-      CollectSelect(
-          static_cast<const relational::ScalarSubqueryExpr&>(e).select(),
-          inv);
-      return;
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const relational::InListExpr&>(e);
-      CollectExpr(in.operand(), inv);
-      for (const auto& item : in.list()) CollectExpr(*item, inv);
-      return;
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const relational::BetweenExpr&>(e);
-      CollectExpr(bt.operand(), inv);
-      CollectExpr(bt.lo(), inv);
-      CollectExpr(bt.hi(), inv);
-      return;
-    }
-  }
-}
-
-/// Mirrors lang::CollectIdentifiers but keeps source spans. Returns false
-/// for statement kinds the expander replicates verbatim (DDL), which get
-/// no identifier checks.
-bool CollectStatement(const Statement& stmt, Inventory* inv) {
-  switch (stmt.kind()) {
-    case StatementKind::kSelect:
-      CollectSelect(static_cast<const SelectStmt&>(stmt), inv);
-      return true;
-    case StatementKind::kInsert: {
-      const auto& ins = static_cast<const relational::InsertStmt&>(stmt);
-      NoteTable(ins.table, inv);
-      for (const auto& col : ins.columns) {
-        NoteColumn(col, false, SourceSpan{}, inv);
-      }
-      for (const auto& row : ins.values_rows) {
-        for (const auto& e : row) CollectExpr(*e, inv);
-      }
-      if (ins.select_source != nullptr) {
-        CollectSelect(*ins.select_source, inv);
-      }
-      return true;
-    }
-    case StatementKind::kUpdate: {
-      const auto& upd = static_cast<const relational::UpdateStmt&>(stmt);
-      NoteTable(upd.table, inv);
-      for (const auto& a : upd.assignments) {
-        NoteColumn(a.column, false, SourceSpan{}, inv);
-        CollectExpr(*a.value, inv);
-      }
-      if (upd.where != nullptr) CollectExpr(*upd.where, inv);
-      return true;
-    }
-    case StatementKind::kDelete: {
-      const auto& del = static_cast<const relational::DeleteStmt&>(stmt);
-      NoteTable(del.table, inv);
-      if (del.where != nullptr) CollectExpr(*del.where, inv);
-      return true;
-    }
-    default:
-      return false;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -173,8 +31,8 @@ bool CollectStatement(const Statement& stmt, Inventory* inv) {
 class Checker {
  public:
   Checker(const mdbs::GlobalDataDictionary& gdd,
-          const mdbs::AuxiliaryDirectory& ad, bool check_vital_set)
-      : gdd_(gdd), ad_(ad), check_vital_set_(check_vital_set) {}
+          const mdbs::AuxiliaryDirectory& ad)
+      : gdd_(gdd), ad_(ad) {}
 
   void Check(const MsqlQuery& query, DiagnosticList* out);
 
@@ -198,7 +56,6 @@ class Checker {
 
   const mdbs::GlobalDataDictionary& gdd_;
   const mdbs::AuxiliaryDirectory& ad_;
-  bool check_vital_set_;
 };
 
 void Checker::Check(const MsqlQuery& query, DiagnosticList* out) {
@@ -207,7 +64,7 @@ void Checker::Check(const MsqlQuery& query, DiagnosticList* out) {
   CheckLet(query, out);
   if (!known_.empty()) CheckBody(query, out);
   CheckComps(query, out);
-  if (check_vital_set_) CheckVitalSet(query, out);
+  CheckVitalSet(query, out);
 }
 
 void Checker::CheckScope(const MsqlQuery& query, DiagnosticList* out) {
@@ -356,13 +213,17 @@ const LetBinding* Checker::FindBinding(const MsqlQuery& query,
 }
 
 void Checker::CheckBody(const MsqlQuery& query, DiagnosticList* out) {
-  Inventory inv;
-  if (!CollectStatement(*query.body, &inv)) return;  // DDL: no expansion
+  lang::NameInventory inv;
+  if (!lang::CollectIdentifiers(*query.body, &inv)) return;  // DDL
 
   // Resolve body tables per known database → the candidate local tables
   // columns are checked against.
   std::map<std::string, std::vector<const TableSchema*>> local_tables;
-  for (const auto& [name, ident] : inv.tables) {
+  for (const auto& [name, table] : inv.tables) {
+    // A db-qualified reference names one database directly; the expander
+    // matches it against the scope, so only unqualified ones are checked.
+    if (!table.unqualified) continue;
+    const SourceSpan span = SpanOf(name, table.line, table.column);
     size_t hits = 0;
     for (const UseEntry* entry : known_) {
       const std::string& db = entry->database;
@@ -391,17 +252,18 @@ void Checker::CheckBody(const MsqlQuery& query, DiagnosticList* out) {
     if (hits > 0) continue;
     if (FindBinding(query, name, 0) != nullptr) continue;  // CheckLet's job
     if (HasWildcard(name)) {
-      out->Add(diag::kEmptyWildcard, Severity::kError, ident.span,
+      out->Add(diag::kEmptyWildcard, Severity::kError, span,
                "implicit variable '" + name +
                    "' matches no table in any scope database");
     } else {
-      out->Add(diag::kUnknownTable, Severity::kError, ident.span,
+      out->Add(diag::kUnknownTable, Severity::kError, span,
                "table '" + name + "' resolves in no scope database");
     }
   }
 
-  for (const auto& [name, ident] : inv.columns) {
+  for (const auto& [name, column] : inv.columns) {
     if (LetBoundColumn(query, name)) continue;  // reported by CheckLet
+    const SourceSpan span = SpanOf(name, column.line, column.column);
     // Databases (by effective name) where the column resolves against
     // some candidate table.
     size_t present = 0;
@@ -423,21 +285,21 @@ void Checker::CheckBody(const MsqlQuery& query, DiagnosticList* out) {
     if (candidates == 0) continue;  // table errors already reported
     if (present == 0) {
       if (HasWildcard(name)) {
-        out->Add(diag::kEmptyWildcard, Severity::kError, ident.span,
+        out->Add(diag::kEmptyWildcard, Severity::kError, span,
                  "implicit variable '" + name +
                      "' matches no column in any scope database");
-      } else if (ident.optional) {
-        out->Add(diag::kOptionalNowhere, Severity::kWarning, ident.span,
+      } else if (column.optional) {
+        out->Add(diag::kOptionalNowhere, Severity::kWarning, span,
                  "optional column '~" + name +
                      "' exists in no scope database and is always "
                      "dropped",
                  "remove it, or check the spelling");
       } else {
-        out->Add(diag::kUnknownColumn, Severity::kError, ident.span,
+        out->Add(diag::kUnknownColumn, Severity::kError, span,
                  "column '" + name + "' resolves in no scope database");
       }
-    } else if (ident.optional && present == candidates && candidates > 1) {
-      out->Add(diag::kOptionalEverywhere, Severity::kWarning, ident.span,
+    } else if (column.optional && present == candidates && candidates > 1) {
+      out->Add(diag::kOptionalEverywhere, Severity::kWarning, span,
                "optional column '~" + name +
                    "' exists in every scope database; the '~' marker is "
                    "redundant");
@@ -539,18 +401,7 @@ DiagnosticList CheckQuery(const MsqlQuery& query,
                           const mdbs::GlobalDataDictionary& gdd,
                           const mdbs::AuxiliaryDirectory& ad) {
   DiagnosticList out;
-  Checker(gdd, ad, /*check_vital_set=*/true).Check(query, &out);
-  return out;
-}
-
-DiagnosticList CheckMultiTransaction(const lang::MultiTransaction& mt,
-                                     const mdbs::GlobalDataDictionary& gdd,
-                                     const mdbs::AuxiliaryDirectory& ad) {
-  DiagnosticList out;
-  for (const auto& member : mt.queries) {
-    if (member.use.entries.empty()) continue;  // unresolved USE CURRENT
-    Checker(gdd, ad, /*check_vital_set=*/false).Check(member, &out);
-  }
+  Checker(gdd, ad).Check(query, &out);
   return out;
 }
 

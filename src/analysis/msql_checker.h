@@ -25,6 +25,9 @@ namespace msql::analysis {
 //   MS106 '~' exists nowhere          MS113 LET arity mismatch
 //   MS107 '~' exists everywhere       MS114 service not incorporated
 //
+// Table and column checks read the names lang::CollectIdentifiers
+// inventories for the expander, so both see the same body.
+//
 // MS111 mirrors the Translator's last-resource rule (DESIGN.md §5): two or
 // more VITAL databases that neither support 2PC (for this statement's verb)
 // nor carry a COMP clause make failure atomicity unenforceable. Callers
@@ -37,14 +40,6 @@ namespace msql::analysis {
 DiagnosticList CheckQuery(const lang::MsqlQuery& query,
                           const mdbs::GlobalDataDictionary& gdd,
                           const mdbs::AuxiliaryDirectory& ad);
-
-/// Checks every member query of a multitransaction. MS111 is skipped for
-/// members: the Translator enforces the stricter multitransaction rule
-/// (every no-2PC member needs COMP) itself, and pertinence cannot be
-/// decided statically per member.
-DiagnosticList CheckMultiTransaction(const lang::MultiTransaction& mt,
-                                     const mdbs::GlobalDataDictionary& gdd,
-                                     const mdbs::AuxiliaryDirectory& ad);
 
 }  // namespace msql::analysis
 

@@ -31,19 +31,6 @@ struct BoundTable {
 
 using BindingMap = std::map<std::string, BoundTable>;  // effective name →
 
-/// Flattens top-level AND conjuncts.
-void FlattenConjuncts(const Expr& e, std::vector<const Expr*>* out) {
-  if (e.kind() == ExprKind::kBinary) {
-    const auto& b = static_cast<const BinaryExpr&>(e);
-    if (b.op() == BinaryOp::kAnd) {
-      FlattenConjuncts(b.left(), out);
-      FlattenConjuncts(b.right(), out);
-      return;
-    }
-  }
-  out->push_back(&e);
-}
-
 /// Resolves a column ref to its effective FROM table name.
 Result<std::string> ResolveTableOf(const ColumnRefExpr& ref,
                                    const BindingMap& binding) {
@@ -76,48 +63,16 @@ Result<std::string> ResolveTableOf(const ColumnRefExpr& ref,
   return found;
 }
 
-/// Collects the column refs of `e` (no subqueries allowed here).
-Status CollectRefs(const Expr& e, std::vector<const ColumnRefExpr*>* out) {
-  switch (e.kind()) {
-    case ExprKind::kLiteral:
-      return Status::OK();
-    case ExprKind::kColumnRef:
-      out->push_back(static_cast<const ColumnRefExpr*>(&e));
-      return Status::OK();
-    case ExprKind::kUnary:
-      return CollectRefs(static_cast<const relational::UnaryExpr&>(e).operand(),
-                         out);
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      MSQL_RETURN_IF_ERROR(CollectRefs(b.left(), out));
-      return CollectRefs(b.right(), out);
-    }
-    case ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const relational::FunctionCallExpr&>(e);
-      for (const auto& a : f.args()) {
-        MSQL_RETURN_IF_ERROR(CollectRefs(*a, out));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kScalarSubquery:
-      return Status::InvalidArgument(
-          "scalar subqueries are not supported in multidatabase joins");
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const relational::InListExpr&>(e);
-      MSQL_RETURN_IF_ERROR(CollectRefs(in.operand(), out));
-      for (const auto& item : in.list()) {
-        MSQL_RETURN_IF_ERROR(CollectRefs(*item, out));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const relational::BetweenExpr&>(e);
-      MSQL_RETURN_IF_ERROR(CollectRefs(bt.operand(), out));
-      MSQL_RETURN_IF_ERROR(CollectRefs(bt.lo(), out));
-      return CollectRefs(bt.hi(), out);
-    }
+/// Collects the column refs of `e`; scalar subqueries are not supported
+/// in a join that spans databases.
+Status CollectJoinRefs(const Expr& e,
+                       std::vector<const ColumnRefExpr*>* out) {
+  if (relational::ContainsScalarSubquery(e)) {
+    return Status::InvalidArgument(
+        "scalar subqueries are not supported in multidatabase joins");
   }
-  return Status::Internal("unhandled expression kind");
+  relational::CollectColumnRefs(e, out);
+  return Status::OK();
 }
 
 /// Rewrites every column ref in `e` to its temp-table home:
@@ -125,58 +80,23 @@ Status CollectRefs(const Expr& e, std::vector<const ColumnRefExpr*>* out) {
 Status RewriteToTemp(
     Expr* e, const BindingMap& binding,
     const std::map<std::string, std::string>& temp_of_database) {
-  switch (e->kind()) {
-    case ExprKind::kLiteral:
-      return Status::OK();
-    case ExprKind::kColumnRef: {
-      auto* ref = static_cast<ColumnRefExpr*>(e);
-      MSQL_ASSIGN_OR_RETURN(std::string table, ResolveTableOf(*ref, binding));
-      const BoundTable& bound = binding.at(table);
-      ref->set_qualifier(temp_of_database.at(bound.database));
-      ref->set_name(table + "__" + ref->name());
-      return Status::OK();
-    }
-    case ExprKind::kUnary:
-      return RewriteToTemp(
-          static_cast<relational::UnaryExpr*>(e)->mutable_operand(), binding,
-          temp_of_database);
-    case ExprKind::kBinary: {
-      auto* b = static_cast<BinaryExpr*>(e);
-      MSQL_RETURN_IF_ERROR(
-          RewriteToTemp(b->mutable_left(), binding, temp_of_database));
-      return RewriteToTemp(b->mutable_right(), binding, temp_of_database);
-    }
-    case ExprKind::kFunctionCall: {
-      auto* f = static_cast<relational::FunctionCallExpr*>(e);
-      for (auto& a : f->mutable_args()) {
-        MSQL_RETURN_IF_ERROR(
-            RewriteToTemp(a.get(), binding, temp_of_database));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kScalarSubquery:
-      return Status::InvalidArgument(
-          "scalar subqueries are not supported in multidatabase joins");
-    case ExprKind::kInList: {
-      auto* in = static_cast<relational::InListExpr*>(e);
-      MSQL_RETURN_IF_ERROR(
-          RewriteToTemp(in->mutable_operand(), binding, temp_of_database));
-      for (auto& item : in->mutable_list()) {
-        MSQL_RETURN_IF_ERROR(
-            RewriteToTemp(item.get(), binding, temp_of_database));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kBetween: {
-      auto* bt = static_cast<relational::BetweenExpr*>(e);
-      MSQL_RETURN_IF_ERROR(
-          RewriteToTemp(bt->mutable_operand(), binding, temp_of_database));
-      MSQL_RETURN_IF_ERROR(
-          RewriteToTemp(bt->mutable_lo(), binding, temp_of_database));
-      return RewriteToTemp(bt->mutable_hi(), binding, temp_of_database);
-    }
+  if (e->kind() == ExprKind::kScalarSubquery) {
+    return Status::InvalidArgument(
+        "scalar subqueries are not supported in multidatabase joins");
   }
-  return Status::Internal("unhandled expression kind");
+  if (e->kind() == ExprKind::kColumnRef) {
+    auto* ref = static_cast<ColumnRefExpr*>(e);
+    MSQL_ASSIGN_OR_RETURN(std::string table, ResolveTableOf(*ref, binding));
+    const BoundTable& bound = binding.at(table);
+    ref->set_qualifier(temp_of_database.at(bound.database));
+    ref->set_name(table + "__" + ref->name());
+    return Status::OK();
+  }
+  Status status;
+  relational::ForEachChild(*e, [&](Expr& child) {
+    if (status.ok()) status = RewriteToTemp(&child, binding, temp_of_database);
+  });
+  return status;
 }
 
 }  // namespace
@@ -223,12 +143,14 @@ Result<Decomposition> Decomposer::Decompose(const SelectStmt& stmt) const {
 
   // Conjunct classification.
   std::vector<const Expr*> conjuncts;
-  if (stmt.where != nullptr) FlattenConjuncts(*stmt.where, &conjuncts);
+  if (stmt.where != nullptr) {
+    relational::SplitConjuncts(*stmt.where, &conjuncts);
+  }
   std::map<std::string, std::vector<const Expr*>> local_conjuncts;
   std::vector<const Expr*> global_conjuncts;
   for (const Expr* c : conjuncts) {
     std::vector<const ColumnRefExpr*> refs;
-    MSQL_RETURN_IF_ERROR(CollectRefs(*c, &refs));
+    MSQL_RETURN_IF_ERROR(CollectJoinRefs(*c, &refs));
     std::set<std::string> dbs;
     for (const auto* ref : refs) {
       MSQL_ASSIGN_OR_RETURN(std::string table, ResolveTableOf(*ref, binding));
@@ -247,7 +169,7 @@ Result<Decomposition> Decomposer::Decompose(const SelectStmt& stmt) const {
   std::map<std::string, std::set<std::string>> needed;  // eff table → cols
   auto need_from = [&](const Expr& e) -> Status {
     std::vector<const ColumnRefExpr*> refs;
-    MSQL_RETURN_IF_ERROR(CollectRefs(e, &refs));
+    MSQL_RETURN_IF_ERROR(CollectJoinRefs(e, &refs));
     for (const auto* ref : refs) {
       MSQL_ASSIGN_OR_RETURN(std::string table, ResolveTableOf(*ref, binding));
       needed[table].insert(ref->name());

@@ -28,7 +28,6 @@ Status ExpansionError(std::string_view code, int line, int column,
 using relational::ColumnRefExpr;
 using relational::Expr;
 using relational::ExprKind;
-using relational::ExprPtr;
 using relational::SelectStmt;
 using relational::Statement;
 using relational::StatementKind;
@@ -40,75 +39,51 @@ namespace {
 // Identifier collection
 // ---------------------------------------------------------------------------
 
-void CollectExpr(const Expr& e, std::set<std::string>* tables,
-                 std::map<std::string, bool>* columns);
-
-void CollectSelect(const SelectStmt& stmt, std::set<std::string>* tables,
-                   std::map<std::string, bool>* columns) {
-  for (const auto& ref : stmt.from) tables->insert(ref.table);
-  for (const auto& item : stmt.items) {
-    if (item.expr != nullptr) CollectExpr(*item.expr, tables, columns);
+void NoteTable(const relational::TableRef& ref, NameInventory* inv) {
+  NameInventory::Name& name = inv->tables[ref.table];
+  if (!ref.database.empty()) {
+    inv->databases.insert(ref.database);
+    return;
   }
-  if (stmt.where != nullptr) CollectExpr(*stmt.where, tables, columns);
-  for (const auto& g : stmt.group_by) CollectExpr(*g, tables, columns);
-  if (stmt.having != nullptr) CollectExpr(*stmt.having, tables, columns);
-  for (const auto& ob : stmt.order_by) {
-    CollectExpr(*ob.expr, tables, columns);
+  if (!name.unqualified) {
+    name.unqualified = true;
+    name.line = ref.line;
+    name.column = ref.column;
   }
 }
 
-void NoteColumn(const std::string& name, bool optional,
-                std::map<std::string, bool>* columns) {
-  auto [it, inserted] = columns->emplace(name, optional);
-  if (!inserted) it->second = it->second && optional;
+void NoteColumn(const std::string& written, bool optional, int line,
+                int column, NameInventory* inv) {
+  NameInventory::Name& name = inv->columns[written];
+  name.optional = name.optional && optional;
+  if (name.line == 0) {
+    name.line = line;
+    name.column = column;
+  }
 }
 
-void CollectExpr(const Expr& e, std::set<std::string>* tables,
-                 std::map<std::string, bool>* columns) {
-  switch (e.kind()) {
-    case ExprKind::kLiteral:
-      return;
-    case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      NoteColumn(ref.name(), ref.optional_column(), columns);
-      return;
-    }
-    case ExprKind::kUnary:
-      CollectExpr(static_cast<const relational::UnaryExpr&>(e).operand(),
-                  tables, columns);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const relational::BinaryExpr&>(e);
-      CollectExpr(b.left(), tables, columns);
-      CollectExpr(b.right(), tables, columns);
-      return;
-    }
-    case ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const relational::FunctionCallExpr&>(e);
-      for (const auto& a : f.args()) CollectExpr(*a, tables, columns);
-      return;
-    }
-    case ExprKind::kScalarSubquery:
-      CollectSelect(
-          static_cast<const relational::ScalarSubqueryExpr&>(e).select(),
-          tables, columns);
-      return;
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const relational::InListExpr&>(e);
-      CollectExpr(in.operand(), tables, columns);
-      for (const auto& item : in.list()) {
-        CollectExpr(*item, tables, columns);
-      }
-      return;
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const relational::BetweenExpr&>(e);
-      CollectExpr(bt.operand(), tables, columns);
-      CollectExpr(bt.lo(), tables, columns);
-      CollectExpr(bt.hi(), tables, columns);
-      return;
-    }
+void CollectSelect(const SelectStmt& stmt, NameInventory* inv);
+
+void CollectExpr(const Expr& e, NameInventory* inv) {
+  if (e.kind() == ExprKind::kColumnRef) {
+    const auto& ref = static_cast<const ColumnRefExpr&>(e);
+    NoteColumn(ref.name(), ref.optional_column(), ref.line(), ref.column(),
+               inv);
+    return;
   }
+  if (e.kind() == ExprKind::kScalarSubquery) {
+    CollectSelect(
+        static_cast<const relational::ScalarSubqueryExpr&>(e).select(), inv);
+    return;
+  }
+  relational::ForEachChild(
+      e, [inv](const Expr& child) { CollectExpr(child, inv); });
+}
+
+void CollectSelect(const SelectStmt& stmt, NameInventory* inv) {
+  for (const auto& ref : stmt.from) NoteTable(ref, inv);
+  relational::ForEachClause(stmt,
+                            [inv](const Expr& e) { CollectExpr(e, inv); });
 }
 
 // ---------------------------------------------------------------------------
@@ -126,27 +101,18 @@ Status RewriteSelect(SelectStmt* stmt, const NameMap& table_map,
     auto it = table_map.find(ref.table);
     if (it != table_map.end()) ref.table = it->second;
   }
-  // Select items: a dropped optional column removes its item.
+  // Select items: a dropped optional column removes its item, and a
+  // substituted one keeps its written name as output alias.
   std::vector<relational::SelectItem> kept;
   for (auto& item : stmt->items) {
     if (item.expr != nullptr &&
         item.expr->kind() == ExprKind::kColumnRef) {
-      auto* ref = static_cast<ColumnRefExpr*>(item.expr.get());
-      auto col_it = column_map.find(ref->name());
+      const auto& ref = static_cast<const ColumnRefExpr&>(*item.expr);
+      auto col_it = column_map.find(ref.name());
       if (col_it != column_map.end()) {
         if (col_it->second.empty()) continue;  // dropped optional column
-        if (item.alias.empty()) item.alias = SemanticAlias(ref->name());
-        ref->set_name(col_it->second);
+        if (item.alias.empty()) item.alias = SemanticAlias(ref.name());
       }
-      ref->clear_optional();
-      auto q_it = table_map.find(ref->qualifier());
-      if (q_it != table_map.end()) ref->set_qualifier(q_it->second);
-      kept.push_back(std::move(item));
-      continue;
-    }
-    if (item.expr != nullptr) {
-      MSQL_RETURN_IF_ERROR(
-          RewriteExpr(item.expr.get(), table_map, column_map));
     }
     kept.push_back(std::move(item));
   }
@@ -155,85 +121,41 @@ Status RewriteSelect(SelectStmt* stmt, const NameMap& table_map,
         "all select items were dropped as optional columns");
   }
   stmt->items = std::move(kept);
-  if (stmt->where != nullptr) {
-    MSQL_RETURN_IF_ERROR(
-        RewriteExpr(stmt->where.get(), table_map, column_map));
-  }
-  for (auto& g : stmt->group_by) {
-    MSQL_RETURN_IF_ERROR(RewriteExpr(g.get(), table_map, column_map));
-  }
-  if (stmt->having != nullptr) {
-    MSQL_RETURN_IF_ERROR(
-        RewriteExpr(stmt->having.get(), table_map, column_map));
-  }
-  for (auto& ob : stmt->order_by) {
-    MSQL_RETURN_IF_ERROR(RewriteExpr(ob.expr.get(), table_map, column_map));
-  }
-  return Status::OK();
+  Status status;
+  relational::ForEachClause(*stmt, [&](Expr& e) {
+    if (status.ok()) status = RewriteExpr(&e, table_map, column_map);
+  });
+  return status;
 }
 
 Status RewriteExpr(Expr* e, const NameMap& table_map,
                    const NameMap& column_map) {
-  switch (e->kind()) {
-    case ExprKind::kLiteral:
-      return Status::OK();
-    case ExprKind::kColumnRef: {
-      auto* ref = static_cast<ColumnRefExpr*>(e);
-      auto it = column_map.find(ref->name());
-      if (it != column_map.end()) {
-        if (it->second.empty()) {
-          return Status::InvalidArgument(
-              "optional column '" + ref->name() +
-              "' does not resolve and is used outside the select list");
-        }
-        ref->set_name(it->second);
+  if (e->kind() == ExprKind::kColumnRef) {
+    auto* ref = static_cast<ColumnRefExpr*>(e);
+    auto it = column_map.find(ref->name());
+    if (it != column_map.end()) {
+      if (it->second.empty()) {
+        return Status::InvalidArgument(
+            "optional column '" + ref->name() +
+            "' does not resolve and is used outside the select list");
       }
-      ref->clear_optional();
-      auto q_it = table_map.find(ref->qualifier());
-      if (q_it != table_map.end()) ref->set_qualifier(q_it->second);
-      return Status::OK();
+      ref->set_name(it->second);
     }
-    case ExprKind::kUnary:
-      return RewriteExpr(
-          static_cast<relational::UnaryExpr*>(e)->mutable_operand(),
-          table_map, column_map);
-    case ExprKind::kBinary: {
-      auto* b = static_cast<relational::BinaryExpr*>(e);
-      MSQL_RETURN_IF_ERROR(
-          RewriteExpr(b->mutable_left(), table_map, column_map));
-      return RewriteExpr(b->mutable_right(), table_map, column_map);
-    }
-    case ExprKind::kFunctionCall: {
-      auto* f = static_cast<relational::FunctionCallExpr*>(e);
-      for (auto& a : f->mutable_args()) {
-        MSQL_RETURN_IF_ERROR(RewriteExpr(a.get(), table_map, column_map));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kScalarSubquery: {
-      auto* sub = static_cast<relational::ScalarSubqueryExpr*>(e);
-      return RewriteSelect(sub->mutable_select(), table_map, column_map);
-    }
-    case ExprKind::kInList: {
-      auto* in = static_cast<relational::InListExpr*>(e);
-      MSQL_RETURN_IF_ERROR(
-          RewriteExpr(in->mutable_operand(), table_map, column_map));
-      for (auto& item : in->mutable_list()) {
-        MSQL_RETURN_IF_ERROR(
-            RewriteExpr(item.get(), table_map, column_map));
-      }
-      return Status::OK();
-    }
-    case ExprKind::kBetween: {
-      auto* bt = static_cast<relational::BetweenExpr*>(e);
-      MSQL_RETURN_IF_ERROR(
-          RewriteExpr(bt->mutable_operand(), table_map, column_map));
-      MSQL_RETURN_IF_ERROR(
-          RewriteExpr(bt->mutable_lo(), table_map, column_map));
-      return RewriteExpr(bt->mutable_hi(), table_map, column_map);
-    }
+    ref->clear_optional();
+    auto q_it = table_map.find(ref->qualifier());
+    if (q_it != table_map.end()) ref->set_qualifier(q_it->second);
+    return Status::OK();
   }
-  return Status::Internal("unhandled expression kind in rewrite");
+  if (e->kind() == ExprKind::kScalarSubquery) {
+    return RewriteSelect(
+        static_cast<relational::ScalarSubqueryExpr*>(e)->mutable_select(),
+        table_map, column_map);
+  }
+  Status status;
+  relational::ForEachChild(*e, [&](Expr& child) {
+    if (status.ok()) status = RewriteExpr(&child, table_map, column_map);
+  });
+  return status;
 }
 
 /// Cartesian-product iterator over per-name candidate lists.
@@ -287,45 +209,43 @@ std::string SemanticAlias(const std::string& written_name) {
   return out.empty() ? "col" : out;
 }
 
-void CollectIdentifiers(const Statement& stmt,
-                        std::set<std::string>* tables,
-                        std::map<std::string, bool>* columns) {
+bool CollectIdentifiers(const Statement& stmt, NameInventory* inventory) {
   switch (stmt.kind()) {
     case StatementKind::kSelect:
-      CollectSelect(static_cast<const SelectStmt&>(stmt), tables, columns);
-      return;
+      CollectSelect(static_cast<const SelectStmt&>(stmt), inventory);
+      return true;
     case StatementKind::kInsert: {
       const auto& ins = static_cast<const relational::InsertStmt&>(stmt);
-      tables->insert(ins.table.table);
-      for (const auto& col : ins.columns) NoteColumn(col, false, columns);
+      NoteTable(ins.table, inventory);
+      for (const auto& col : ins.columns) {
+        NoteColumn(col, false, 0, 0, inventory);
+      }
       for (const auto& row : ins.values_rows) {
-        for (const auto& e : row) CollectExpr(*e, tables, columns);
+        for (const auto& e : row) CollectExpr(*e, inventory);
       }
       if (ins.select_source != nullptr) {
-        CollectSelect(*ins.select_source, tables, columns);
+        CollectSelect(*ins.select_source, inventory);
       }
-      return;
+      return true;
     }
     case StatementKind::kUpdate: {
       const auto& upd = static_cast<const relational::UpdateStmt&>(stmt);
-      tables->insert(upd.table.table);
+      NoteTable(upd.table, inventory);
       for (const auto& a : upd.assignments) {
-        NoteColumn(a.column, false, columns);
-        CollectExpr(*a.value, tables, columns);
+        NoteColumn(a.column, false, 0, 0, inventory);
+        CollectExpr(*a.value, inventory);
       }
-      if (upd.where != nullptr) CollectExpr(*upd.where, tables, columns);
-      return;
+      if (upd.where != nullptr) CollectExpr(*upd.where, inventory);
+      return true;
     }
     case StatementKind::kDelete: {
       const auto& del = static_cast<const relational::DeleteStmt&>(stmt);
-      tables->insert(del.table.table);
-      if (del.where != nullptr) CollectExpr(*del.where, tables, columns);
-      return;
+      NoteTable(del.table, inventory);
+      if (del.where != nullptr) CollectExpr(*del.where, inventory);
+      return true;
     }
     default:
-      // DDL and transaction-control statements carry literal names that
-      // are never expanded.
-      return;
+      return false;
   }
 }
 
@@ -400,12 +320,6 @@ Status RewriteIdentifiers(Statement* stmt, const NameMap& table_map,
 
 Result<ExpansionResult> Expander::Expand(const MsqlQuery& query) const {
   ExpansionResult out;
-  MSQL_RETURN_IF_ERROR(ExpandInto(query, &out));
-  return out;
-}
-
-Status Expander::ExpandInto(const MsqlQuery& query,
-                            ExpansionResult* out) const {
   const auto& entries = query.use.entries;
   if (entries.empty()) {
     return Status::InvalidArgument(
@@ -443,13 +357,13 @@ Status Expander::ExpandInto(const MsqlQuery& query,
   }
 
   NameInventory inventory;
-  CollectIdentifiers(*query.body, &inventory.tables, &inventory.columns);
+  CollectIdentifiers(*query.body, &inventory);
 
   for (size_t i = 0; i < entries.size(); ++i) {
     MSQL_ASSIGN_OR_RETURN(StatementPtr stmt,
                           ExpandForDatabase(query, i, inventory));
     if (stmt == nullptr) {
-      out->non_pertinent.push_back(entries[i].EffectiveName());
+      out.non_pertinent.push_back(entries[i].EffectiveName());
       continue;
     }
     ElementaryQuery eq;
@@ -457,13 +371,13 @@ Status Expander::ExpandInto(const MsqlQuery& query,
     eq.effective_name = entries[i].EffectiveName();
     eq.vital = entries[i].vital;
     eq.statement = std::move(stmt);
-    out->queries.push_back(std::move(eq));
+    out.queries.push_back(std::move(eq));
   }
 
   // Attach compensating actions.
   for (const auto& comp : query.comps) {
     bool attached = false;
-    for (auto& eq : out->queries) {
+    for (auto& eq : out.queries) {
       if (EqualsIgnoreCase(eq.effective_name, comp.database) ||
           EqualsIgnoreCase(eq.database, comp.database)) {
         eq.compensation = comp.action->Clone();
@@ -479,7 +393,7 @@ Status Expander::ExpandInto(const MsqlQuery& query,
               "', which has no subquery in this multiple query");
     }
   }
-  return Status::OK();
+  return out;
 }
 
 Result<StatementPtr> Expander::ExpandForDatabase(
@@ -508,6 +422,11 @@ Result<StatementPtr> Expander::ExpandForDatabase(
     return query.body->Clone();
   }
 
+  // A database-prefixed table names that database alone.
+  for (const auto& prefix : inventory.databases) {
+    if (!EqualsIgnoreCase(prefix, db)) return StatementPtr(nullptr);
+  }
+
   // LET maps for this database.
   NameMap table_let;
   NameMap column_let;
@@ -529,7 +448,7 @@ Result<StatementPtr> Expander::ExpandForDatabase(
 
   // Table candidates.
   std::vector<std::pair<std::string, std::vector<std::string>>> table_cands;
-  for (const auto& t : inventory.tables) {
+  for (const auto& [t, name] : inventory.tables) {
     std::vector<std::string> cands;
     auto let_it = table_let.find(t);
     if (let_it != table_let.end()) {
@@ -567,7 +486,7 @@ Result<StatementPtr> Expander::ExpandForDatabase(
     // Column candidates under this table combination.
     std::vector<std::pair<std::string, std::vector<std::string>>> col_cands;
     bool combo_dead = false;
-    for (const auto& [name, optional] : inventory.columns) {
+    for (const auto& [name, column] : inventory.columns) {
       std::vector<std::string> cands;
       auto let_it = column_let.find(name);
       if (let_it != column_let.end()) {
@@ -582,7 +501,7 @@ Result<StatementPtr> Expander::ExpandForDatabase(
         cands.push_back(name);
       }
       if (cands.empty()) {
-        if (optional) {
+        if (column.optional) {
           cands.push_back("");  // dropped optional column
         } else {
           combo_dead = true;

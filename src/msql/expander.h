@@ -37,6 +37,27 @@ struct ExpansionResult {
   std::vector<std::string> non_pertinent;
 };
 
+/// The identifiers one statement body names, by written name.
+struct NameInventory {
+  struct Name {
+    /// 1-based source position of the first occurrence that has one; 0
+    /// when none has (INSERT column lists and SET targets carry none).
+    /// For a table, only references without a database prefix count.
+    int line = 0;
+    int column = 0;
+    /// Columns: true if *every* occurrence carries '~'.
+    bool optional = true;
+    /// Tables: true if some reference has no database prefix.
+    bool unqualified = false;
+  };
+  std::map<std::string, Name> tables;
+  std::map<std::string, Name> columns;
+  /// Database prefixes of table references (`delta.flight`). Such a
+  /// reference names one database, so a scope database is pertinent
+  /// only if every prefix names it.
+  std::set<std::string> databases;
+};
+
 /// Expands MSQL multiple queries into elementary per-database queries
 /// (§4.3 phases: multiple identifier substitution + disambiguation).
 ///
@@ -46,10 +67,12 @@ struct ExpansionResult {
 /// name otherwise — and the cartesian product of candidates is filtered
 /// to the substitutions under which the query is *pertinent* (all tables
 /// and all non-optional columns resolve). Optional columns ('~') that do
-/// not resolve are dropped from that database's select list. Exactly one
-/// pertinent substitution may remain per database (the paper assumes at
-/// most one subquery per database); several is an ambiguity error, zero
-/// discards the database.
+/// not resolve are dropped from that database's select list. A table
+/// with a database prefix (`delta.flight`) names that database only, so
+/// a scope database some prefix does not name is not pertinent. Exactly
+/// one pertinent substitution may remain per database (the paper assumes
+/// at most one subquery per database); several is an ambiguity error,
+/// zero discards the database.
 class Expander {
  public:
   explicit Expander(const mdbs::GlobalDataDictionary* gdd) : gdd_(gdd) {}
@@ -60,22 +83,6 @@ class Expander {
   Result<ExpansionResult> Expand(const MsqlQuery& query) const;
 
  private:
-  /// Collected identifier occurrences of a statement.
-  struct NameInventory {
-    std::set<std::string> tables;
-    /// column name → true if *every* occurrence is optional ('~').
-    std::map<std::string, bool> columns;
-  };
-
-  /// One database's name mapping (written name → local name; an empty
-  /// string marks a dropped optional column).
-  struct NameSubstitution {
-    std::map<std::string, std::string> tables;
-    std::map<std::string, std::string> columns;
-  };
-
-  Status ExpandInto(const MsqlQuery& query, ExpansionResult* out) const;
-
   /// Produces the (at most one) pertinent elementary statement of
   /// `query.body` for scope entry `entry_index`; nullptr when the
   /// database is not pertinent.
@@ -86,11 +93,12 @@ class Expander {
   const mdbs::GlobalDataDictionary* gdd_;
 };
 
-/// Walks `stmt` collecting table and column identifier occurrences at
-/// every depth (subqueries included). Exposed for tests.
-void CollectIdentifiers(const relational::Statement& stmt,
-                        std::set<std::string>* tables,
-                        std::map<std::string, bool>* columns);
+/// Collects the table and column names of `stmt` at every depth
+/// (subqueries included), for multiple-identifier substitution and the
+/// MS1xx checker alike. Returns false, collecting nothing, for DDL and
+/// transaction control, whose names are replicated verbatim.
+bool CollectIdentifiers(const relational::Statement& stmt,
+                        NameInventory* inventory);
 
 /// Rewrites `stmt` in place under the given table/column name maps.
 /// Unmapped names are left untouched. A column mapped to "" (dropped

@@ -280,11 +280,11 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   }
 
   // Decide between plain projection and aggregation.
-  bool has_aggregate = !stmt.group_by.empty();
-  for (const auto& item : items) {
-    if (ContainsAggregate(*item.expr)) has_aggregate = true;
-  }
-  if (stmt.having != nullptr) has_aggregate = true;
+  std::vector<const FunctionCallExpr*> agg_calls;
+  for (const auto& item : items) CollectAggregates(*item.expr, &agg_calls);
+  const bool has_aggregate = !agg_calls.empty() ||
+                             !stmt.group_by.empty() ||
+                             stmt.having != nullptr;
 
   ResultSet out;
   out.rows_scanned = rows_scanned;
@@ -306,9 +306,8 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
       produced.emplace_back(std::move(out_row), src_row);
     }
   } else {
-    // Collect every aggregate call reachable from the statement.
-    std::vector<const FunctionCallExpr*> agg_calls;
-    for (const auto& item : items) CollectAggregates(*item.expr, &agg_calls);
+    // Every aggregate call reachable from the statement: the select
+    // list's, then HAVING's and ORDER BY's.
     if (stmt.having != nullptr) CollectAggregates(*stmt.having, &agg_calls);
     for (const auto& ob : stmt.order_by) {
       CollectAggregates(*ob.expr, &agg_calls);

@@ -375,52 +375,17 @@ Result<Value> ExprEvaluator::EvalFunction(const FunctionCallExpr& e,
   return Status::ExecutionError("unknown function " + name);
 }
 
-bool ContainsAggregate(const Expr& e) {
-  std::vector<const FunctionCallExpr*> aggs;
-  CollectAggregates(e, &aggs);
-  return !aggs.empty();
-}
-
 void CollectAggregates(const Expr& e,
                        std::vector<const FunctionCallExpr*>* out) {
-  switch (e.kind()) {
-    case ExprKind::kLiteral:
-    case ExprKind::kColumnRef:
-      return;
-    case ExprKind::kUnary:
-      CollectAggregates(static_cast<const UnaryExpr&>(e).operand(), out);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      CollectAggregates(b.left(), out);
-      CollectAggregates(b.right(), out);
-      return;
-    }
-    case ExprKind::kFunctionCall: {
-      const auto& f = static_cast<const FunctionCallExpr&>(e);
-      if (FunctionCallExpr::IsAggregateName(f.name())) {
-        out->push_back(&f);
-        return;  // aggregates do not nest
-      }
-      for (const auto& a : f.args()) CollectAggregates(*a, out);
-      return;
-    }
-    case ExprKind::kScalarSubquery:
-      return;  // inner query aggregates are its own business
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      CollectAggregates(in.operand(), out);
-      for (const auto& item : in.list()) CollectAggregates(*item, out);
-      return;
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const BetweenExpr&>(e);
-      CollectAggregates(bt.operand(), out);
-      CollectAggregates(bt.lo(), out);
-      CollectAggregates(bt.hi(), out);
-      return;
+  if (e.kind() == ExprKind::kFunctionCall) {
+    const auto& f = static_cast<const FunctionCallExpr&>(e);
+    if (FunctionCallExpr::IsAggregateName(f.name())) {
+      out->push_back(&f);
+      return;  // aggregates do not nest
     }
   }
+  // A scalar subquery has no children here: its aggregates are its own.
+  ForEachChild(e, [out](const Expr& child) { CollectAggregates(child, out); });
 }
 
 }  // namespace msql::relational

@@ -93,10 +93,8 @@ class ExprEvaluator {
   const std::map<const Expr*, Value>* aggregate_values_ = nullptr;
 };
 
-/// True if the expression tree contains an aggregate function call.
-bool ContainsAggregate(const Expr& e);
-
-/// Collects pointers to all aggregate FunctionCall nodes in `e`.
+/// Collects pointers to all aggregate FunctionCall nodes in `e`, outside
+/// scalar subqueries.
 void CollectAggregates(const Expr& e, std::vector<const FunctionCallExpr*>* out);
 
 }  // namespace msql::relational

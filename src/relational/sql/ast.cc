@@ -402,50 +402,6 @@ std::string DropDatabaseStmt::ToSql() const {
   return "DROP DATABASE " + name;
 }
 
-namespace {
-
-/// Invokes `fn` on every direct child expression of `e`. Scalar
-/// subqueries contribute no children: their interiors belong to the
-/// subquery's own scope.
-template <typename Fn>
-void ForEachChild(const Expr& e, Fn fn) {
-  switch (e.kind()) {
-    case ExprKind::kUnary:
-      fn(static_cast<const UnaryExpr&>(e).operand());
-      break;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      fn(b.left());
-      fn(b.right());
-      break;
-    }
-    case ExprKind::kFunctionCall:
-      for (const auto& arg : static_cast<const FunctionCallExpr&>(e).args()) {
-        fn(*arg);
-      }
-      break;
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      fn(in.operand());
-      for (const auto& v : in.list()) fn(*v);
-      break;
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const BetweenExpr&>(e);
-      fn(bt.operand());
-      fn(bt.lo());
-      fn(bt.hi());
-      break;
-    }
-    case ExprKind::kLiteral:
-    case ExprKind::kColumnRef:
-    case ExprKind::kScalarSubquery:
-      break;
-  }
-}
-
-}  // namespace
-
 void SplitConjuncts(const Expr& e, std::vector<const Expr*>* out) {
   if (e.kind() == ExprKind::kBinary) {
     const auto& b = static_cast<const BinaryExpr&>(e);

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "relational/value.h"
@@ -142,8 +143,6 @@ class UnaryExpr : public Expr {
 
   UnaryOp op() const { return op_; }
   const Expr& operand() const { return *operand_; }
-  Expr* mutable_operand() { return operand_.get(); }
-  ExprPtr& operand_ptr() { return operand_; }
 
   ExprPtr Clone() const override {
     return std::make_unique<UnaryExpr>(op_, operand_->Clone());
@@ -167,10 +166,6 @@ class BinaryExpr : public Expr {
   BinaryOp op() const { return op_; }
   const Expr& left() const { return *left_; }
   const Expr& right() const { return *right_; }
-  Expr* mutable_left() { return left_.get(); }
-  Expr* mutable_right() { return right_.get(); }
-  ExprPtr& left_ptr() { return left_; }
-  ExprPtr& right_ptr() { return right_; }
 
   ExprPtr Clone() const override {
     return std::make_unique<BinaryExpr>(op_, left_->Clone(),
@@ -198,7 +193,6 @@ class FunctionCallExpr : public Expr {
   /// Upper-cased function name.
   const std::string& name() const { return name_; }
   const std::vector<ExprPtr>& args() const { return args_; }
-  std::vector<ExprPtr>& mutable_args() { return args_; }
   /// True for COUNT(*).
   bool star() const { return star_; }
 
@@ -242,9 +236,7 @@ class InListExpr : public Expr {
         negated_(negated) {}
 
   const Expr& operand() const { return *operand_; }
-  Expr* mutable_operand() { return operand_.get(); }
   const std::vector<ExprPtr>& list() const { return list_; }
-  std::vector<ExprPtr>& mutable_list() { return list_; }
   bool negated() const { return negated_; }
 
   ExprPtr Clone() const override;
@@ -269,9 +261,6 @@ class BetweenExpr : public Expr {
   const Expr& operand() const { return *operand_; }
   const Expr& lo() const { return *lo_; }
   const Expr& hi() const { return *hi_; }
-  Expr* mutable_operand() { return operand_.get(); }
-  Expr* mutable_lo() { return lo_.get(); }
-  Expr* mutable_hi() { return hi_.get(); }
   bool negated() const { return negated_; }
 
   ExprPtr Clone() const override {
@@ -288,8 +277,62 @@ class BetweenExpr : public Expr {
 };
 
 // ---------------------------------------------------------------------------
-// Expression analysis utilities (used by the local query planner)
+// Expression traversal and analysis utilities
 // ---------------------------------------------------------------------------
+
+/// Calls `fn` on each direct child of `e`, left to right: the operand of
+/// a unary node, the left then right side of a binary one, function
+/// arguments, an IN operand then its list, BETWEEN's operand, lo and hi.
+/// This is the one enumeration of children, so a walk is its own special
+/// cases plus a recursive call through here: pre-order, left to right.
+/// Scalar subqueries contribute no children: their interior is a SELECT
+/// with its own FROM scope, and a walk that needs it enters
+/// `ScalarSubqueryExpr::select()` itself.
+template <typename Fn>
+void ForEachChild(const Expr& e, Fn&& fn) {
+  switch (e.kind()) {
+    case ExprKind::kUnary:
+      fn(static_cast<const UnaryExpr&>(e).operand());
+      break;
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(e);
+      fn(b.left());
+      fn(b.right());
+      break;
+    }
+    case ExprKind::kFunctionCall:
+      for (const auto& arg : static_cast<const FunctionCallExpr&>(e).args()) {
+        fn(*arg);
+      }
+      break;
+    case ExprKind::kInList: {
+      const auto& in = static_cast<const InListExpr&>(e);
+      fn(in.operand());
+      for (const auto& v : in.list()) fn(*v);
+      break;
+    }
+    case ExprKind::kBetween: {
+      const auto& bt = static_cast<const BetweenExpr&>(e);
+      fn(bt.operand());
+      fn(bt.lo());
+      fn(bt.hi());
+      break;
+    }
+    case ExprKind::kLiteral:
+    case ExprKind::kColumnRef:
+    case ExprKind::kScalarSubquery:
+      break;
+  }
+}
+
+/// Mutable form, for walks that rewrite nodes in place. Every node is
+/// owned through a non-const ExprPtr, so handing the children out
+/// mutably is sound.
+template <typename Fn>
+void ForEachChild(Expr& e, Fn&& fn) {
+  ForEachChild(std::as_const(e),
+               [&fn](const Expr& child) { fn(const_cast<Expr&>(child)); });
+}
 
 /// Splits a predicate into its top-level AND conjuncts, appended to
 /// `out` in left-to-right source order. A non-AND expression is its own
@@ -431,6 +474,28 @@ struct SelectStmt : public Statement {
   StatementPtr Clone() const override { return CloneSelect(); }
   std::string ToSql() const override;
 };
+
+/// Calls `fn` on the root expression of each clause of `select`, in
+/// source order: select-list items (a star has none), WHERE, GROUP BY,
+/// HAVING, ORDER BY. FROM holds table references, not expressions, so
+/// callers read `select.from` themselves.
+template <typename Fn>
+void ForEachClause(const SelectStmt& select, Fn&& fn) {
+  for (const auto& item : select.items) {
+    if (item.expr != nullptr) fn(std::as_const(*item.expr));
+  }
+  if (select.where != nullptr) fn(std::as_const(*select.where));
+  for (const auto& g : select.group_by) fn(std::as_const(*g));
+  if (select.having != nullptr) fn(std::as_const(*select.having));
+  for (const auto& o : select.order_by) fn(std::as_const(*o.expr));
+}
+
+/// Mutable form (see the mutable ForEachChild).
+template <typename Fn>
+void ForEachClause(SelectStmt& select, Fn&& fn) {
+  ForEachClause(std::as_const(select),
+                [&fn](const Expr& e) { fn(const_cast<Expr&>(e)); });
+}
 
 /// INSERT INTO table [(cols)] VALUES (...), (...) | SELECT ...
 struct InsertStmt : public Statement {

@@ -1,5 +1,6 @@
 #include "relational/sql/parser.h"
 
+#include <algorithm>
 #include <array>
 
 #include "common/string_util.h"
@@ -368,30 +369,77 @@ Result<StatementPtr> SqlParser::ParseDrop() {
 // Expressions
 // --------------------------------------------------------------------------
 
-Result<ExprPtr> SqlParser::ParseExpression() { return ParseOr(); }
+class SqlParser::Nesting {
+ public:
+  explicit Nesting(SqlParser* parser)
+      : parser_(parser), depth_(parser->depth_), peak_(parser->peak_) {
+    parser->peak_ = parser->depth_;
+  }
+  ~Nesting() {
+    parser_->depth_ = depth_;
+    parser_->peak_ = std::max(peak_, parser_->peak_);
+  }
+  Nesting(const Nesting&) = delete;
+  Nesting& operator=(const Nesting&) = delete;
+
+ private:
+  SqlParser* parser_;
+  int depth_;
+  int peak_;
+};
+
+Status SqlParser::Descend() {
+  ++depth_;
+  peak_ = std::max(peak_, depth_);
+  return CheckDepth();
+}
+
+Status SqlParser::Above() {
+  ++peak_;
+  return CheckDepth();
+}
+
+Status SqlParser::CheckDepth() const {
+  if (peak_ <= kMaxExpressionDepth) return Status::OK();
+  return Status::ParseError("expression nesting exceeds the limit of " +
+                            std::to_string(kMaxExpressionDepth) +
+                            " levels at " + cursor_->Peek().Where());
+}
+
+Result<ExprPtr> SqlParser::ParseExpression() {
+  Nesting nesting(this);
+  MSQL_RETURN_IF_ERROR(Descend());
+  return ParseOr();
+}
 
 Result<ExprPtr> SqlParser::ParseOr() {
+  Nesting nesting(this);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
   while (cursor_->MatchKeyword("or")) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
     left = std::make_unique<BinaryExpr>(BinaryOp::kOr, std::move(left),
                                         std::move(right));
+    MSQL_RETURN_IF_ERROR(Above());
   }
   return left;
 }
 
 Result<ExprPtr> SqlParser::ParseAnd() {
+  Nesting nesting(this);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
   while (cursor_->MatchKeyword("and")) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
     left = std::make_unique<BinaryExpr>(BinaryOp::kAnd, std::move(left),
                                         std::move(right));
+    MSQL_RETURN_IF_ERROR(Above());
   }
   return left;
 }
 
 Result<ExprPtr> SqlParser::ParseNot() {
   if (cursor_->MatchKeyword("not")) {
+    Nesting nesting(this);
+    MSQL_RETURN_IF_ERROR(Descend());
     MSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
     return ExprPtr(
         std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(operand)));
@@ -400,12 +448,15 @@ Result<ExprPtr> SqlParser::ParseNot() {
 }
 
 Result<ExprPtr> SqlParser::ParseComparison() {
+  // Every node built here sits one level above its operands.
+  Nesting nesting(this);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
   // IS [NOT] NULL.
   if (cursor_->Peek().IsKeyword("is")) {
     cursor_->Get();
     bool negated = cursor_->MatchKeyword("not");
     MSQL_RETURN_IF_ERROR(cursor_->ExpectKeyword("null"));
+    MSQL_RETURN_IF_ERROR(Above());
     return ExprPtr(std::make_unique<UnaryExpr>(
         negated ? UnaryOp::kIsNotNull : UnaryOp::kIsNull, std::move(left)));
   }
@@ -421,15 +472,11 @@ Result<ExprPtr> SqlParser::ParseComparison() {
   if (cursor_->MatchKeyword("in")) {
     MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kLParen));
     if (cursor_->Peek().IsKeyword("select")) {
-      MSQL_ASSIGN_OR_RETURN(auto sub, ParseSelect());
-      MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
-      // expr IN (subquery) is desugared at execution; keep as InList with
-      // a single scalar-subquery? No: represent as a dedicated binary via
-      // InListExpr with one ScalarSubqueryExpr marked; simplest faithful
-      // form: IN-list containing the subquery expression.
+      // expr IN (subquery): an IN list holding the one scalar subquery.
+      MSQL_ASSIGN_OR_RETURN(ExprPtr sub, ParseSubquery());
       std::vector<ExprPtr> list;
-      list.push_back(
-          std::make_unique<ScalarSubqueryExpr>(std::move(sub)));
+      list.push_back(std::move(sub));
+      MSQL_RETURN_IF_ERROR(Above());
       return ExprPtr(std::make_unique<InListExpr>(
           std::move(left), std::move(list), negated));
     }
@@ -440,6 +487,7 @@ Result<ExprPtr> SqlParser::ParseComparison() {
       if (!cursor_->Match(TokenType::kComma)) break;
     }
     MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
+    MSQL_RETURN_IF_ERROR(Above());
     return ExprPtr(std::make_unique<InListExpr>(std::move(left),
                                                 std::move(list), negated));
   }
@@ -447,14 +495,17 @@ Result<ExprPtr> SqlParser::ParseComparison() {
     MSQL_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
     MSQL_RETURN_IF_ERROR(cursor_->ExpectKeyword("and"));
     MSQL_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
+    MSQL_RETURN_IF_ERROR(Above());
     return ExprPtr(std::make_unique<BetweenExpr>(
         std::move(left), std::move(lo), std::move(hi), negated));
   }
   if (cursor_->MatchKeyword("like")) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
+    MSQL_RETURN_IF_ERROR(Above());
     ExprPtr like = std::make_unique<BinaryExpr>(
         BinaryOp::kLike, std::move(left), std::move(right));
     if (negated) {
+      MSQL_RETURN_IF_ERROR(Above());
       like = std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(like));
     }
     return like;
@@ -473,11 +524,13 @@ Result<ExprPtr> SqlParser::ParseComparison() {
   }
   cursor_->Get();
   MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
+  MSQL_RETURN_IF_ERROR(Above());
   return ExprPtr(std::make_unique<BinaryExpr>(op, std::move(left),
                                               std::move(right)));
 }
 
 Result<ExprPtr> SqlParser::ParseAdditive() {
+  Nesting nesting(this);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
   while (true) {
     BinaryOp op;
@@ -492,10 +545,12 @@ Result<ExprPtr> SqlParser::ParseAdditive() {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
     left = std::make_unique<BinaryExpr>(op, std::move(left),
                                         std::move(right));
+    MSQL_RETURN_IF_ERROR(Above());
   }
 }
 
 Result<ExprPtr> SqlParser::ParseMultiplicative() {
+  Nesting nesting(this);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
   while (true) {
     BinaryOp op;
@@ -510,10 +565,17 @@ Result<ExprPtr> SqlParser::ParseMultiplicative() {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
     left = std::make_unique<BinaryExpr>(op, std::move(left),
                                         std::move(right));
+    MSQL_RETURN_IF_ERROR(Above());
   }
 }
 
 Result<ExprPtr> SqlParser::ParseUnary() {
+  if (cursor_->Peek().type != TokenType::kMinus &&
+      cursor_->Peek().type != TokenType::kPlus) {
+    return ParsePrimary();
+  }
+  Nesting nesting(this);
+  MSQL_RETURN_IF_ERROR(Descend());
   if (cursor_->Match(TokenType::kMinus)) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
     // Fold -literal for cleaner plans.
@@ -531,10 +593,8 @@ Result<ExprPtr> SqlParser::ParseUnary() {
     return ExprPtr(
         std::make_unique<UnaryExpr>(UnaryOp::kNegate, std::move(operand)));
   }
-  if (cursor_->Match(TokenType::kPlus)) {
-    return ParseUnary();
-  }
-  return ParsePrimary();
+  cursor_->Get();  // '+'
+  return ParseUnary();
 }
 
 Result<ExprPtr> SqlParser::ParsePrimary() {
@@ -574,12 +634,7 @@ Result<ExprPtr> SqlParser::ParsePrimary() {
     }
     case TokenType::kLParen: {
       cursor_->Get();
-      if (cursor_->Peek().IsKeyword("select")) {
-        MSQL_ASSIGN_OR_RETURN(auto sub, ParseSelect());
-        MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
-        return ExprPtr(
-            std::make_unique<ScalarSubqueryExpr>(std::move(sub)));
-      }
+      if (cursor_->Peek().IsKeyword("select")) return ParseSubquery();
       MSQL_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpression());
       MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
       return inner;
@@ -651,6 +706,14 @@ Result<ExprPtr> SqlParser::ParseColumnOrFunction() {
   auto ref = std::make_unique<ColumnRefExpr>("", std::move(name));
   ref->set_position(first.line, first.column);
   return ExprPtr(std::move(ref));
+}
+
+Result<ExprPtr> SqlParser::ParseSubquery() {
+  Nesting nesting(this);
+  MSQL_RETURN_IF_ERROR(Descend());
+  MSQL_ASSIGN_OR_RETURN(auto sub, ParseSelect());
+  MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
+  return ExprPtr(std::make_unique<ScalarSubqueryExpr>(std::move(sub)));
 }
 
 Result<StatementPtr> ParseSql(std::string_view text,

@@ -81,6 +81,14 @@ struct ParseOptions {
 /// transaction-control verbs BEGIN / COMMIT / ROLLBACK / PREPARE.
 class SqlParser {
  public:
+  /// Deepest expression nesting accepted. The parser and every walk over
+  /// an expression tree (ForEachChild users, ToSql, Clone, evaluation,
+  /// destruction) recurse once per level, so this bound is what keeps
+  /// hostile input from overflowing the stack. The deepest accepted
+  /// inputs run end to end within half of an 8 MB stack even under the
+  /// ASan/UBSan build, whose frames are the largest.
+  static constexpr int kMaxExpressionDepth = 256;
+
   SqlParser(TokenCursor* cursor, ParseOptions options)
       : cursor_(cursor), options_(options) {}
 
@@ -117,9 +125,34 @@ class SqlParser {
   Result<ExprPtr> ParseUnary();
   Result<ExprPtr> ParsePrimary();
   Result<ExprPtr> ParseColumnOrFunction();
+  /// Parses `SELECT ...)` after its opening parenthesis.
+  Result<ExprPtr> ParseSubquery();
+
+  /// Scope of one parse function. Inside it `peak_` starts again from
+  /// `depth_`, so it measures only what the scope parses; on exit
+  /// `depth_` is restored and `peak_` becomes the larger of its old value
+  /// and the deepest level reached inside.
+  class Nesting;
+  /// Enters one more level before parsing what it encloses: a nested
+  /// expression (in parentheses, an argument or IN list, a subquery
+  /// clause), a scalar subquery, or the operand of a NOT or sign prefix.
+  Status Descend();
+  /// Counts a node built over the operands just parsed: a binary
+  /// operator or comparison, IN, BETWEEN, LIKE, IS NULL. Its level is
+  /// one above the deepest operand, so a chain of n operators is n levels
+  /// deep, as its left-leaning tree is.
+  Status Above();
+  /// Fails once `peak_` passes kMaxExpressionDepth.
+  Status CheckDepth() const;
 
   TokenCursor* cursor_;
   ParseOptions options_;
+  /// Nesting level of the parse in progress, and the deepest level
+  /// reached in the current scope. The parser recurses only where
+  /// `depth_` grows, and every tree node adds a level, so bounding both
+  /// bounds the parser's recursion and the height of the tree it builds.
+  int depth_ = 0;
+  int peak_ = 0;
 };
 
 /// Parses exactly one SQL statement from `text` (optional trailing ';').

@@ -612,6 +612,22 @@ DOLEND
   EXPECT_NE(render.find("acquisition order: avis_svc -> national_svc"),
             std::string::npos)
       << render;
+
+  // A table read only by a subquery inside BETWEEN is still read.
+  auto nested = PlanOf(R"(
+DOLBEGIN
+  OPEN avis AT avis_svc AS a;
+  TASK t3 FOR a { UPDATE cars SET carst = 'TAKEN'
+                  WHERE code BETWEEN 0 AND (SELECT MAX(rnu) FROM rentals) }
+  ENDTASK;
+  CLOSE a;
+DOLEND
+)");
+  AccessSummary nested_summary = SummarizePlan(nested);
+  const TaskAccess* rentals =
+      nested_summary.Find("avis_svc", "avis.rentals");
+  ASSERT_NE(rentals, nullptr) << nested_summary.Render();
+  EXPECT_EQ(rentals->mode, PredictedMode::kShared);
 }
 
 TEST(ConflictAnalyzerTest, Dl301LockOrderInversionAcrossInputs) {

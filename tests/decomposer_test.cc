@@ -293,6 +293,18 @@ TEST_F(DecomposerTest, SubqueriesUnsupported) {
       "SELECT cars.code FROM avis.cars, continental.flights "
       "WHERE cars.rate = (SELECT MIN(rate) FROM avis.cars)");
   EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+  // Subqueries hidden in a BETWEEN bound and in a select-list function.
+  for (const char* sql :
+       {"SELECT cars.code FROM avis.cars, continental.flights "
+        "WHERE cars.rate BETWEEN 0 AND (SELECT MAX(rate) FROM avis.cars)",
+        "SELECT ABS((SELECT MIN(rate) FROM avis.cars)) "
+        "FROM avis.cars, continental.flights"}) {
+    auto hidden = Decompose(sql);
+    EXPECT_EQ(hidden.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(hidden.status().message().find("scalar subqueries"),
+              std::string::npos)
+        << hidden.status();
+  }
 }
 
 TEST_F(DecomposerTest, StarExpandsToAllShippedColumns) {

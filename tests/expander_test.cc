@@ -132,6 +132,26 @@ TEST_F(ExpanderTest, NonPertinentDatabaseDiscarded) {
   ASSERT_EQ(result->queries.size(), 1u);
   EXPECT_EQ(result->queries[0].database, "continental");
   EXPECT_EQ(result->non_pertinent, (std::vector<std::string>{"avis"}));
+
+  // A database prefix names that database only: every other scope
+  // database is non-pertinent, wherever the prefixed reference sits.
+  for (const char* msql :
+       {"USE delta united SELECT dest FROM delta.flight",
+        "USE delta united INSERT INTO delta.flight (dest) VALUES ('x')",
+        "USE delta united SELECT dest FROM flight WHERE dest = "
+        "(SELECT MIN(dest) FROM delta.flight)"}) {
+    SCOPED_TRACE(msql);
+    auto qualified = Expand(msql);
+    ASSERT_TRUE(qualified.ok()) << qualified.status();
+    ASSERT_EQ(qualified->queries.size(), 1u);
+    EXPECT_EQ(qualified->queries[0].database, "delta");
+    EXPECT_EQ(qualified->non_pertinent,
+              (std::vector<std::string>{"united"}));
+  }
+  auto select = Expand("USE delta united SELECT dest FROM delta.flight");
+  ASSERT_TRUE(select.ok()) << select.status();
+  EXPECT_EQ(SqlFor(*select, "delta"),
+            "SELECT dest AS dest FROM delta.flight");
 }
 
 TEST_F(ExpanderTest, MissingMandatoryColumnDiscardsDatabase) {
@@ -256,14 +276,40 @@ TEST_F(ExpanderTest, CollectIdentifiersSeesAllDepths) {
       "USE delta UPDATE flight SET rate = rate + 1 WHERE fnu = "
       "(SELECT MIN(fnu) FROM flight2 WHERE x = 1)");
   ASSERT_TRUE(input.ok());
-  std::set<std::string> tables;
-  std::map<std::string, bool> columns;
-  CollectIdentifiers(*input->query->body, &tables, &columns);
+  NameInventory inventory;
+  ASSERT_TRUE(CollectIdentifiers(*input->query->body, &inventory));
+  const auto& tables = inventory.tables;
+  const auto& columns = inventory.columns;
   EXPECT_TRUE(tables.count("flight"));
   EXPECT_TRUE(tables.count("flight2"));
   EXPECT_TRUE(columns.count("rate"));
   EXPECT_TRUE(columns.count("fnu"));
   EXPECT_TRUE(columns.count("x"));
+
+  // Columns reachable only through a unary operand, BETWEEN's bounds, an
+  // IN list, a function argument and a scalar subquery inside an IN list.
+  auto nested = MsqlParser::ParseOne(
+      "USE delta SELECT ~opt, ~fnu FROM flight\n"
+      "WHERE -neg > 0 AND fnu BETWEEN lo AND hi\n"
+      "AND dest IN ('x', item, (SELECT MAX(deep) FROM flight3))\n"
+      "AND UPPER(arg) = 'Y' AND hi > 0");
+  ASSERT_TRUE(nested.ok()) << nested.status();
+  NameInventory names;
+  ASSERT_TRUE(CollectIdentifiers(*nested->query->body, &names));
+  std::vector<std::string> column_names;
+  for (const auto& [name, column] : names.columns) {
+    column_names.push_back(name);
+  }
+  EXPECT_EQ(column_names,
+            (std::vector<std::string>{"arg", "deep", "dest", "fnu", "hi",
+                                      "item", "lo", "neg", "opt"}));
+  EXPECT_TRUE(names.columns.at("opt").optional);
+  EXPECT_FALSE(names.columns.at("fnu").optional);  // also bare in WHERE
+  EXPECT_FALSE(names.columns.at("deep").optional);
+  EXPECT_EQ(names.columns.at("hi").line, 2);  // BETWEEN's hi, not line 4
+  EXPECT_EQ(names.columns.at("hi").column, 39);
+  EXPECT_TRUE(names.tables.count("flight3"));
+  EXPECT_TRUE(names.databases.empty());
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 // Lexer and SQL parser, including the MSQL extensions ('%', '~').
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/fixtures.h"
+#include "core/mdbs_system.h"
 #include "relational/sql/lexer.h"
 #include "relational/sql/parser.h"
 
@@ -194,6 +199,54 @@ TEST(ParserTest, ErrorsAreParseErrors) {
   EXPECT_EQ(Parse("SELECT a FROM t extra garbage ,").status().code(),
             StatusCode::kParseError);
   EXPECT_EQ(Parse("UPDATE t SET").status().code(), StatusCode::kParseError);
+}
+
+std::string Repeat(std::string_view unit, int times) {
+  std::string out;
+  out.reserve(unit.size() * static_cast<size_t>(times));
+  for (int i = 0; i < times; ++i) out += unit;
+  return out;
+}
+
+TEST(ParserTest, NestingDepthIsBounded) {
+  // Each hostile body ends in a parse error naming the limit, both for
+  // the local parser and through the federation's Execute, instead of
+  // overflowing the stack of the parser or of a later tree walk.
+  const std::string where = "SELECT code FROM cars WHERE ";
+  const std::vector<std::string> too_deep = {
+      where + Repeat("(", 5000) + "1=1" + Repeat(")", 5000),
+      where + Repeat("NOT ", 20000) + "1=1",
+      where + "1=1" + Repeat(" OR 1=1", 99999),
+      where + "code = " + Repeat("- ", 100000) + "1",
+      Repeat("SELECT code FROM cars WHERE code = (", 1000) +
+          "SELECT code FROM cars" + Repeat(")", 1000),
+  };
+  const std::string limit =
+      "limit of " + std::to_string(SqlParser::kMaxExpressionDepth) +
+      " levels";
+  auto sys = core::BuildPaperFederation();
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  for (const auto& body : too_deep) {
+    SCOPED_TRACE(body.substr(0, 60));
+    auto parsed = ParseSql(body);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(parsed.status().message().find(limit), std::string::npos)
+        << parsed.status();
+    auto report = (*sys)->Execute("USE avis " + body);
+    EXPECT_EQ(report.status().code(), StatusCode::kParseError);
+  }
+
+  // At the limit: the WHERE clause is one level, each `1=1` a second and
+  // each OR one more above the chain so far. That chain parses and runs
+  // end to end; one more operator is too deep.
+  const std::string at_limit =
+      where + "1=1" + Repeat(" OR 1=1", SqlParser::kMaxExpressionDepth - 2);
+  ASSERT_TRUE(ParseSql(at_limit).ok());
+  auto report = (*sys)->Execute("USE avis " + at_limit);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->outcome, core::GlobalOutcome::kSuccess);
+  EXPECT_EQ(ParseSql(at_limit + " OR 1=1").status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(ParserTest, ScriptSplitsOnSemicolons) {

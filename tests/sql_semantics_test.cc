@@ -236,6 +236,13 @@ TEST_F(SqlSemanticsTest, CorrelatedStyleSubqueryAgainstSameTable) {
       "SELECT COUNT(*) FROM t WHERE i > (SELECT MIN(i) FROM t WHERE i > "
       "(SELECT MIN(i) FROM t))");
   EXPECT_EQ(nested.rows[0][0], Value::Integer(2));  // 4 and 5
+  // MAX belongs to the subquery: the outer SELECT still projects one row
+  // per row of t rather than collapsing into a single aggregate row.
+  ResultSet projected = Exec("SELECT i, (SELECT MAX(i) FROM t) FROM t");
+  ASSERT_EQ(projected.rows.size(), 5u);
+  for (const auto& row : projected.rows) {
+    EXPECT_EQ(row[1], Value::Integer(5));
+  }
 }
 
 TEST_F(SqlSemanticsTest, ScalarSubqueryCardinalityErrors) {

@@ -180,6 +180,21 @@ TEST_F(VitalSemanticsTest, VitalWithNoPertinentSubqueryRefused) {
       "SELECT rate FROM flight%");  // avis has no flight table
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->outcome, GlobalOutcome::kRefused);
+
+  // `delta.flight` names delta only, so the VITAL united has no pertinent
+  // subquery: the input is refused before any message is sent.
+  const int64_t before = sys_->environment().network().stats().messages_sent;
+  auto qualified = sys_->Execute(
+      "USE delta VITAL united VITAL\n"
+      "UPDATE delta.flight SET dest = dest WHERE dest = 'Nowhere'");
+  ASSERT_TRUE(qualified.ok()) << qualified.status();
+  EXPECT_EQ(qualified->outcome, GlobalOutcome::kRefused);
+  EXPECT_NE(qualified->detail.message().find(
+                "VITAL database 'united' has no pertinent subquery"),
+            std::string::npos)
+      << qualified->detail;
+  EXPECT_EQ(qualified->non_pertinent, (std::vector<std::string>{"united"}));
+  EXPECT_EQ(sys_->environment().network().stats().messages_sent, before);
 }
 
 }  // namespace
