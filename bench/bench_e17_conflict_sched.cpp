@@ -7,7 +7,11 @@
 // user whose vital MT aborts simply resubmits it, the bench also
 // measures makespan *to completion*: aborted seat MTs are resubmitted
 // in follow-up rounds until every booking commits, and the per-round
-// virtual makespans are summed. Results go to BENCH_conflict_sched.json.
+// virtual makespans are summed. Each run also counts the local SELECTs
+// its sites executed (`local_selects`, the `sql.selects` counter, retry
+// rounds included): every seat UPDATE runs its MIN subquery once, so a
+// return to per-row subquery evaluation shows here as a multiple of the
+// seat count. Results go to BENCH_conflict_sched.json.
 //
 // Usage: bench_e17_conflict_sched [--quick] [--out FILE] [--sessions N]
 #include <chrono>
@@ -78,6 +82,7 @@ struct RunStats {
   int retry_rounds = 0;
   int64_t retried_sessions = 0;
   int64_t completion_makespan_micros = 0;
+  int64_t local_selects = 0;
 };
 
 bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
@@ -90,6 +95,7 @@ bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
     return false;
   }
   auto sys = std::move(*built);
+  sys->environment().metrics().set_enabled(true);
 
   msql::core::ServerConfig config;
   config.conflict_aware = conflict_aware;
@@ -185,6 +191,7 @@ bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
                  pending.size(), kMaxRounds);
     return false;
   }
+  out->local_selects = sys->environment().metrics().Get("sql.selects");
   return true;
 }
 
@@ -193,7 +200,7 @@ void Print(const RunStats& s) {
       "conflict_aware=%-5s sessions=%-4d wall=%8.1fms makespan=%9lldus "
       "victims=%-3lld timeouts=%-3lld aborted=%-3lld committed=%-4lld "
       "lock_waits=%-5lld deferrals=%-4lld avoided=%-4lld "
-      "retries=%lld/%dr completion=%9lldus\n",
+      "retries=%lld/%dr completion=%9lldus selects=%lld\n",
       s.conflict_aware ? "true" : "false", s.sessions, s.wall_ms,
       static_cast<long long>(s.virtual_makespan_micros),
       static_cast<long long>(s.deadlock_victims),
@@ -204,7 +211,8 @@ void Print(const RunStats& s) {
       static_cast<long long>(s.deferrals),
       static_cast<long long>(s.avoided_deadlocks),
       static_cast<long long>(s.retried_sessions), s.retry_rounds,
-      static_cast<long long>(s.completion_makespan_micros));
+      static_cast<long long>(s.completion_makespan_micros),
+      static_cast<long long>(s.local_selects));
 }
 
 void Emit(std::ostream& json, const RunStats& s, bool last) {
@@ -223,7 +231,8 @@ void Emit(std::ostream& json, const RunStats& s, bool last) {
        << ", \"retry_rounds\": " << s.retry_rounds
        << ", \"retried_sessions\": " << s.retried_sessions
        << ", \"completion_makespan_micros\": "
-       << s.completion_makespan_micros << "}"
+       << s.completion_makespan_micros
+       << ", \"local_selects\": " << s.local_selects << "}"
        << (last ? "\n" : ",\n");
 }
 

@@ -290,6 +290,22 @@ std::vector<Contention> FindContentions(const AccessSummary& a,
   return out;
 }
 
+/// Deadlock signature: two contended resources that the plans may
+/// first-acquire in opposite orders. Equal steps (PARBEGIN siblings)
+/// leave the order open, so they count in both directions.
+bool HasDeadlockSignature(const std::vector<Contention>& contentions) {
+  for (size_t i = 0; i < contentions.size(); ++i) {
+    for (size_t j = 0; j < contentions.size(); ++j) {
+      if (i == j) continue;
+      const Contention& r = contentions[i];
+      const Contention& s = contentions[j];
+      if (r.a == s.a && r.b == s.b) continue;
+      if (r.a->step <= s.a->step && s.b->step <= r.b->step) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::string_view PredictedModeName(PredictedMode mode) {
@@ -444,22 +460,7 @@ PairwiseConflict Classify(const AccessSummary& a, const AccessSummary& b) {
                            : c.a->resource + "|" + c.b->resource);
     if (seen.insert(key).second) result.resources.push_back(key);
   }
-
-  // Deadlock signature: two contended resources that the plans may
-  // first-acquire in opposite orders. Equal steps (PARBEGIN siblings)
-  // leave the order open, so they count in both directions.
-  for (size_t i = 0; i < contentions.size() && !result.deadlock_risk; ++i) {
-    for (size_t j = 0; j < contentions.size(); ++j) {
-      if (i == j) continue;
-      const Contention& r = contentions[i];
-      const Contention& s = contentions[j];
-      if (r.a == s.a && r.b == s.b) continue;
-      if (r.a->step <= s.a->step && s.b->step <= r.b->step) {
-        result.deadlock_risk = true;
-        break;
-      }
-    }
-  }
+  result.deadlock_risk = HasDeadlockSignature(contentions);
   return result;
 }
 
@@ -680,13 +681,15 @@ void ConflictGraph::Remove(uint64_t id) {
   quiesced_.erase(id);
 }
 
+// The admission queries below ask only for what they use: Classify's
+// kind is kNone exactly when there is no contention, and its
+// deadlock_risk is the signature over the contentions.
+
 std::vector<uint64_t> ConflictGraph::Contending(
     const AccessSummary& candidate) const {
   std::vector<uint64_t> out;
   for (const auto& [id, summary] : admitted_) {
-    if (Classify(candidate, *summary).kind != ConflictKind::kNone) {
-      out.push_back(id);
-    }
+    if (!FindContentions(candidate, *summary).empty()) out.push_back(id);
   }
   return out;
 }
@@ -696,7 +699,7 @@ bool ConflictGraph::WouldRiskDeadlock(const AccessSummary& candidate,
   bool risk = false;
   for (const auto& [id, summary] : admitted_) {
     if (quiesced_.count(id) != 0) continue;
-    if (Classify(candidate, *summary).deadlock_risk) {
+    if (HasDeadlockSignature(FindContentions(candidate, *summary))) {
       risk = true;
       if (against) against->push_back(id);
     }

@@ -22,6 +22,12 @@ std::string OutputName(const SelectItem& item) {
   return ToLower(item.expr->ToSql());
 }
 
+/// One column of the select list after '*' expansion.
+struct OutputItem {
+  const Expr* expr;
+  std::string name;
+};
+
 /// Group key / distinct key: rows compared by strict Value equality.
 struct RowKeyLess {
   bool operator()(const Row& a, const Row& b) const {
@@ -201,18 +207,20 @@ Result<ResultSet> Executor::Execute(const Statement& stmt) {
 }
 
 Result<Value> Executor::EvalScalarSubquery(const SelectStmt& stmt) {
+  auto memo = subquery_values_.find(&stmt);
+  if (memo != subquery_values_.end()) return memo->second;
   MSQL_ASSIGN_OR_RETURN(ResultSet rs, ExecuteSelect(stmt));
   if (rs.columns.size() != 1) {
     return Status::ExecutionError(
         "scalar subquery must produce exactly one column, got " +
         std::to_string(rs.columns.size()));
   }
-  if (rs.rows.empty()) return Value::Null_();
   if (rs.rows.size() > 1) {
     return Status::ExecutionError(
         "scalar subquery produced more than one row");
   }
-  return rs.rows[0][0];
+  Value value = rs.rows.empty() ? Value::Null_() : std::move(rs.rows[0][0]);
+  return subquery_values_.emplace(&stmt, std::move(value)).first->second;
 }
 
 Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
@@ -230,11 +238,14 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
         return EvalScalarSubquery(sub);
       });
 
-  // Expand '*' select items into explicit column references.
-  std::vector<SelectItem> items;
+  // Expand '*' select items into explicit column references. Other
+  // items stay the statement's own nodes: a scalar subquery among them
+  // keeps the identity its memo entry is keyed by.
+  std::vector<std::unique_ptr<ColumnRefExpr>> star_columns;
+  std::vector<OutputItem> items;
   for (const auto& item : stmt.items) {
     if (!item.is_star) {
-      items.push_back(item.CloneItem());
+      items.push_back({item.expr.get(), OutputName(item)});
       continue;
     }
     bool matched = false;
@@ -245,11 +256,9 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
       }
       matched = true;
       for (const auto& col : src.schema.columns()) {
-        SelectItem expanded;
-        expanded.expr = std::make_unique<ColumnRefExpr>(src.effective_name,
-                                                        col.name);
-        expanded.alias = col.name;
-        items.push_back(std::move(expanded));
+        star_columns.push_back(
+            std::make_unique<ColumnRefExpr>(src.effective_name, col.name));
+        items.push_back({star_columns.back().get(), col.name});
       }
     }
     if (!matched) {
@@ -290,7 +299,7 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   out.rows_scanned = rows_scanned;
   out.rows_evaluated = rows_evaluated;
   if (options_.collect_plan_text) out.plan_text = plan.Explain();
-  for (const auto& item : items) out.columns.push_back(OutputName(item));
+  for (const auto& item : items) out.columns.push_back(item.name);
 
   // Pairs of (output row, source row used for ORDER BY evaluation).
   std::vector<std::pair<Row, Row>> produced;

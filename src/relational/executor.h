@@ -2,6 +2,7 @@
 #define MSQL_RELATIONAL_EXECUTOR_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -51,6 +52,15 @@ struct ExecutorOptions {
 /// their new images on the pre-statement state; phase 2 applies them in
 /// ascending rowid order. `rows_scanned`, `rows_evaluated` and the
 /// plan text mean what they mean for that SELECT.
+///
+/// An Executor runs one statement, and each scalar subquery of it runs
+/// at most once: the first row that evaluates it computes its value,
+/// every later row reuses that value. This is exact because subqueries
+/// are uncorrelated and every statement reads pre-statement state
+/// (DML collects its targets and new images before it writes, INSERT
+/// evaluates every VALUES row before it inserts). A subquery no row
+/// reaches never runs, and a failing one fails where it did before, as
+/// errors are not kept.
 class Executor {
  public:
   Executor(Database* db, Transaction* txn, LockManager* locks,
@@ -131,7 +141,7 @@ class Executor {
                       std::vector<Row>* rows, ResultSet* out);
 
   /// Evaluates a scalar subquery: one column, at most one row; zero rows
-  /// yield SQL NULL.
+  /// yield SQL NULL. Memoized per statement (see the class comment).
   Result<Value> EvalScalarSubquery(const SelectStmt& stmt);
 
   /// Rejects DML whose target names a view.
@@ -147,6 +157,9 @@ class Executor {
   Transaction* txn_;
   LockManager* locks_;
   ExecutorOptions options_;
+  /// Values of the scalar subqueries evaluated so far, keyed by the
+  /// subquery's node in the statement (or in a view definition).
+  std::unordered_map<const SelectStmt*, Value> subquery_values_;
 };
 
 }  // namespace msql::relational

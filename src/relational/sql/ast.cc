@@ -98,11 +98,17 @@ std::string BinaryOperandSql(const Expr& e, BinaryOp parent,
 }  // namespace
 
 std::string UnaryExpr::ToSql() const {
+  // A prefix over the same prefix needs no parentheses, so a chain of n
+  // NOTs or minuses re-parses n levels deep, as written. Two minuses
+  // keep a space between them: "--" would start a comment.
+  const bool chained = operand_->kind() == ExprKind::kUnary &&
+                       static_cast<const UnaryExpr&>(*operand_).op() == op_;
   switch (op_) {
     case UnaryOp::kNot:
-      return "NOT " + OperandSql(*operand_);
+      return "NOT " + (chained ? operand_->ToSql() : OperandSql(*operand_));
     case UnaryOp::kNegate:
-      return "-" + OperandSql(*operand_);
+      return chained ? "- " + operand_->ToSql()
+                     : "-" + OperandSql(*operand_);
     case UnaryOp::kIsNull:
       return OperandSql(*operand_) + " IS NULL";
     case UnaryOp::kIsNotNull:

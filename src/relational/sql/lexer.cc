@@ -1,6 +1,8 @@
 #include "relational/sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -148,17 +150,21 @@ class LexerImpl {
       }
     }
     tok->text = digits;
+    // from_chars reads subnormals exactly and reports only what no
+    // INTEGER or finite REAL can hold (1e999, 1e-999) as out of range.
+    const char* first = digits.data();
+    const char* last = first + digits.size();
+    std::from_chars_result parsed;
     if (is_real) {
       tok->type = TokenType::kReal;
-      tok->real_value = std::stod(digits);
+      parsed = std::from_chars(first, last, tok->real_value);
     } else {
       tok->type = TokenType::kInteger;
-      try {
-        tok->int_value = std::stoll(digits);
-      } catch (...) {
-        return Status::ParseError("integer literal out of range at " +
-                                  tok->Where());
-      }
+      parsed = std::from_chars(first, last, tok->int_value);
+    }
+    if (parsed.ec == std::errc::result_out_of_range) {
+      return Status::ParseError(std::string(is_real ? "real" : "integer") +
+                                " literal out of range at " + tok->Where());
     }
     return Status::OK();
   }

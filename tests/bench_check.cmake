@@ -4,12 +4,13 @@
 # deterministic metrics against the baseline, failing on a >25%
 # regression. Wall-clock metrics are never compared (host time is
 # noisy); every compared metric is a simulated-clock figure or a work
-# counter (E19's page reads/writes and WAL appends), exact for a fixed
-# seed. Baselines are the benches' `--quick` outputs; comparisons are
-# guarded on the workload-scale fields, so a full-scale re-run simply
-# skips entries whose scale differs from the baseline. No bench needs a
-# manual re-run: the bench_e16_quick … bench_e20_quick ctest fixtures
-# write fresh BENCH_*.json files before this check runs.
+# counter (E17's local SELECT count, E19's page reads/writes and WAL
+# appends), exact for a fixed seed. Baselines are the benches' `--quick`
+# outputs; comparisons are guarded on the workload-scale fields, so a
+# full-scale re-run simply skips entries whose scale differs from the
+# baseline. No bench needs a manual re-run: the bench_e16_quick …
+# bench_e20_quick ctest fixtures write fresh BENCH_*.json files before
+# this check runs.
 #
 # Run via ctest: `ctest -L bench` (label `bench`; `ctest -R bench_check`
 # pulls in the fixtures too). Invoked as
@@ -113,6 +114,7 @@ if(base)
             deadlock_victims)
     require(BENCH_conflict_sched.json "${base}" runs ${run}
             completion_makespan_micros)
+    require(BENCH_conflict_sched.json "${base}" runs ${run} local_selects)
   endforeach()
   if(fresh)
     foreach(run 0 1)
@@ -124,6 +126,10 @@ if(base)
       if(NOT skip)
         compare(BENCH_conflict_sched.json "${base}" "${fresh}"
                 runs ${run} completion_makespan_micros)
+        # One SELECT per seat subquery: per-row re-evaluation of the
+        # §3.4 `(SELECT MIN(...))` multiplies this by the seat count.
+        compare(BENCH_conflict_sched.json "${base}" "${fresh}"
+                runs ${run} local_selects)
       endif()
     endforeach()
   endif()

@@ -13,7 +13,10 @@
 //   - scheduling: with conflict_aware admission on, the same workload
 //     commits the same seats exactly once with no more deadlock victims
 //     than the baseline, and the deferral counters show the avoided
-//     pairs.
+//     pairs;
+//   - admission queries: ConflictGraph's Contending and
+//     WouldRiskDeadlock, which skip Classify's resource keys, give
+//     Classify's verdicts on every pair of the workload's summaries.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -290,6 +293,52 @@ TEST_P(ConflictOracleTest, ConflictAwareAdmissionAvoidsPredictedDeadlocks) {
         << "session " << r.session_id
         << " was deferred for safety yet still became a victim";
   }
+}
+
+TEST_P(ConflictOracleTest, AdmissionQueriesAgreeWithClassify) {
+  // The scheduler's two admission queries skip Classify's resource keys
+  // but must give its verdicts: Contending names a peer exactly when the
+  // pair's kind is not kNone, and WouldRiskDeadlock flags one exactly
+  // when the pair carries the deadlock signature and the peer is not
+  // quiesced.
+  OracleRun run = RunAuditedWorkload(GetParam(), 80,
+                                     /*conflict_aware=*/true);
+  std::vector<std::shared_ptr<const AccessSummary>> summaries;
+  for (const SessionResult& r : run.results) {
+    if (r.summary) summaries.push_back(r.summary);
+  }
+  ASSERT_FALSE(summaries.empty());
+  const std::vector<uint64_t> peer = {7};
+  int64_t none = 0;
+  int64_t contended = 0;
+  int64_t risky = 0;
+  for (const auto& candidate : summaries) {
+    for (const auto& admitted : summaries) {
+      const analysis::PairwiseConflict verdict =
+          Classify(*candidate, *admitted);
+      const bool contends = verdict.kind != ConflictKind::kNone;
+      none += contends ? 0 : 1;
+      contended += contends ? 1 : 0;
+      risky += verdict.deadlock_risk ? 1 : 0;
+      analysis::ConflictGraph graph;
+      graph.Admit(peer[0], admitted);
+      EXPECT_EQ(graph.Contending(*candidate),
+                contends ? peer : std::vector<uint64_t>{});
+      std::vector<uint64_t> against;
+      EXPECT_EQ(graph.WouldRiskDeadlock(*candidate, &against),
+                verdict.deadlock_risk);
+      EXPECT_EQ(against, verdict.deadlock_risk ? peer
+                                               : std::vector<uint64_t>{});
+      graph.Quiesce(peer[0]);
+      EXPECT_FALSE(graph.WouldRiskDeadlock(*candidate));
+      EXPECT_EQ(graph.Contending(*candidate),
+                contends ? peer : std::vector<uint64_t>{});
+    }
+  }
+  // The workload yields every verdict, so each branch was compared.
+  EXPECT_GT(none, 0);
+  EXPECT_GT(contended, risky);
+  EXPECT_GT(risky, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictOracleTest,

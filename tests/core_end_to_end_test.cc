@@ -2,7 +2,10 @@
 // through MSQL text to multitables, joins, scope persistence and DDL.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "core/fixtures.h"
 #include "core/mdbs_system.h"
@@ -157,6 +160,50 @@ TEST_F(EndToEndTest, RealValuesKeepEveryDigitBetweenSites) {
   ASSERT_EQ(less.join_result.rows.size(), 1u);
   EXPECT_EQ(less.join_result.rows[0][0].AsInteger(), 107);
   EXPECT_EQ(less.join_result.rows[0][1].AsInteger(), 100);
+}
+
+TEST_F(EndToEndTest, SubnormalRealShipsAsALiteralTheTargetCanRead) {
+  // A site can compute and store a subnormal REAL; the decomposed join
+  // ships it to the other site as a literal, whose lexer must read it
+  // back (it used to abort the process).
+  ASSERT_EQ(Exec("USE avis\n"
+                 "UPDATE cars SET rate = rate / 1e300 / 1e20 WHERE code = 1")
+                .outcome,
+            GlobalOutcome::kSuccess);
+  auto avis_engine = *sys_->GetEngine(PaperServiceOf("avis"));
+  auto cont_engine = *sys_->GetEngine(PaperServiceOf("continental"));
+  auto s1 = *avis_engine->OpenSession("avis");
+  auto s2 = *cont_engine->OpenSession("continental");
+  auto cars = *avis_engine->Execute(s1, "SELECT code, rate FROM cars");
+  auto flights = *cont_engine->Execute(s2, "SELECT flnu, rate FROM flights");
+  std::vector<relational::Row> expected;
+  bool saw_subnormal = false;
+  for (const auto& c : cars.rows) {
+    if (c[1].is_null()) continue;
+    const double rate = c[1].NumericAsReal();
+    saw_subnormal |= rate != 0.0 && std::fpclassify(rate) == FP_SUBNORMAL;
+    for (const auto& f : flights.rows) {
+      if (!f[1].is_null() && rate < f[1].NumericAsReal()) {
+        expected.push_back({c[0], f[0]});
+      }
+    }
+  }
+  ASSERT_TRUE(saw_subnormal);
+  auto join = Exec(
+      "USE avis continental\n"
+      "SELECT cars.code, flights.flnu FROM avis.cars, continental.flights "
+      "WHERE cars.rate < flights.rate");
+  EXPECT_EQ(join.outcome, GlobalOutcome::kSuccess) << join.detail;
+  const auto by_pair = [](const relational::Row& a,
+                          const relational::Row& b) {
+    const int c = a[0].Compare(b[0]);
+    return c != 0 ? c < 0 : a[1].Compare(b[1]) < 0;
+  };
+  std::vector<relational::Row> got = join.join_result.rows;
+  std::sort(got.begin(), got.end(), by_pair);
+  std::sort(expected.begin(), expected.end(), by_pair);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(got, expected);
 }
 
 TEST_F(EndToEndTest, MultidatabaseDdlCreatesEverywhereAndSyncsGdd) {

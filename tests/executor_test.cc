@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "obs/metrics.h"
 #include "relational/engine.h"
 
 namespace msql::relational {
@@ -143,6 +145,49 @@ TEST_F(ExecutorTest, ScalarSubqueryEmptyIsNull) {
       "SELECT code FROM cars WHERE rate = "
       "(SELECT rate FROM cars WHERE code = 99)");
   EXPECT_EQ(rs.rows.size(), 0u);  // NULL comparison filters everything
+}
+
+TEST_F(ExecutorTest, ScalarSubqueryRunsOncePerStatement) {
+  // Only ExecuteSelect counts sql.selects, so the count is the number of
+  // times the subquery ran: once for the statement, not once per row.
+  obs::MetricsRegistry metrics;
+  metrics.set_enabled(true);
+  engine_->SetObservability(nullptr, &metrics);
+  Exec("CREATE TABLE t (k INTEGER, v INTEGER)");
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int k = 0; k < 100; ++k) {
+    if (k > 0) insert += ", ";
+    insert += "(" + std::to_string(k) + ", " + std::to_string(k % 2) + ")";
+  }
+  Exec(insert);
+  int64_t selects = metrics.Get("sql.selects");
+  ResultSet rs = Exec(
+      "UPDATE t SET v = 0 WHERE k = (SELECT MIN(k) FROM t WHERE v > 0)");
+  EXPECT_EQ(rs.rows_affected, 1);
+  EXPECT_EQ(metrics.Get("sql.selects") - selects, 1);
+  EXPECT_EQ(Exec("SELECT v FROM t WHERE k = 1").rows[0][0],
+            Value::Integer(0));
+
+  // A subquery no row reaches never runs, so one that would fail cannot
+  // fail the statement; over a non-empty target it fails as before.
+  Exec("CREATE TABLE empty (k INTEGER)");
+  const std::string failing = "(SELECT COUNT(*) / 0 FROM t)";
+  selects = metrics.Get("sql.selects");
+  for (const std::string& sql :
+       {"UPDATE empty SET k = " + failing + " WHERE k = " + failing,
+        "DELETE FROM empty WHERE k = " + failing,
+        "SELECT " + failing + " FROM empty WHERE k = " + failing,
+        "UPDATE t SET v = " + failing + " WHERE k = 1000"}) {
+    SCOPED_TRACE(sql);
+    auto result = engine_->Execute(session_, sql);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->rows_affected, 0);
+    EXPECT_TRUE(result->rows.empty());
+  }
+  // Only the SELECT statement itself counts; no subquery ran.
+  EXPECT_EQ(metrics.Get("sql.selects") - selects, 1);
+  EXPECT_EQ(ExecErr("UPDATE t SET v = " + failing + " WHERE k = 1").message(),
+            "division by zero");
 }
 
 TEST_F(ExecutorTest, InBetweenLike) {

@@ -38,6 +38,25 @@ struct OracleJoin {
   int64_t rows_evaluated = 0;
 };
 
+/// A scalar subquery's value, from running it as a statement of its own
+/// on `session`: one column, at most one row, NULL for none. The oracle
+/// calls it on every row that reaches the subquery.
+inline Result<Value> NaiveScalarSubquery(LocalEngine* engine,
+                                         SessionId session,
+                                         const SelectStmt& sub) {
+  MSQL_ASSIGN_OR_RETURN(ResultSet rs, engine->ExecuteStatement(session, sub));
+  if (rs.columns.size() != 1) {
+    return Status::ExecutionError(
+        "scalar subquery must produce exactly one column, got " +
+        std::to_string(rs.columns.size()));
+  }
+  if (rs.rows.empty()) return Value::Null_();
+  if (rs.rows.size() > 1) {
+    return Status::ExecutionError("scalar subquery produced more than one row");
+  }
+  return rs.rows[0][0];
+}
+
 /// Runs the join stage of `stmt` against database `db_name` of `engine`.
 /// `session` (connected to that database) runs view definitions and
 /// scalar subqueries.
@@ -70,19 +89,7 @@ inline Result<OracleJoin> NaiveJoin(LocalEngine* engine, SessionId session,
 
   ExprEvaluator evaluator(
       &binding, [&](const SelectStmt& sub) -> Result<Value> {
-        MSQL_ASSIGN_OR_RETURN(ResultSet rs,
-                              engine->ExecuteStatement(session, sub));
-        if (rs.columns.size() != 1) {
-          return Status::ExecutionError(
-              "scalar subquery must produce exactly one column, got " +
-              std::to_string(rs.columns.size()));
-        }
-        if (rs.rows.empty()) return Value::Null_();
-        if (rs.rows.size() > 1) {
-          return Status::ExecutionError(
-              "scalar subquery produced more than one row");
-        }
-        return rs.rows[0][0];
+        return NaiveScalarSubquery(engine, session, sub);
       });
 
   for (const auto& part : parts) {

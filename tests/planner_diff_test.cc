@@ -5,7 +5,9 @@
 // oracle (naive_join_oracle.h) over the same database. Both must produce
 // the same rows in the same order, or fail with the same Status text.
 // UPDATE and DELETE with a generated WHERE must touch exactly the rows
-// the engine's own one-table SELECT with that WHERE returns. The
+// the engine's own one-table SELECT with that WHERE returns. Scalar
+// subqueries, which the engine evaluates once per statement, are held in
+// every placement to the oracle, which runs them anew for each row. The
 // randomized workloads run on the in-memory row store and on the paged
 // one, with a buffer pool that holds the data and with one that does
 // not.
@@ -330,6 +332,281 @@ TEST(PlannerDiffTest, PlannedAndNaivePathsAgreeOnRandomizedWorkload) {
     }
     // The small pool really is smaller than the data.
     EXPECT_EQ(evictions > 0, store == Store::kPagedSmallPool);
+  }
+}
+
+/// Uncorrelated scalar subqueries over `table`, aliased b so that no
+/// name in them can mean an outer column: empty (NULL), aggregates (one
+/// row, NULL or a count), a lookup of zero, one or several rows (several
+/// is an error), every row (an error past one) and a division by zero
+/// that fails wherever it runs.
+std::string RandomSubquery(Rng* rng, const std::string& table) {
+  const std::string from = " FROM " + table + " b";
+  const std::string k = std::to_string(rng->NextInRange(0, 6));
+  const std::string v = std::to_string(rng->NextInRange(0, 9));
+  switch (rng->NextBelow(6)) {
+    case 0:
+      return "(SELECT b.k" + from + " WHERE b.k > 99)";
+    case 1:
+      return "(SELECT MIN(b.k)" + from + " WHERE b.v > " + v + ")";
+    case 2:
+      return "(SELECT COUNT(*)" + from + " WHERE b.k = " + k + ")";
+    case 3:
+      return "(SELECT b.k" + from + " WHERE b.k = " + k + " AND b.v > " + v +
+             ")";
+    case 4:
+      return "(SELECT b.k" + from + ")";
+    default:
+      return "(SELECT COUNT(*) / 0" + from + ")";
+  }
+}
+
+/// A conjunct that is TRUE or FALSE on every row, never NULL. The plan
+/// keeps a subquery conjunct on the joined rows that every other
+/// conjunct made TRUE, while the oracle goes on past a NULL one; with
+/// these ahead of it, the same rows reach a failing subquery on both
+/// paths.
+std::string NullFreeConjunct(Rng* rng, int num_tables) {
+  const std::string a = "a" + std::to_string(rng->NextBelow(num_tables));
+  switch (rng->NextBelow(3)) {
+    case 0:
+      return a + ".k IS NOT NULL";
+    case 1:
+      return a + ".g IS NULL";
+    default:
+      return a + ".v IS NOT NULL";
+  }
+}
+
+/// A WHERE of 0..2 null-free conjuncts and, last, one comparing the
+/// outer row with `sub`: over one source, across two (a join residual),
+/// or over none.
+std::string SubqueryWhere(Rng* rng, int num_tables, const std::string& sub) {
+  std::string where;
+  for (int c = static_cast<int>(rng->NextInRange(0, 2)); c > 0; --c) {
+    where += NullFreeConjunct(rng, num_tables) + " AND ";
+  }
+  const std::string a = "a" + std::to_string(rng->NextBelow(num_tables));
+  const std::string b = "a" + std::to_string(rng->NextBelow(num_tables));
+  switch (rng->NextBelow(3)) {
+    case 0:
+      return where + a + ".k = " + sub;
+    case 1:
+      return where + a + ".k + " + sub + " > " + b + ".k";
+    default:
+      return where + sub + " IS NULL";
+  }
+}
+
+/// `sub`, a parenthesized SELECT, run as a statement of its own: what
+/// the oracle computes for each row that reaches it.
+Result<Value> NaiveSubquery(Db* db, const std::string& sub) {
+  MSQL_ASSIGN_OR_RETURN(StatementPtr stmt,
+                        ParseSql(sub.substr(1, sub.size() - 2)));
+  return NaiveScalarSubquery(db->engine.get(), db->session,
+                             static_cast<const SelectStmt&>(*stmt));
+}
+
+/// `rows` in Value::Compare order, for comparing multisets.
+std::vector<Row> Sorted(std::vector<Row> rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return std::lexicographical_compare(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const Value& x, const Value& y) { return x.Compare(y) < 0; });
+  });
+  return rows;
+}
+
+/// What the subqueries a draw ran produced, so the test can require
+/// that every kind of outcome was compared.
+struct SubqueryTally {
+  int nulls = 0;
+  int values = 0;
+  int errors = 0;
+
+  void Count(const Result<Value>& value) {
+    if (!value.ok()) {
+      ++errors;
+    } else if (value->is_null()) {
+      ++nulls;
+    } else {
+      ++values;
+    }
+  }
+};
+
+/// `SELECT <sub> AS s, * FROM <sources> [WHERE <where>]` against the
+/// oracle's join rows, each prefixed with the subquery's value computed
+/// for that row; any row that meets a failing subquery fails the
+/// statement with the subquery's Status.
+void CheckSubqueryItem(Db* db, const std::string& from,
+                       const std::string& where, const std::string& sub) {
+  const std::string suffix = where.empty() ? "" : " WHERE " + where;
+  const std::string sql = "SELECT " + sub + " AS s, *" + from + suffix;
+  SCOPED_TRACE(sql);
+  auto oracle = NaiveJoinSql(db->engine.get(), db->session, "db",
+                             "SELECT *" + from + suffix);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  Status expected_error;
+  std::vector<Row> expected;
+  for (const Row& row : oracle->rows) {
+    Result<Value> value = NaiveSubquery(db, sub);
+    if (!value.ok()) {
+      expected_error = value.status();
+      break;
+    }
+    Row out = {*value};
+    out.insert(out.end(), row.begin(), row.end());
+    expected.push_back(std::move(out));
+  }
+  auto planned = db->engine->Execute(db->session, sql);
+  if (!expected_error.ok()) {
+    ASSERT_FALSE(planned.ok());
+    EXPECT_EQ(planned.status().ToString(), expected_error.ToString());
+    return;
+  }
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  EXPECT_EQ(planned->rows, expected);
+}
+
+/// `UPDATE t0 a0 SET k = <sub> [WHERE <where>]` inside BEGIN ... ROLLBACK
+/// sets k to the subquery's value on exactly the rows the engine's
+/// SELECT with that WHERE returns (held to the oracle), or fails with
+/// the Status the first of them meets.
+void CheckSubquerySet(Db* db, const std::string& where,
+                      const std::string& sub) {
+  const std::string suffix = where.empty() ? "" : " WHERE " + where;
+  const std::string dml = "UPDATE t0 a0 SET k = " + sub + suffix;
+  SCOPED_TRACE(dml);
+  const std::vector<Row> before = ScanOf(db, "t0");
+  const Result<ResultSet> select =
+      RunBoth(db, "SELECT * FROM t0 a0" + suffix).planned;
+  ASSERT_TRUE(select.ok()) << select.status();
+  Status expected_error;
+  std::vector<Row> expected;
+  for (const Row& row : before) {
+    if (std::find(select->rows.begin(), select->rows.end(), row) ==
+        select->rows.end()) {
+      expected.push_back(row);
+      continue;
+    }
+    Result<Value> value = NaiveSubquery(db, sub);
+    if (!value.ok()) {
+      expected_error = value.status();
+      break;
+    }
+    Row updated = row;
+    updated[0] = *value;
+    expected.push_back(std::move(updated));
+  }
+  db->Exec("BEGIN");
+  auto result = db->engine->Execute(db->session, dml);
+  if (!expected_error.ok()) {
+    // The failed statement aborted its transaction.
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().ToString(), expected_error.ToString());
+    EXPECT_EQ(ScanOf(db, "t0"), before);
+    return;
+  }
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->rows_affected,
+            static_cast<int64_t>(select->rows.size()));
+  EXPECT_EQ(ScanOf(db, "t0"), expected);
+  db->Exec("ROLLBACK");
+  EXPECT_EQ(ScanOf(db, "t0"), before);
+}
+
+/// `INSERT INTO <table> VALUES (<sub>, 'g1', 0.5), (<sub2>, NULL, 1.5)`
+/// inside BEGIN ... ROLLBACK: both subqueries read `table` as it was
+/// before the statement, so the new rows carry their stand-alone
+/// values, or the statement fails with the first one's Status.
+void CheckSubqueryValues(Db* db, const std::string& table,
+                         const std::string& sub, const std::string& sub2) {
+  const std::string dml = "INSERT INTO " + table + " VALUES (" + sub +
+                          ", 'g1', 0.5), (" + sub2 + ", NULL, 1.5)";
+  SCOPED_TRACE(dml);
+  const std::vector<Row> before = ScanOf(db, table);
+  Status expected_error;
+  std::vector<Row> expected = before;
+  const std::pair<const std::string*, Row> rows[] = {
+      {&sub, {Value::Null_(), Value::Text("g1"), Value::Real(0.5)}},
+      {&sub2, {Value::Null_(), Value::Null_(), Value::Real(1.5)}}};
+  for (const auto& [text, row] : rows) {
+    Result<Value> value = NaiveSubquery(db, *text);
+    if (!value.ok()) {
+      expected_error = value.status();
+      break;
+    }
+    expected.push_back(row);
+    expected.back()[0] = *value;
+  }
+  db->Exec("BEGIN");
+  auto result = db->engine->Execute(db->session, dml);
+  if (!expected_error.ok()) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().ToString(), expected_error.ToString());
+    EXPECT_EQ(ScanOf(db, table), before);
+    return;
+  }
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->rows_affected, 2);
+  // A new row may take a freed slot, so compare as multisets.
+  EXPECT_EQ(Sorted(ScanOf(db, table)), Sorted(expected));
+  db->Exec("ROLLBACK");
+  EXPECT_EQ(ScanOf(db, table), before);
+}
+
+TEST(PlannerDiffTest, ScalarSubqueriesMatchThePerRowOracle) {
+  // Every placement of an uncorrelated scalar subquery against the
+  // oracle, which runs the subquery anew for each row that reaches it:
+  // a WHERE conjunct over one source and across a join (the planner
+  // keeps either on the joined rows), a select item, an UPDATE SET, an
+  // UPDATE/DELETE WHERE and INSERT VALUES. Between two runs of the same
+  // SELECT a committed statement changes the subquery's table, so its
+  // second run must see the new value.
+  constexpr int kSeeds = 12;
+  constexpr int kDrawsPerSeed = 4;
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    SubqueryTally tally;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      Rng rng(seed * 0x3c6ef372);
+      Db db;
+      int num_tables = 0;
+      BuildRandomDb(&rng, store, &db, &num_tables);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (int draw = 0; draw < kDrawsPerSeed; ++draw) {
+        const std::string table =
+            "t" + std::to_string(rng.NextBelow(num_tables));
+        const std::string sub = RandomSubquery(&rng, table);
+        tally.Count(NaiveSubquery(&db, sub));
+        const int sources = static_cast<int>(rng.NextInRange(1, 2));
+        const std::string from =
+            sources == 1 ? " FROM t0 a0" : " FROM t0 a0, t1 a1";
+
+        const std::string select =
+            "SELECT *" + from + " WHERE " + SubqueryWhere(&rng, sources, sub);
+        RunBoth(&db, select);
+        {
+          const std::vector<std::string> churn = ChurnStatements(&rng, table);
+          const std::string& change = churn[rng.NextBelow(churn.size())];
+          db.Exec(change);
+          SCOPED_TRACE("again, after " + change);
+          RunBoth(&db, select);
+        }
+
+        CheckSubqueryItem(&db, from, RandomWhere(&rng, sources), sub);
+        CheckSubquerySet(&db, RandomWhere(&rng, 1), sub);
+        CheckDmlMatchesSelect(&db, SubqueryWhere(&rng, 1, sub),
+                              rng.NextBelow(std::size(kDmlSets)));
+        CheckSubqueryValues(&db, table, sub, RandomSubquery(&rng, table));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(tally.nulls, 0);
+    EXPECT_GT(tally.values, 0);
+    EXPECT_GT(tally.errors, 0);
   }
 }
 

@@ -1,7 +1,11 @@
 // Lexer and SQL parser, including the MSQL extensions ('%', '~').
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fixtures.h"
@@ -67,6 +71,47 @@ TEST(LexerTest, UnterminatedString) {
 // --- parser ---------------------------------------------------------------
 
 Result<StatementPtr> Parse(std::string_view sql) { return ParseSql(sql); }
+
+TEST(LexerTest, RealLiteralsBeyondTheDoubleRangeAreParseErrors) {
+  // Too large for any double, or too small for even a subnormal: a
+  // parse error at the literal, for the local parser and through the
+  // federation's MSQL front end alike.
+  auto sys = core::BuildPaperFederation();
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  for (const char* literal : {"1e999", "1e-999"}) {
+    const std::string body =
+        std::string("SELECT code FROM cars WHERE rate < ") + literal;
+    SCOPED_TRACE(body);
+    auto parsed = ParseSql(body);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(parsed.status().message(),
+              "real literal out of range at line 1 col 36");
+    auto report = (*sys)->Execute("USE avis " + body);
+    EXPECT_EQ(report.status().code(), StatusCode::kParseError);
+  }
+  EXPECT_EQ(ParseSql("SELECT a FROM t WHERE a = 9223372036854775808")
+                .status()
+                .message(),
+            "integer literal out of range at line 1 col 27");
+}
+
+TEST(LexerTest, ShippedRealLiteralsReadBackBitForBit) {
+  // Doubles at the edges of the finite range, subnormals and -0.0
+  // included, render as literals that lex back to the same bits.
+  for (double v : {5e-324, 6.6e-319, DBL_MIN, DBL_MAX, -0.0}) {
+    const std::string literal = Value::Real(v).ToSqlLiteral();
+    SCOPED_TRACE(literal);
+    auto parsed = ParseSql("SELECT a FROM t WHERE a = " + literal);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const auto& where = *static_cast<const SelectStmt&>(**parsed).where;
+    const Expr& right = static_cast<const BinaryExpr&>(where).right();
+    ASSERT_EQ(right.kind(), ExprKind::kLiteral);
+    const Value& back = static_cast<const LiteralExpr&>(right).value();
+    ASSERT_TRUE(back.is_real());
+    EXPECT_EQ(std::bit_cast<uint64_t>(back.AsReal()),
+              std::bit_cast<uint64_t>(v));
+  }
+}
 
 TEST(ParserTest, SelectFull) {
   auto stmt = Parse(
@@ -247,6 +292,46 @@ TEST(ParserTest, NestingDepthIsBounded) {
   EXPECT_EQ(report->outcome, core::GlobalOutcome::kSuccess);
   EXPECT_EQ(ParseSql(at_limit + " OR 1=1").status().code(),
             StatusCode::kParseError);
+}
+
+TEST(ParserTest, PrefixChainsRenderAsDeepAsWritten) {
+  // A NOT of a NOT, or a minus of a minus, renders without parentheses,
+  // so the query a LAM re-parses is no deeper than the one the front end
+  // accepted: chains near the depth limit still run end to end.
+  auto sys = core::BuildPaperFederation();
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  auto codes = [&](const std::string& where) -> std::vector<Row> {
+    auto report =
+        (*sys)->Execute("USE avis SELECT code FROM cars WHERE " + where);
+    EXPECT_TRUE(report.ok()) << report.status();
+    if (!report.ok()) return {};
+    EXPECT_EQ(report->outcome, core::GlobalOutcome::kSuccess)
+        << report->detail;
+    const auto* avis = report->multitable.Find("avis");
+    EXPECT_NE(avis, nullptr) << "no avis result";
+    return avis != nullptr ? avis->table.rows : std::vector<Row>{};
+  };
+  const std::vector<Row> one = codes("code = 1");
+  const std::vector<Row> not_one = codes("NOT code = 1");
+  ASSERT_EQ(one.size(), 1u);
+  ASSERT_FALSE(not_one.empty());
+  const std::pair<std::string, const std::vector<Row>*> chains[] = {
+      {Repeat("NOT ", 128) + "code = 1", &one},
+      {Repeat("NOT ", 251) + "code = 1", &not_one},
+      {Repeat("- ", 250) + "code = 1", &one},
+      {Repeat("- ", 249) + "code = -1", &one},
+  };
+  for (const auto& [where, expected] : chains) {
+    SCOPED_TRACE(where.substr(0, 12) + "... (" +
+                 std::to_string(where.size()) + " chars)");
+    auto first = ParseSql("SELECT code FROM cars WHERE " + where);
+    ASSERT_TRUE(first.ok()) << first.status();
+    const std::string rendered = (*first)->ToSql();
+    auto second = ParseSql(rendered);
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ((*second)->ToSql(), rendered);
+    EXPECT_EQ(codes(where), *expected);
+  }
 }
 
 TEST(ParserTest, ScriptSplitsOnSemicolons) {
