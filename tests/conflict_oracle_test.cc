@@ -107,6 +107,8 @@ std::string Lower(std::string text) {
 struct OracleRun {
   std::unique_ptr<MultidatabaseSystem> sys;
   std::vector<SessionResult> results;
+  /// Submitted MSQL text per session, in submit order.
+  std::vector<std::string> texts;
   std::vector<bool> is_seat_mt;
   /// Per-service (resource, mode) grants from the lock audit trail.
   std::map<std::string,
@@ -147,15 +149,16 @@ OracleRun RunAuditedWorkload(uint64_t seed, int sessions,
                                (conflict_aware ? "a" : "b");
     const double roll = rng.NextDouble();
     if (roll < 0.5) {
-      server.Submit(SeatMt(client));
+      run.texts.push_back(SeatMt(client));
       run.is_seat_mt.push_back(true);
     } else if (roll < 0.75) {
-      server.Submit(OrderedSeatMt(rng.NextBool(0.5), client));
+      run.texts.push_back(OrderedSeatMt(rng.NextBool(0.5), client));
       run.is_seat_mt.push_back(true);
     } else {
-      server.Submit("USE continental\nSELECT flnu FROM flights");
+      run.texts.push_back("USE continental\nSELECT flnu FROM flights");
       run.is_seat_mt.push_back(false);
     }
+    server.Submit(run.texts.back());
   }
   auto results = server.RunAll();
   EXPECT_TRUE(results.ok()) << results.status();
@@ -339,6 +342,37 @@ TEST_P(ConflictOracleTest, AdmissionQueriesAgreeWithClassify) {
   EXPECT_GT(none, 0);
   EXPECT_GT(contended, risky);
   EXPECT_GT(risky, 0);
+}
+
+TEST_P(ConflictOracleTest, AnalyzeSummaryMatchesServerSummary) {
+  // MultidatabaseSystem::Analyze (the msql_lint --conflicts path) must
+  // predict the same footprint the server admitted each session on, in
+  // both admission modes: same rendering, same merged accesses.
+  for (bool conflict_aware : {false, true}) {
+    OracleRun run = RunAuditedWorkload(GetParam(), 80, conflict_aware);
+    ASSERT_EQ(run.results.size(), run.texts.size());
+    for (size_t i = 0; i < run.results.size(); ++i) {
+      const SessionResult& r = run.results[i];
+      auto analyzed = run.sys->Analyze(run.texts[i]);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+      ASSERT_EQ(analyzed->summary.has_value(), r.summary != nullptr)
+          << "session " << r.session_id;
+      if (r.summary == nullptr) continue;
+      const AccessSummary& mine = *analyzed->summary;
+      EXPECT_EQ(mine.Render(), r.summary->Render())
+          << "session " << r.session_id;
+      ASSERT_EQ(mine.accesses.size(), r.summary->accesses.size())
+          << "session " << r.session_id;
+      for (size_t k = 0; k < mine.accesses.size(); ++k) {
+        const TaskAccess& a = mine.accesses[k];
+        const TaskAccess& b = r.summary->accesses[k];
+        EXPECT_EQ(a.service, b.service) << "session " << r.session_id;
+        EXPECT_EQ(a.resource, b.resource) << "session " << r.session_id;
+        EXPECT_EQ(a.mode, b.mode) << "session " << r.session_id;
+        EXPECT_EQ(a.step, b.step) << "session " << r.session_id;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictOracleTest,
