@@ -312,18 +312,6 @@ std::string_view PredictedModeName(PredictedMode mode) {
   return mode == PredictedMode::kExclusive ? "X" : "S";
 }
 
-std::string_view ConflictKindName(ConflictKind kind) {
-  switch (kind) {
-    case ConflictKind::kNone:
-      return "none";
-    case ConflictKind::kReadWrite:
-      return "read/write";
-    case ConflictKind::kWriteWrite:
-      return "write/write";
-  }
-  return "none";
-}
-
 bool ResourcesOverlap(const std::string& a, const std::string& b) {
   if (a == b) return true;
   size_t dot_a = a.find('.');
@@ -681,19 +669,8 @@ void ConflictGraph::Remove(uint64_t id) {
   quiesced_.erase(id);
 }
 
-// The admission queries below ask only for what they use: Classify's
-// kind is kNone exactly when there is no contention, and its
+// The admission query asks only for what it uses: Classify's
 // deadlock_risk is the signature over the contentions.
-
-std::vector<uint64_t> ConflictGraph::Contending(
-    const AccessSummary& candidate) const {
-  std::vector<uint64_t> out;
-  for (const auto& [id, summary] : admitted_) {
-    if (!FindContentions(candidate, *summary).empty()) out.push_back(id);
-  }
-  return out;
-}
-
 bool ConflictGraph::WouldRiskDeadlock(const AccessSummary& candidate,
                                       std::vector<uint64_t>* against) const {
   bool risk = false;

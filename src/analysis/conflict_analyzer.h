@@ -111,8 +111,6 @@ enum class ConflictKind {
   kWriteWrite,  // X vs X: lock waits and lost-update races possible
 };
 
-std::string_view ConflictKindName(ConflictKind kind);
-
 /// Pairwise conflict verdict between two access summaries.
 struct PairwiseConflict {
   ConflictKind kind = ConflictKind::kNone;
@@ -155,21 +153,17 @@ class ConflictGraph {
  public:
   void Admit(uint64_t id, std::shared_ptr<const AccessSummary> summary);
   void Remove(uint64_t id);
-  size_t size() const { return admitted_.size(); }
 
   /// Marks an admitted session as past its lock-acquisition phase: its
   /// next remote call is a prepare/commit/rollback, so it still holds
   /// locks but will request no new ones, and a waits-for cycle through
-  /// it can no longer form. WouldRiskDeadlock skips quiesced sessions
-  /// (Contending still reports them — a candidate may well wait on
-  /// their held locks, it just cannot deadlock with them).
+  /// it can no longer form. WouldRiskDeadlock skips quiesced sessions (a
+  /// candidate may well wait on their held locks, it just cannot
+  /// deadlock with them).
   void Quiesce(uint64_t id) { quiesced_.insert(id); }
   /// Undoes Quiesce when a compensation or vital-task retry makes the
   /// session issue lock-acquiring calls again.
   void Reactivate(uint64_t id) { quiesced_.erase(id); }
-
-  /// Ids of admitted sessions `candidate` contends with (any kind).
-  std::vector<uint64_t> Contending(const AccessSummary& candidate) const;
 
   /// True when admitting `candidate` would create a pairwise deadlock
   /// risk with an admitted session; appends the risky ids to `against`

@@ -61,9 +61,7 @@ Result<std::vector<SessionResult>> FederationServer::RunBatch() {
       if (s.state == SessionState::kParked) any_parked = true;
       if (s.state != SessionState::kReady) continue;
       const dol::DolEngine::PendingRpc* rpc = s.engine->pending();
-      if (config_.conflict_aware && s.summary != nullptr) {
-        ObservePhase(s, *rpc);
-      }
+      if (s.summary != nullptr) ObservePhase(s, *rpc);
       int64_t at = std::max(rpc->at, s.resume_at);
       if (next == nullptr || at < next_at) {
         next = &s;
@@ -86,17 +84,15 @@ Result<std::vector<SessionResult>> FederationServer::RunBatch() {
     clock_ = std::max(clock_, next_at);
     Step(*next, next_at);
     // Lock-wait timeout sweep on the advanced clock.
-    if (config_.lock_wait_timeout_micros > 0) {
-      for (size_t i = watermark_; i < next_unadmitted_; ++i) {
-        Session& s = *sessions_[i];
-        if (s.state == SessionState::kParked &&
-            clock_ - s.parked_since >= config_.lock_wait_timeout_micros) {
-          AbortParked(s,
-                      "lock wait timeout: blocked for " +
-                          std::to_string(clock_ - s.parked_since) +
-                          "us at service '" + s.parked_service + "'",
-                      /*deadlock=*/false);
-        }
+    for (size_t i = watermark_; i < next_unadmitted_; ++i) {
+      Session& s = *sessions_[i];
+      if (s.state == SessionState::kParked &&
+          clock_ - s.parked_since >= kLockWaitTimeoutMicros) {
+        AbortParked(s,
+                    "lock wait timeout: blocked for " +
+                        std::to_string(clock_ - s.parked_since) +
+                        "us at service '" + s.parked_service + "'",
+                    /*deadlock=*/false);
       }
     }
     if (monitor_ != nullptr && monitor_->NeedsSample(clock_)) {
@@ -134,14 +130,7 @@ void FederationServer::AdmitEligible() {
     std::vector<size_t> still_deferred;
     for (size_t index : deferred_) {
       Session& s = *sessions_[index];
-      if (!may_admit()) {
-        still_deferred.push_back(index);
-        continue;
-      }
-      std::vector<uint64_t> against;
-      if (graph_.WouldRiskDeadlock(*s.summary, &against)) {
-        s.deferred_against.insert(against.begin(), against.end());
-        ++s.result.admission_deferrals;
+      if (!may_admit() || DeferIfRisky(s)) {
         still_deferred.push_back(index);
         continue;
       }
@@ -154,18 +143,24 @@ void FederationServer::AdmitEligible() {
   while (next_unadmitted_ < sessions_.size() && may_admit()) {
     Session& s = *sessions_[next_unadmitted_];
     Consider(s);
-    if (config_.conflict_aware && s.summary != nullptr) {
-      std::vector<uint64_t> against;
-      if (graph_.WouldRiskDeadlock(*s.summary, &against)) {
-        s.deferred_against.insert(against.begin(), against.end());
-        ++s.result.admission_deferrals;
-        deferred_.push_back(next_unadmitted_++);
-        continue;
-      }
+    if (DeferIfRisky(s)) {
+      deferred_.push_back(next_unadmitted_++);
+      continue;
     }
     ++next_unadmitted_;
     Admit(s);
   }
+}
+
+bool FederationServer::DeferIfRisky(Session& s) {
+  std::vector<uint64_t> against;
+  if (s.summary == nullptr ||
+      !graph_.WouldRiskDeadlock(*s.summary, &against)) {
+    return false;
+  }
+  s.deferred_against.insert(against.begin(), against.end());
+  ++s.result.admission_deferrals;
+  return true;
 }
 
 void FederationServer::ObservePhase(Session& s,
@@ -216,7 +211,7 @@ void FederationServer::Consider(Session& s) {
   }
   if (!prepared->immediate.has_value()) {
     s.prepare_status = system_->VerifyPreparedPlan(prepared->plan);
-    if (s.prepare_status.ok()) {
+    if (s.prepare_status.ok() && config_.conflict_aware) {
       s.summary = std::make_shared<analysis::AccessSummary>(
           analysis::SummarizePlan(prepared->plan));
     }
@@ -252,9 +247,6 @@ void FederationServer::Admit(Session& s) {
     return;
   }
   if (s.summary != nullptr) {
-    s.result.predicted_conflicts =
-        static_cast<int64_t>(graph_.Contending(*s.summary).size());
-    s.result.summary = s.summary;
     graph_.Admit(s.id, s.summary);
     graph_dirty_ = true;
   }
@@ -313,13 +305,11 @@ void FederationServer::Step(Session& s, int64_t at) {
         }
       }
     }
-    if (config_.deadlock_detection) {
-      Session* victim = FindDeadlockVictim(s);
-      if (victim != nullptr) {
-        AbortParked(*victim,
-                    "deadlock victim: aborted to break a waits-for cycle",
-                    /*deadlock=*/true);
-      }
+    Session* victim = FindDeadlockVictim(s);
+    if (victim != nullptr) {
+      AbortParked(*victim,
+                  "deadlock victim: aborted to break a waits-for cycle",
+                  /*deadlock=*/true);
     }
     return;
   }

@@ -18,23 +18,19 @@
 
 namespace msql::core {
 
-/// Knobs of the concurrent federation server.
+/// Knobs of the concurrent federation server. Deadlock detection always
+/// runs, and FederationServer::kLockWaitTimeoutMicros bounds one lock
+/// wait.
 struct ServerConfig {
   /// Sessions allowed past admission at once (0 = unlimited). Waiting
   /// sessions are admitted in submit order as running ones finish.
   int max_admitted = 0;
-  /// Longest simulated time a session may sit parked on one lock wait
-  /// before the scheduler force-aborts it (0 = no timeout).
-  int64_t lock_wait_timeout_micros = 5'000'000;
-  /// Build the waits-for graph from kBusy blocker reports and abort the
-  /// largest-id session of any cycle immediately, instead of waiting
-  /// for the lock-wait timeout to fire.
-  bool deadlock_detection = true;
   /// Conflict-aware admission: compile each session's static access
   /// summary (analysis::SummarizePlan) and delay admitting a session
   /// whose lock-acquisition order can deadlock against an
   /// already-admitted one (analysis::ConflictGraph). Deadlocks become a
-  /// scheduling decision instead of a runtime victim abort.
+  /// scheduling decision instead of a runtime victim abort. Without it
+  /// the server builds no summary and no conflict graph.
   bool conflict_aware = false;
   /// Alert-driven adaptive admission (DESIGN.md §16): while the
   /// attached monitor reports an exhausted SLO error budget
@@ -52,7 +48,6 @@ struct SessionResult {
   Status status;
   /// The input's report when it ran (or was refused at prepare time).
   std::optional<ExecutionReport> report;
-  int64_t submit_micros = 0;
   int64_t admit_micros = 0;
   int64_t finish_micros = 0;
   /// finish - admit on the shared simulated clock.
@@ -69,9 +64,6 @@ struct SessionResult {
   /// The session was force-aborted by the lock-wait timeout or the
   /// stall breaker.
   bool lock_timeout = false;
-  /// Admitted sessions the analyzer classified as contending with this
-  /// one at admission time (any read/write or write/write overlap).
-  int64_t predicted_conflicts = 0;
   /// Times conflict-aware admission passed this session over because
   /// its lock order could deadlock against an admitted session.
   int64_t admission_deferrals = 0;
@@ -88,9 +80,6 @@ struct SessionResult {
   /// park's resolved waits-for edges; input to the differential oracle
   /// that checks prediction soundness).
   std::vector<uint64_t> observed_blockers;
-  /// The session's static access summary (null when the input never
-  /// produced a plan).
-  std::shared_ptr<const analysis::AccessSummary> summary;
 };
 
 /// Discrete-event scheduler that interleaves N MSQL sessions on the
@@ -107,9 +96,14 @@ struct SessionResult {
 /// lock-releasing verb completes at that service; the kBusy blocker
 /// lists feed a waits-for graph whose cycles are broken by aborting the
 /// largest-id member, surfaced as a normal ABORTED outcome through the
-/// victim's own DOL recovery path.
+/// victim's own DOL recovery path. A session parked longer than
+/// kLockWaitTimeoutMicros on one wait is aborted the same way.
 class FederationServer {
  public:
+  /// Longest simulated time a session may sit parked on one lock wait
+  /// before the scheduler force-aborts it.
+  static constexpr int64_t kLockWaitTimeoutMicros = 5'000'000;
+
   explicit FederationServer(MultidatabaseSystem* system,
                             ServerConfig config = {});
 
@@ -148,7 +142,8 @@ class FederationServer {
     bool considered = false;
     /// Outcome of Consider's Prepare/verify, reported at admission.
     Status prepare_status;
-    /// Static access summary of the prepared plan (null when the input
+    /// Static access summary of the prepared plan, built only under
+    /// conflict-aware admission (null otherwise, and when the input
     /// resolved at prepare time or failed to prepare).
     std::shared_ptr<const analysis::AccessSummary> summary;
     /// Sessions conflict-aware admission deferred this one against.
@@ -184,8 +179,13 @@ class FederationServer {
   /// candidates whose summaries risk a lock-order deadlock when
   /// `conflict_aware` is on.
   void AdmitEligible();
+  /// True when the session's summary risks a lock-order deadlock against
+  /// an unquiesced admitted session; records the deferral on the
+  /// session. False for a session without a summary.
+  bool DeferIfRisky(Session& s);
   /// Runs the frontend once on the session (Prepare + plan verifier +
-  /// access summary); idempotent, so deferred sessions compile once.
+  /// access summary under conflict-aware admission); idempotent, so
+  /// deferred sessions compile once.
   void Consider(Session& s);
   /// Starts the session's DOL program (Consider'd first if needed).
   void Admit(Session& s);
@@ -244,7 +244,7 @@ class FederationServer {
   /// admission, in submit order.
   std::vector<size_t> deferred_;
   /// Admitted summaries (conflict-aware admission's view of the
-  /// running set).
+  /// running set; empty when admission is not conflict-aware).
   analysis::ConflictGraph graph_;
   /// The admitted set changed since deferred_ was last re-checked.
   bool graph_dirty_ = false;

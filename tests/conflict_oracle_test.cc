@@ -14,9 +14,13 @@
 //     commits the same seats exactly once with no more deadlock victims
 //     than the baseline, and the deferral counters show the avoided
 //     pairs;
-//   - admission queries: ConflictGraph's Contending and
-//     WouldRiskDeadlock, which skip Classify's resource keys, give
-//     Classify's verdicts on every pair of the workload's summaries.
+//   - admission query: ConflictGraph's WouldRiskDeadlock, which skips
+//     Classify's resource keys, gives Classify's deadlock verdict on
+//     every pair of the workload's summaries.
+//
+// Each session's prediction is its input's MultidatabaseSystem::Analyze
+// summary (the msql_lint --conflicts path): the server builds summaries
+// only for conflict-aware admission and reports none.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -104,11 +108,56 @@ std::string Lower(std::string text) {
   return text;
 }
 
+/// The randomized mixed workload: seat multitransactions in either
+/// lock order plus read-only queries, in submit order.
+struct Workload {
+  std::vector<std::string> texts;
+  std::vector<bool> is_seat_mt;
+};
+
+Workload MakeWorkload(uint64_t seed, int sessions, bool conflict_aware) {
+  Workload workload;
+  Rng rng(seed);
+  for (int i = 0; i < sessions; ++i) {
+    const std::string client = "o" + std::to_string(seed) + "_" +
+                               std::to_string(i) +
+                               (conflict_aware ? "a" : "b");
+    const double roll = rng.NextDouble();
+    if (roll < 0.5) {
+      workload.texts.push_back(SeatMt(client));
+      workload.is_seat_mt.push_back(true);
+    } else if (roll < 0.75) {
+      workload.texts.push_back(OrderedSeatMt(rng.NextBool(0.5), client));
+      workload.is_seat_mt.push_back(true);
+    } else {
+      workload.texts.push_back("USE continental\nSELECT flnu FROM flights");
+      workload.is_seat_mt.push_back(false);
+    }
+  }
+  return workload;
+}
+
+/// Each input's predicted footprint as Analyze reports it (null for an
+/// input without a plan).
+std::vector<std::shared_ptr<const AccessSummary>> AnalyzeAll(
+    MultidatabaseSystem& sys, const std::vector<std::string>& texts) {
+  std::vector<std::shared_ptr<const AccessSummary>> out;
+  for (const std::string& text : texts) {
+    auto report = sys.Analyze(text);
+    EXPECT_TRUE(report.ok()) << report.status();
+    out.push_back(report.ok() && report->summary.has_value()
+                      ? std::make_shared<const AccessSummary>(
+                            *std::move(report->summary))
+                      : nullptr);
+  }
+  return out;
+}
+
 struct OracleRun {
   std::unique_ptr<MultidatabaseSystem> sys;
   std::vector<SessionResult> results;
-  /// Submitted MSQL text per session, in submit order.
-  std::vector<std::string> texts;
+  /// Per-session predicted footprint, indexed like `results`.
+  std::vector<std::shared_ptr<const AccessSummary>> summaries;
   std::vector<bool> is_seat_mt;
   /// Per-service (resource, mode) grants from the lock audit trail.
   std::map<std::string,
@@ -142,29 +191,15 @@ OracleRun RunAuditedWorkload(uint64_t seed, int sessions,
   ServerConfig config;
   config.conflict_aware = conflict_aware;
   FederationServer server(run.sys.get(), config);
-  Rng rng(seed);
-  for (int i = 0; i < sessions; ++i) {
-    const std::string client = "o" + std::to_string(seed) + "_" +
-                               std::to_string(i) +
-                               (conflict_aware ? "a" : "b");
-    const double roll = rng.NextDouble();
-    if (roll < 0.5) {
-      run.texts.push_back(SeatMt(client));
-      run.is_seat_mt.push_back(true);
-    } else if (roll < 0.75) {
-      run.texts.push_back(OrderedSeatMt(rng.NextBool(0.5), client));
-      run.is_seat_mt.push_back(true);
-    } else {
-      run.texts.push_back("USE continental\nSELECT flnu FROM flights");
-      run.is_seat_mt.push_back(false);
-    }
-    server.Submit(run.texts.back());
-  }
+  Workload workload = MakeWorkload(seed, sessions, conflict_aware);
+  for (const std::string& text : workload.texts) server.Submit(text);
+  run.is_seat_mt = std::move(workload.is_seat_mt);
   auto results = server.RunAll();
   EXPECT_TRUE(results.ok()) << results.status();
   if (!results.ok()) return run;
   run.results = std::move(*results);
   run.makespan = server.virtual_now();
+  run.summaries = AnalyzeAll(*run.sys, workload.texts);
   for (const SessionResult& r : run.results) {
     run.lock_waits += r.lock_waits;
     run.deferrals += r.admission_deferrals;
@@ -182,18 +217,21 @@ OracleRun RunAuditedWorkload(uint64_t seed, int sessions,
 /// Soundness: runtime waits-for edges and deadlock victims were all
 /// statically predicted by the pairwise classifier.
 void CheckPredictionsCoverRuntime(const OracleRun& run) {
-  for (const SessionResult& r : run.results) {
+  ASSERT_EQ(run.summaries.size(), run.results.size());
+  for (size_t i = 0; i < run.results.size(); ++i) {
+    const SessionResult& r = run.results[i];
     if (r.observed_blockers.empty()) continue;
-    ASSERT_NE(r.summary, nullptr)
+    const AccessSummary* mine = run.summaries[i].get();
+    ASSERT_NE(mine, nullptr)
         << "session " << r.session_id << " parked without a summary";
     bool victim_edge_predicted = false;
     for (uint64_t blocker : r.observed_blockers) {
       ASSERT_GE(blocker, 1u);
       ASSERT_LE(blocker, run.results.size());
-      const SessionResult& other = run.results[blocker - 1];
-      ASSERT_NE(other.summary, nullptr)
+      const AccessSummary* other = run.summaries[blocker - 1].get();
+      ASSERT_NE(other, nullptr)
           << "blocker " << blocker << " has no summary";
-      auto conflict = Classify(*r.summary, *other.summary);
+      auto conflict = Classify(*mine, *other);
       EXPECT_NE(conflict.kind, ConflictKind::kNone)
           << "session " << r.session_id << " waited for " << blocker
           << " but the analyzer classified the pair conflict-free";
@@ -213,9 +251,9 @@ void CheckPredictionsCoverRuntime(const OracleRun& run) {
 void CheckPredictionsCoverGrants(const OracleRun& run) {
   using Mode = relational::LockManager::Mode;
   std::map<std::string, std::vector<const TaskAccess*>> predicted;
-  for (const SessionResult& r : run.results) {
-    if (!r.summary) continue;
-    for (const TaskAccess& access : r.summary->accesses) {
+  for (const auto& summary : run.summaries) {
+    if (!summary) continue;
+    for (const TaskAccess& access : summary->accesses) {
       predicted[access.service].push_back(&access);
     }
   }
@@ -299,16 +337,17 @@ TEST_P(ConflictOracleTest, ConflictAwareAdmissionAvoidsPredictedDeadlocks) {
 }
 
 TEST_P(ConflictOracleTest, AdmissionQueriesAgreeWithClassify) {
-  // The scheduler's two admission queries skip Classify's resource keys
-  // but must give its verdicts: Contending names a peer exactly when the
-  // pair's kind is not kNone, and WouldRiskDeadlock flags one exactly
-  // when the pair carries the deadlock signature and the peer is not
+  // The scheduler's admission query skips Classify's resource keys but
+  // must give its verdict: WouldRiskDeadlock flags a peer exactly when
+  // the pair carries the deadlock signature and the peer is not
   // quiesced.
-  OracleRun run = RunAuditedWorkload(GetParam(), 80,
-                                     /*conflict_aware=*/true);
+  auto built = BuildPaperFederation();
+  ASSERT_TRUE(built.ok()) << built.status();
   std::vector<std::shared_ptr<const AccessSummary>> summaries;
-  for (const SessionResult& r : run.results) {
-    if (r.summary) summaries.push_back(r.summary);
+  for (auto& summary : AnalyzeAll(
+           **built, MakeWorkload(GetParam(), 80, /*conflict_aware=*/true)
+                        .texts)) {
+    if (summary) summaries.push_back(std::move(summary));
   }
   ASSERT_FALSE(summaries.empty());
   const std::vector<uint64_t> peer = {7};
@@ -325,8 +364,6 @@ TEST_P(ConflictOracleTest, AdmissionQueriesAgreeWithClassify) {
       risky += verdict.deadlock_risk ? 1 : 0;
       analysis::ConflictGraph graph;
       graph.Admit(peer[0], admitted);
-      EXPECT_EQ(graph.Contending(*candidate),
-                contends ? peer : std::vector<uint64_t>{});
       std::vector<uint64_t> against;
       EXPECT_EQ(graph.WouldRiskDeadlock(*candidate, &against),
                 verdict.deadlock_risk);
@@ -334,45 +371,12 @@ TEST_P(ConflictOracleTest, AdmissionQueriesAgreeWithClassify) {
                                                : std::vector<uint64_t>{});
       graph.Quiesce(peer[0]);
       EXPECT_FALSE(graph.WouldRiskDeadlock(*candidate));
-      EXPECT_EQ(graph.Contending(*candidate),
-                contends ? peer : std::vector<uint64_t>{});
     }
   }
   // The workload yields every verdict, so each branch was compared.
   EXPECT_GT(none, 0);
   EXPECT_GT(contended, risky);
   EXPECT_GT(risky, 0);
-}
-
-TEST_P(ConflictOracleTest, AnalyzeSummaryMatchesServerSummary) {
-  // MultidatabaseSystem::Analyze (the msql_lint --conflicts path) must
-  // predict the same footprint the server admitted each session on, in
-  // both admission modes: same rendering, same merged accesses.
-  for (bool conflict_aware : {false, true}) {
-    OracleRun run = RunAuditedWorkload(GetParam(), 80, conflict_aware);
-    ASSERT_EQ(run.results.size(), run.texts.size());
-    for (size_t i = 0; i < run.results.size(); ++i) {
-      const SessionResult& r = run.results[i];
-      auto analyzed = run.sys->Analyze(run.texts[i]);
-      ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-      ASSERT_EQ(analyzed->summary.has_value(), r.summary != nullptr)
-          << "session " << r.session_id;
-      if (r.summary == nullptr) continue;
-      const AccessSummary& mine = *analyzed->summary;
-      EXPECT_EQ(mine.Render(), r.summary->Render())
-          << "session " << r.session_id;
-      ASSERT_EQ(mine.accesses.size(), r.summary->accesses.size())
-          << "session " << r.session_id;
-      for (size_t k = 0; k < mine.accesses.size(); ++k) {
-        const TaskAccess& a = mine.accesses[k];
-        const TaskAccess& b = r.summary->accesses[k];
-        EXPECT_EQ(a.service, b.service) << "session " << r.session_id;
-        EXPECT_EQ(a.resource, b.resource) << "session " << r.session_id;
-        EXPECT_EQ(a.mode, b.mode) << "session " << r.session_id;
-        EXPECT_EQ(a.step, b.step) << "session " << r.session_id;
-      }
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConflictOracleTest,
