@@ -123,8 +123,6 @@ class DiagnosticList {
 
   /// All diagnostics, one single-line rendering per line.
   std::string RenderAll() const;
-  /// All diagnostics in the multi-line pretty form against `source`.
-  std::string RenderAllPretty(std::string_view source) const;
 
   /// OK when no errors; otherwise an InvalidArgument status whose message
   /// is the single-line rendering of every error-severity diagnostic.

@@ -192,12 +192,11 @@ MultidatabaseSystem::MultidatabaseSystem(std::string coordinator_site)
 
 Status MultidatabaseSystem::AddService(std::string_view service,
                                        std::string_view site,
-                                       relational::CapabilityProfile profile,
-                                       netsim::LamCostModel cost_model) {
+                                       relational::CapabilityProfile profile) {
   auto engine = std::make_unique<relational::LocalEngine>(
       std::string(service), std::move(profile));
   engine->set_collect_plan_text(collect_plans_);
-  return env_.AddService(service, site, std::move(engine), cost_model);
+  return env_.AddService(service, site, std::move(engine));
 }
 
 Result<relational::LocalEngine*> MultidatabaseSystem::GetEngine(

@@ -189,8 +189,7 @@ class MultidatabaseSystem {
   /// registers the service (the INCORPORATE statement still has to be
   /// run to make the federation aware of it).
   Status AddService(std::string_view service, std::string_view site,
-                    relational::CapabilityProfile profile,
-                    netsim::LamCostModel cost_model = {});
+                    relational::CapabilityProfile profile);
 
   /// Direct engine access (seeding data, injecting failures in tests).
   Result<relational::LocalEngine*> GetEngine(std::string_view service);

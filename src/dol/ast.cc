@@ -60,27 +60,9 @@ std::string NotCond::ToDol() const {
   return "(NOT " + operand().ToDol() + ")";
 }
 
-DolStmtPtr OpenStmt::Clone() const {
-  auto out = std::make_unique<OpenStmt>();
-  out->database = database;
-  out->service = service;
-  out->alias = alias;
-  return out;
-}
-
 std::string OpenStmt::ToDol(int indent) const {
   return Indent(indent) + "OPEN " + database + " AT " + service + " AS " +
          alias + ";\n";
-}
-
-DolStmtPtr TaskStmt::Clone() const {
-  auto out = std::make_unique<TaskStmt>();
-  out->name = name;
-  out->nocommit = nocommit;
-  out->target_alias = target_alias;
-  out->body_sql = body_sql;
-  out->compensation_sql = compensation_sql;
-  return out;
 }
 
 std::string TaskStmt::ToDol(int indent) const {
@@ -95,27 +77,10 @@ std::string TaskStmt::ToDol(int indent) const {
   return out;
 }
 
-DolStmtPtr ParallelStmt::Clone() const {
-  auto out = std::make_unique<ParallelStmt>();
-  out->body.reserve(body.size());
-  for (const auto& s : body) out->body.push_back(s->Clone());
-  return out;
-}
-
 std::string ParallelStmt::ToDol(int indent) const {
   std::string out = Indent(indent) + "PARBEGIN\n";
   for (const auto& s : body) out += s->ToDol(indent + 1);
   out += Indent(indent) + "PAREND;\n";
-  return out;
-}
-
-DolStmtPtr IfStmt::Clone() const {
-  auto out = std::make_unique<IfStmt>();
-  out->condition = condition->Clone();
-  out->then_branch.reserve(then_branch.size());
-  for (const auto& s : then_branch) out->then_branch.push_back(s->Clone());
-  out->else_branch.reserve(else_branch.size());
-  for (const auto& s : else_branch) out->else_branch.push_back(s->Clone());
   return out;
 }
 
@@ -131,44 +96,16 @@ std::string IfStmt::ToDol(int indent) const {
   return out;
 }
 
-DolStmtPtr CommitStmt::Clone() const {
-  auto out = std::make_unique<CommitStmt>();
-  out->tasks = tasks;
-  return out;
-}
-
 std::string CommitStmt::ToDol(int indent) const {
   return Indent(indent) + "COMMIT " + JoinNames(tasks, ", ") + ";\n";
-}
-
-DolStmtPtr AbortStmt::Clone() const {
-  auto out = std::make_unique<AbortStmt>();
-  out->tasks = tasks;
-  return out;
 }
 
 std::string AbortStmt::ToDol(int indent) const {
   return Indent(indent) + "ABORT " + JoinNames(tasks, ", ") + ";\n";
 }
 
-DolStmtPtr CompensateStmt::Clone() const {
-  auto out = std::make_unique<CompensateStmt>();
-  out->tasks = tasks;
-  return out;
-}
-
 std::string CompensateStmt::ToDol(int indent) const {
   return Indent(indent) + "COMPENSATE " + JoinNames(tasks, ", ") + ";\n";
-}
-
-DolStmtPtr TransferStmt::Clone() const {
-  auto out = std::make_unique<TransferStmt>();
-  out->task = task;
-  out->target_alias = target_alias;
-  out->table = table;
-  out->columns = columns;
-  out->append = append;
-  return out;
 }
 
 std::string TransferStmt::ToDol(int indent) const {
@@ -199,31 +136,12 @@ std::string TransferStmt::ToDol(int indent) const {
   return out;
 }
 
-DolStmtPtr SetStatusStmt::Clone() const {
-  auto out = std::make_unique<SetStatusStmt>();
-  out->value = value;
-  return out;
-}
-
 std::string SetStatusStmt::ToDol(int indent) const {
   return Indent(indent) + "DOLSTATUS = " + std::to_string(value) + ";\n";
 }
 
-DolStmtPtr CloseStmt::Clone() const {
-  auto out = std::make_unique<CloseStmt>();
-  out->aliases = aliases;
-  return out;
-}
-
 std::string CloseStmt::ToDol(int indent) const {
   return Indent(indent) + "CLOSE " + JoinNames(aliases, " ") + ";\n";
-}
-
-DolProgram DolProgram::CloneProgram() const {
-  DolProgram out;
-  out.statements.reserve(statements.size());
-  for (const auto& s : statements) out.statements.push_back(s->Clone());
-  return out;
 }
 
 std::string DolProgram::ToDol() const {

@@ -134,7 +134,6 @@ class DolStmt {
   DolStmt& operator=(const DolStmt&) = delete;
 
   DolStmtKind kind() const { return kind_; }
-  virtual DolStmtPtr Clone() const = 0;
   /// Renders the statement (indented by `indent` levels, with trailing
   /// newline) back to DOL text.
   virtual std::string ToDol(int indent = 0) const = 0;
@@ -153,7 +152,6 @@ struct OpenStmt : public DolStmt {
   std::string service;
   std::string alias;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -173,7 +171,6 @@ struct TaskStmt : public DolStmt {
   std::string body_sql;
   std::string compensation_sql;  // empty = none
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -185,7 +182,6 @@ struct ParallelStmt : public DolStmt {
 
   std::vector<DolStmtPtr> body;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -197,7 +193,6 @@ struct IfStmt : public DolStmt {
   std::vector<DolStmtPtr> then_branch;
   std::vector<DolStmtPtr> else_branch;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -207,7 +202,6 @@ struct CommitStmt : public DolStmt {
 
   std::vector<std::string> tasks;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -217,7 +211,6 @@ struct AbortStmt : public DolStmt {
 
   std::vector<std::string> tasks;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -228,7 +221,6 @@ struct CompensateStmt : public DolStmt {
 
   std::vector<std::string> tasks;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -258,7 +250,6 @@ struct TransferStmt : public DolStmt {
   /// Insert into an existing table instead of creating a temporary one.
   bool append = false;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -268,7 +259,6 @@ struct SetStatusStmt : public DolStmt {
 
   int value = 0;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -278,7 +268,6 @@ struct CloseStmt : public DolStmt {
 
   std::vector<std::string> aliases;
 
-  DolStmtPtr Clone() const override;
   std::string ToDol(int indent) const override;
 };
 
@@ -292,7 +281,6 @@ struct DolProgram {
   DolProgram(DolProgram&&) noexcept = default;
   DolProgram& operator=(DolProgram&&) noexcept = default;
 
-  DolProgram CloneProgram() const;
   std::string ToDol() const;
 };
 

@@ -32,6 +32,16 @@ bool RetryableOnTimeout(LamRequestType type) {
   }
 }
 
+// Exponential backoff between re-sends, charged to the simulated clock:
+// 1 ms before the first, doubling after each, capped at 64 ms.
+constexpr int64_t kInitialBackoffMicros = 1000;
+constexpr int64_t kBackoffMultiplier = 2;
+constexpr int64_t kMaxBackoffMicros = 64000;
+
+int64_t NextBackoff(int64_t backoff) {
+  return std::min(backoff * kBackoffMultiplier, kMaxBackoffMicros);
+}
+
 }  // namespace
 
 const TaskOutcome* DolRunResult::FindTask(const std::string& name) const {
@@ -223,7 +233,7 @@ Result<TaskOutcome*> DolEngine::FindTask(const std::string& name) {
 DolTask<CallOutcome> DolEngine::CallService(const std::string& service,
                                             const LamRequest& request,
                                             int64_t at, int attempt_base) {
-  int64_t backoff = policy_.initial_backoff_micros;
+  int64_t backoff = kInitialBackoffMicros;
   int attempt = attempt_base;
   while (true) {
     // One span per send attempt: re-sends show up as sibling rpc spans
@@ -286,10 +296,7 @@ DolTask<CallOutcome> DolEngine::CallService(const std::string& service,
     env_->metrics().Inc("dol.retries");
     rpc_span.Annotate("backoff_micros", backoff);
     at = result.timing.end_micros + backoff;
-    backoff = std::min(
-        static_cast<int64_t>(static_cast<double>(backoff) *
-                             policy_.backoff_multiplier),
-        policy_.max_backoff_micros);
+    backoff = NextBackoff(backoff);
   }
 }
 
@@ -463,7 +470,7 @@ DolTask<int64_t> DolEngine::ExecTask(const TaskStmt& stmt, int64_t at) {
       // either reached kPrepared (ACK lost — proceed), stayed kActive
       // (request lost — re-send while attempts remain) or aborted.
       int attempt = 1;
-      int64_t backoff = policy_.initial_backoff_micros;
+      int64_t backoff = kInitialBackoffMicros;
       while (true) {
         bool probe_failed = false;
         MSQL_CO_AWAIT_OR_RETURN(TxnState state,
@@ -480,10 +487,7 @@ DolTask<int64_t> DolEngine::ExecTask(const TaskStmt& stmt, int64_t at) {
         ++retries_;
         env_->metrics().Inc("dol.retries");
         now += backoff;
-        backoff = std::min(
-            static_cast<int64_t>(static_cast<double>(backoff) *
-                                 policy_.backoff_multiplier),
-            policy_.max_backoff_micros);
+        backoff = NextBackoff(backoff);
         MSQL_CO_AWAIT_OR_RETURN(auto again,
                                 Call(channel, prepare, now, attempt));
         now = again.timing.end_micros;
@@ -617,7 +621,7 @@ DolTask<int64_t> DolEngine::ExecCommit(const CommitStmt& stmt, int64_t at) {
       // instead of assuming the worst — a lost ACK resolves to
       // kCommitted, a lost request is re-sent while attempts remain.
       int attempt = 1;
-      int64_t backoff = policy_.initial_backoff_micros;
+      int64_t backoff = kInitialBackoffMicros;
       bool resolved = false;
       while (!resolved) {
         bool probe_failed = false;
@@ -647,10 +651,7 @@ DolTask<int64_t> DolEngine::ExecCommit(const CommitStmt& stmt, int64_t at) {
           ++retries_;
           env_->metrics().Inc("dol.retries");
           now += backoff;
-          backoff = std::min(
-              static_cast<int64_t>(static_cast<double>(backoff) *
-                                   policy_.backoff_multiplier),
-              policy_.max_backoff_micros);
+          backoff = NextBackoff(backoff);
           MSQL_CO_AWAIT_OR_RETURN(auto again,
                                   Call(channel, commit, now, attempt));
           now = again.timing.end_micros;

@@ -20,7 +20,7 @@ namespace msql::dol {
 ///
 /// Undelivered failures (transient rejections, unreachable sites) are
 /// re-sent up to `max_attempts` times with exponential backoff charged
-/// to the simulated clock. Timed-out calls are *not* blindly re-sent —
+/// to the simulated clock (1 ms, doubling, capped at 64 ms). Timed-out calls are *not* blindly re-sent —
 /// the request may have been executed — except for idempotent probe
 /// verbs; commit/prepare timeouts are instead resolved through a
 /// kQueryTxnState re-probe when `reprobe_on_timeout` is set, which is
@@ -28,12 +28,6 @@ namespace msql::dol {
 struct RetryPolicy {
   /// Total send attempts per call (1 = no retry).
   int max_attempts = 1;
-  /// Backoff before the first re-send.
-  int64_t initial_backoff_micros = 1000;
-  /// Multiplier applied to the backoff after every re-send.
-  double backoff_multiplier = 2.0;
-  /// Backoff ceiling.
-  int64_t max_backoff_micros = 64000;
   /// Resolve commit/prepare timeouts by re-probing the transaction
   /// state instead of assuming failure.
   bool reprobe_on_timeout = true;
@@ -45,7 +39,7 @@ struct RetryPolicy {
     p.reprobe_on_timeout = false;
     return p;
   }
-  /// `attempts` sends with default backoff, re-probing enabled.
+  /// `attempts` sends, re-probing enabled.
   static RetryPolicy WithAttempts(int attempts) {
     RetryPolicy p;
     p.max_attempts = attempts;

@@ -72,7 +72,6 @@ class GlobalDataDictionary {
   Status RegisterDatabase(std::string_view database,
                           std::string_view service);
 
-  Status RemoveDatabase(std::string_view database);
   bool HasDatabase(std::string_view database) const;
   Result<const GddDatabase*> GetDatabase(std::string_view database) const;
   std::vector<std::string> DatabaseNames() const;
@@ -156,8 +155,6 @@ class GlobalDataDictionary {
   /// Member databases of `name` (in declaration order).
   Result<const std::vector<std::string>*> GetMultidatabase(
       std::string_view name) const;
-
-  std::vector<std::string> MultidatabaseNames() const;
 
   /// Total number of imported tables across all databases.
   size_t TotalTableCount() const;

@@ -13,8 +13,7 @@ Environment::Environment(std::string coordinator_site)
 
 Status Environment::AddService(std::string_view service_name,
                                std::string_view site_name,
-                               std::unique_ptr<relational::LocalEngine> engine,
-                               LamCostModel cost_model) {
+                               std::unique_ptr<relational::LocalEngine> engine) {
   std::string service = ToLower(service_name);
   std::string site = ToLower(site_name);
   if (lams_.count(service) > 0) {
@@ -29,9 +28,8 @@ Status Environment::AddService(std::string_view service_name,
   // Local executors report into the federation's tracer/metrics (both
   // are null sinks until enabled).
   engine->SetObservability(&tracer_, &metrics_);
-  lams_.emplace(service, std::make_unique<Lam>(service, site,
-                                               std::move(engine),
-                                               cost_model));
+  lams_.emplace(service,
+                std::make_unique<Lam>(service, site, std::move(engine)));
   return Status::OK();
 }
 
@@ -76,15 +74,6 @@ Status Environment::SetServiceConcurrency(std::string_view service_name,
     queue.busy_until = {};
   }
   return Status::OK();
-}
-
-int Environment::ServiceConcurrency(std::string_view service_name) const {
-  auto it = queues_.find(ToLower(service_name));
-  return it == queues_.end() ? 0 : it->second.limit;
-}
-
-void Environment::ResetServiceQueues() {
-  for (auto& [service, queue] : queues_) queue.busy_until = {};
 }
 
 std::vector<std::string> Environment::ServiceNames() const {

@@ -111,8 +111,7 @@ class Environment {
   /// directory entry and installs the LAM.
   Status AddService(std::string_view service_name,
                     std::string_view site_name,
-                    std::unique_ptr<relational::LocalEngine> engine,
-                    LamCostModel cost_model = {});
+                    std::unique_ptr<relational::LocalEngine> engine);
 
   bool HasService(std::string_view service_name) const;
   Result<Lam*> GetLam(std::string_view service_name);
@@ -129,11 +128,6 @@ class Environment {
   /// driving multiple concurrent sessions must issue their calls in
   /// global time order for the FIFO discipline to be meaningful.
   Status SetServiceConcurrency(std::string_view service_name, int limit);
-  /// The configured limit (0 = unlimited or unknown service).
-  int ServiceConcurrency(std::string_view service_name) const;
-  /// Forgets all queued/busy server state (not the limits); for reusing
-  /// one environment across independent simulated timelines.
-  void ResetServiceQueues();
 
   /// Issues one RPC from the coordinator to `service_name`, starting at
   /// simulated time `at_micros`. Network unavailability is reported in

@@ -9,6 +9,15 @@ namespace msql::netsim {
 using relational::ResultSet;
 using relational::TxnState;
 
+namespace {
+// Local service-time model of a LAM: a fixed cost of dispatching any
+// request, a per-row cost of executing/serializing results, and a
+// per-row cost of scanning (the access-path cost an index avoids).
+constexpr int64_t kRequestOverheadMicros = 200;
+constexpr int64_t kMicrosPerRow = 10;
+constexpr int64_t kMicrosPerRowScanned = 2;
+}  // namespace
+
 std::string_view LamRequestTypeName(LamRequestType type) {
   switch (type) {
     case LamRequestType::kPing: return "PING";
@@ -47,12 +56,10 @@ int64_t LamResponse::WireBytes() const {
 }
 
 Lam::Lam(std::string service_name, std::string site_name,
-         std::unique_ptr<relational::LocalEngine> engine,
-         LamCostModel cost_model)
+         std::unique_ptr<relational::LocalEngine> engine)
     : service_name_(ToLower(service_name)),
       site_name_(ToLower(site_name)),
-      engine_(std::move(engine)),
-      cost_model_(cost_model) {}
+      engine_(std::move(engine)) {}
 
 LamResponse Lam::Handle(const LamRequest& request, int64_t* service_micros) {
   LamResponse response;
@@ -236,9 +243,8 @@ LamResponse Lam::Handle(const LamRequest& request, int64_t* service_micros) {
     if (state.ok()) response.txn_state = *state;
   }
   if (service_micros != nullptr) {
-    *service_micros = cost_model_.request_overhead_micros +
-                      rows_touched * cost_model_.micros_per_row +
-                      rows_scanned * cost_model_.micros_per_row_scanned;
+    *service_micros = kRequestOverheadMicros + rows_touched * kMicrosPerRow +
+                      rows_scanned * kMicrosPerRowScanned;
   }
   return response;
 }

@@ -76,16 +76,6 @@ struct LamResponse {
   int64_t WireBytes() const;
 };
 
-/// Local service-time model of a LAM (added to network latency).
-struct LamCostModel {
-  /// Fixed cost of dispatching any request.
-  int64_t request_overhead_micros = 200;
-  /// Per-row cost of executing/serializing results.
-  int64_t micros_per_row = 10;
-  /// Per-row cost of scanning (the access-path cost an index avoids).
-  int64_t micros_per_row_scanned = 2;
-};
-
 /// Local Access Manager: the per-service agent that executes commands
 /// against one autonomous LDBMS and reports results/states back (§4.1).
 /// The wrapped engine is owned and *not* modified — it keeps its full
@@ -93,8 +83,7 @@ struct LamCostModel {
 class Lam {
  public:
   Lam(std::string service_name, std::string site_name,
-      std::unique_ptr<relational::LocalEngine> engine,
-      LamCostModel cost_model = {});
+      std::unique_ptr<relational::LocalEngine> engine);
 
   const std::string& service_name() const { return service_name_; }
   const std::string& site_name() const { return site_name_; }
@@ -102,7 +91,9 @@ class Lam {
   const relational::LocalEngine* engine() const { return engine_.get(); }
 
   /// Handles one request; `service_micros` (optional) receives the
-  /// modelled local service time.
+  /// modelled local service time (added to network latency): a fixed
+  /// dispatch cost plus per-row costs for the rows returned or written
+  /// and for the rows scanned.
   LamResponse Handle(const LamRequest& request,
                      int64_t* service_micros = nullptr);
 
@@ -110,7 +101,6 @@ class Lam {
   std::string service_name_;
   std::string site_name_;
   std::unique_ptr<relational::LocalEngine> engine_;
-  LamCostModel cost_model_;
 };
 
 }  // namespace msql::netsim

@@ -10,17 +10,6 @@ void Network::AddSite(std::string_view name) {
   sites_.emplace(ToLower(name), SiteState{});
 }
 
-bool Network::HasSite(std::string_view name) const {
-  return sites_.count(ToLower(name)) > 0;
-}
-
-std::vector<std::string> Network::SiteNames() const {
-  std::vector<std::string> out;
-  out.reserve(sites_.size());
-  for (const auto& [name, state] : sites_) out.push_back(name);
-  return out;
-}
-
 Status Network::SetSiteDown(std::string_view name, bool down) {
   auto it = sites_.find(ToLower(name));
   if (it == sites_.end()) {
@@ -30,11 +19,6 @@ Status Network::SetSiteDown(std::string_view name, bool down) {
   }
   it->second.down = down;
   return Status::OK();
-}
-
-bool Network::IsSiteDown(std::string_view name) const {
-  auto it = sites_.find(ToLower(name));
-  return it != sites_.end() && it->second.down;
 }
 
 Status Network::SetLink(std::string_view from, std::string_view to,

@@ -20,6 +20,9 @@ constexpr size_t kDashboardAlerts = 8;
 constexpr double kEwmaRelativeFloor = 0.05;
 constexpr double kEwmaAbsoluteFloor = 1e-9;
 
+/// Smoothing factor of the EWMA running mean / mean-absolute-deviation.
+constexpr double kEwmaAlpha = 0.3;
+
 }  // namespace
 
 std::string AlertEvent::ToJson() const {
@@ -350,9 +353,8 @@ void Monitor::EvaluateEwma(EwmaRule& rule, double value, bool skipped,
       Emit(std::move(event));
     }
   }
-  rule.mean += config_.ewma_alpha * (value - rule.mean);
-  rule.deviation =
-      (1.0 - config_.ewma_alpha) * rule.deviation + config_.ewma_alpha * diff;
+  rule.mean += kEwmaAlpha * (value - rule.mean);
+  rule.deviation = (1.0 - kEwmaAlpha) * rule.deviation + kEwmaAlpha * diff;
   ++rule.samples;
 }
 

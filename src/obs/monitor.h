@@ -51,8 +51,7 @@ struct MonitorConfig {
   double slo_budget_fraction = 0.1;
 
   // -- EWMA drift rules ---------------------------------------------------
-  /// Smoothing factor of the running mean / mean-absolute-deviation.
-  double ewma_alpha = 0.3;
+  // The running mean / mean-absolute-deviation smooth with factor 0.3.
   /// A sample further than factor * max(deviation, 5% of mean) from
   /// the mean fires a drift alert.
   double ewma_drift_factor = 3.0;

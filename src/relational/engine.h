@@ -189,18 +189,12 @@ class LocalEngine {
   /// the session has only done autocommit work).
   Result<TxnState> GetTxnState(SessionId session) const;
 
-  /// True if the session has an open explicit transaction.
-  Result<bool> InTransaction(SessionId session) const;
-
   // -- Corruption containment ----------------------------------------------
 
   /// True when a failed mid-rollback left `db_name` half-rolled-back.
   /// Statements against a corrupted database refuse with kCorrupted
   /// instead of reading inconsistent rows.
   bool IsCorrupted(std::string_view db_name) const;
-
-  /// Databases currently marked corrupted (name order).
-  std::vector<std::string> CorruptedDatabases() const;
 
   /// Clears the corruption marks (after an external repair — for
   /// storage-backed engines, Recover() rebuilds a consistent state from

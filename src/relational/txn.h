@@ -68,10 +68,6 @@ class Transaction {
   TxnState state() const { return state_; }
   void set_state(TxnState state) { state_ = state; }
 
-  bool IsTerminated() const {
-    return state_ == TxnState::kCommitted || state_ == TxnState::kAborted;
-  }
-
   /// Appends an undo record.
   void RecordUndo(UndoRecord record) {
     undo_log_.push_back(std::move(record));
