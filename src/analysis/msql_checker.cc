@@ -340,21 +340,7 @@ bool Checker::Supports2pcFor(const UseEntry& entry,
   if (!db.ok()) return true;  // unknown database reported elsewhere
   auto service = ad_.GetService((*db)->service);
   if (!service.ok()) return true;
-  bool verb_autocommits = false;
-  switch (kind) {
-    case StatementKind::kCreateTable:
-      verb_autocommits = (*service)->ddl_modes.create_autocommits;
-      break;
-    case StatementKind::kInsert:
-      verb_autocommits = (*service)->ddl_modes.insert_autocommits;
-      break;
-    case StatementKind::kDropTable:
-      verb_autocommits = (*service)->ddl_modes.drop_autocommits;
-      break;
-    default:
-      break;
-  }
-  return (*service)->SupportsTwoPhaseCommit() && !verb_autocommits;
+  return (*service)->Supports2pcFor(kind);
 }
 
 bool Checker::HasComp(const MsqlQuery& query, const UseEntry& entry) const {

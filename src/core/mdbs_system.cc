@@ -79,6 +79,20 @@ Status FrontEndStatus(const Result<PreparedInput>& prepared) {
   return prepared->diagnostics.ToStatus();
 }
 
+/// Table name a committed DML statement wrote to ("" for non-DML).
+std::string DmlTargetTable(const relational::Statement& stmt) {
+  switch (stmt.kind()) {
+    case StatementKind::kUpdate:
+      return static_cast<const relational::UpdateStmt&>(stmt).table.table;
+    case StatementKind::kInsert:
+      return static_cast<const relational::InsertStmt&>(stmt).table.table;
+    case StatementKind::kDelete:
+      return static_cast<const relational::DeleteStmt&>(stmt).table.table;
+    default:
+      return "";
+  }
+}
+
 /// Report of an input the front end refused before anything ran.
 ExecutionReport RefusedReport(Status detail,
                               std::vector<std::string> non_pertinent = {}) {
@@ -820,21 +834,10 @@ Status MultidatabaseSystem::SyncGddAfterDdl(
       continue;
     }
     if (kind == StatementKind::kCreateTable) {
-      const auto& create =
-          static_cast<const relational::CreateTableStmt&>(*eq.statement);
-      std::vector<relational::ColumnDef> cols;
-      for (const auto& spec : create.columns) {
-        relational::ColumnDef def;
-        def.name = spec.name;
-        MSQL_ASSIGN_OR_RETURN(def.type,
-                              relational::TypeFromName(spec.type_name));
-        def.width = spec.width;
-        cols.push_back(std::move(def));
-      }
       MSQL_ASSIGN_OR_RETURN(
           auto schema,
-          relational::TableSchema::Create(create.table.table,
-                                          std::move(cols)));
+          relational::SchemaOf(
+              static_cast<const relational::CreateTableStmt&>(*eq.statement)));
       MSQL_RETURN_IF_ERROR(gdd_.PutTable(eq.database, std::move(schema)));
     } else {
       const auto& drop =
@@ -848,31 +851,15 @@ Status MultidatabaseSystem::SyncGddAfterDdl(
 void MultidatabaseSystem::RecordDmlChurn(
     const lang::ExpansionResult& expansion, const dol::DolRunResult& run) {
   for (const auto& eq : expansion.queries) {
-    StatementKind kind = eq.statement->kind();
-    const std::string* table = nullptr;
-    switch (kind) {
-      case StatementKind::kInsert:
-        table = &static_cast<const relational::InsertStmt&>(*eq.statement)
-                     .table.table;
-        break;
-      case StatementKind::kUpdate:
-        table = &static_cast<const relational::UpdateStmt&>(*eq.statement)
-                     .table.table;
-        break;
-      case StatementKind::kDelete:
-        table = &static_cast<const relational::DeleteStmt&>(*eq.statement)
-                     .table.table;
-        break;
-      default:
-        continue;
-    }
+    const std::string table = DmlTargetTable(*eq.statement);
+    if (table.empty()) continue;
     const dol::TaskOutcome* task = run.FindTask("t_" + eq.effective_name);
     if (task == nullptr || task->state != dol::DolTaskState::kCommitted) {
       continue;
     }
     // Even a no-op DML statement proves the snapshot can drift; count at
     // least one row so repeated writes eventually trip the threshold.
-    gdd_.RecordWriteChurn(eq.database, *table,
+    gdd_.RecordWriteChurn(eq.database, table,
                           std::max<int64_t>(task->result.rows_affected, 1));
   }
 }
@@ -955,20 +942,6 @@ std::vector<std::string> MultidatabaseSystem::TriggerNames() const {
 }
 
 namespace {
-
-/// Table name a committed DML statement wrote to ("" for non-DML).
-std::string DmlTargetTable(const relational::Statement& stmt) {
-  switch (stmt.kind()) {
-    case StatementKind::kUpdate:
-      return static_cast<const relational::UpdateStmt&>(stmt).table.table;
-    case StatementKind::kInsert:
-      return static_cast<const relational::InsertStmt&>(stmt).table.table;
-    case StatementKind::kDelete:
-      return static_cast<const relational::DeleteStmt&>(stmt).table.table;
-    default:
-      return "";
-  }
-}
 
 bool EventMatches(lang::TriggerEvent event, StatementKind kind) {
   switch (event) {

@@ -10,6 +10,25 @@ std::string CommitWord(bool autocommits) {
 }
 }  // namespace
 
+bool ServiceDescriptor::Supports2pcFor(relational::StatementKind kind) const {
+  using relational::StatementKind;
+  bool verb_autocommits = false;
+  switch (kind) {
+    case StatementKind::kCreateTable:
+      verb_autocommits = ddl_modes.create_autocommits;
+      break;
+    case StatementKind::kInsert:
+      verb_autocommits = ddl_modes.insert_autocommits;
+      break;
+    case StatementKind::kDropTable:
+      verb_autocommits = ddl_modes.drop_autocommits;
+      break;
+    default:
+      break;
+  }
+  return SupportsTwoPhaseCommit() && !verb_autocommits;
+}
+
 std::string ServiceDescriptor::ToIncorporateSql() const {
   std::string out = "INCORPORATE SERVICE " + name;
   if (!site.empty()) out += " SITE " + site;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "relational/sql/ast.h"
 
 namespace msql::mdbs {
 
@@ -36,6 +37,10 @@ struct ServiceDescriptor {
 
   /// True if the service can hold a visible prepared state.
   bool SupportsTwoPhaseCommit() const { return !autocommit_only; }
+  /// True if a statement of `kind` can take part in 2PC here: the
+  /// service supports it and the verb does not auto-commit (the
+  /// per-verb modes recorded by INCORPORATE).
+  bool Supports2pcFor(relational::StatementKind kind) const;
 
   /// INCORPORATE statement text that would reproduce this entry.
   std::string ToIncorporateSql() const;

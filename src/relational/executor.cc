@@ -954,8 +954,7 @@ Result<ResultSet> Executor::ExecuteDelete(const DeleteStmt& stmt) {
   return out;
 }
 
-Result<ResultSet> Executor::ExecuteCreateTable(const CreateTableStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
+Result<TableSchema> SchemaOf(const CreateTableStmt& stmt) {
   std::vector<ColumnDef> cols;
   cols.reserve(stmt.columns.size());
   for (const auto& spec : stmt.columns) {
@@ -965,8 +964,12 @@ Result<ResultSet> Executor::ExecuteCreateTable(const CreateTableStmt& stmt) {
     def.width = spec.width;
     cols.push_back(std::move(def));
   }
-  MSQL_ASSIGN_OR_RETURN(TableSchema schema,
-                        TableSchema::Create(stmt.table.table, std::move(cols)));
+  return TableSchema::Create(stmt.table.table, std::move(cols));
+}
+
+Result<ResultSet> Executor::ExecuteCreateTable(const CreateTableStmt& stmt) {
+  MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
+  MSQL_ASSIGN_OR_RETURN(TableSchema schema, SchemaOf(stmt));
   MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(schema.table_name()),
                                        LockManager::Mode::kExclusive));
   MSQL_RETURN_IF_ERROR(db_->CreateTable(std::move(schema)));

@@ -32,6 +32,10 @@ struct ExecutorOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// The schema a CREATE TABLE statement declares, column types resolved
+/// by name. Fails on an unknown type name or a duplicate column.
+Result<TableSchema> SchemaOf(const CreateTableStmt& stmt);
+
 /// Executes parsed SQL statements against one local database inside a
 /// transaction. All data modifications append undo records to `txn`;
 /// all table access goes through `locks` (shared for reads, exclusive

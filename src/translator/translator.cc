@@ -109,23 +109,8 @@ Result<std::vector<Translator::ResolvedTask>> Translator::Resolve(
     task.task_name = "t_" + eq.effective_name;
 
     // A DDL verb that auto-commits on this service disables 2PC for this
-    // particular statement (the per-verb modes recorded by INCORPORATE).
-    bool verb_autocommits = false;
-    switch (eq.statement->kind()) {
-      case StatementKind::kCreateTable:
-        verb_autocommits = service->ddl_modes.create_autocommits;
-        break;
-      case StatementKind::kInsert:
-        verb_autocommits = service->ddl_modes.insert_autocommits;
-        break;
-      case StatementKind::kDropTable:
-        verb_autocommits = service->ddl_modes.drop_autocommits;
-        break;
-      default:
-        break;
-    }
-    task.supports_2pc =
-        service->SupportsTwoPhaseCommit() && !verb_autocommits;
+    // particular statement.
+    task.supports_2pc = service->Supports2pcFor(eq.statement->kind());
 
     bool retrieval = eq.statement->kind() == StatementKind::kSelect;
     bool has_comp = eq.compensation != nullptr;
