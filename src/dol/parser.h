@@ -27,7 +27,17 @@ namespace msql::dol {
 ///
 /// Braced SQL bodies are captured as text (tokens re-rendered), so a
 /// program printed by DolProgram::ToDol round-trips through this parser.
+/// Nesting past kMaxDolNesting levels fails with kParseError.
 Result<DolProgram> ParseDol(std::string_view text);
+
+/// Deepest nesting ParseDol accepts. Each parenthesised condition, NOT,
+/// IF body and PARBEGIN block is one level below what encloses it, and
+/// each AND or OR one level above its deeper operand. The parser, the
+/// engine, the verifier and ToDol recurse once per level, so this bound
+/// keeps hostile input from overflowing the stack. It is the SQL
+/// parser's expression limit. ToDol parenthesises every AND, OR and NOT,
+/// so a bare chain of n of them re-renders 2n + 1 levels deep.
+inline constexpr int kMaxDolNesting = 256;
 
 /// Re-renders a token slice to SQL text (used for `{ ... }` bodies).
 std::string RenderTokens(const std::vector<relational::Token>& tokens);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "dol/engine.h"
 #include "dol/parser.h"
@@ -95,6 +97,68 @@ TEST(DolParserTest, Errors) {
   EXPECT_FALSE(
       ParseDol("DOLBEGIN IF (t=Q) THEN DOLSTATUS = 0; DOLEND").ok());
   EXPECT_FALSE(ParseDol("DOLBEGIN CLOSE; DOLEND").ok());
+}
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * n);
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+TEST(DolParserTest, NestingDepthIsBounded) {
+  // Each hostile program ends in a parse error naming the limit instead
+  // of overflowing the stack of the parser or of a later tree walk.
+  const std::string status = " THEN DOLSTATUS = 1; DOLEND";
+  const std::vector<std::string> too_deep = {
+      "DOLBEGIN IF " + Repeat("(", 20000) + "t=P" + Repeat(")", 20000) +
+          status,
+      "DOLBEGIN " + Repeat("PARBEGIN ", 20000) + "DOLSTATUS = 1; " +
+          Repeat("PAREND; ", 20000) + "DOLEND",
+      "DOLBEGIN IF t=P" + Repeat(" OR t=P", 99999) + status,
+      "DOLBEGIN " + Repeat("IF t=P THEN ", 20000) + "DOLSTATUS = 1; DOLEND",
+  };
+  const std::string limit =
+      "limit of " + std::to_string(kMaxDolNesting) + " levels";
+  for (const auto& text : too_deep) {
+    SCOPED_TRACE(text.substr(0, 40));
+    auto parsed = ParseDol(text);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(parsed.status().message().find(limit), std::string::npos)
+        << parsed.status();
+  }
+
+  // At the limit: each parenthesis, PARBEGIN block and IF body is one
+  // level, and each OR one more above the chain so far. These parse and
+  // round-trip through ToDol; one more level is too deep.
+  const int n = kMaxDolNesting;
+  auto parens = [](int k) {
+    return "DOLBEGIN IF " + Repeat("(", k) + "t=P" + Repeat(")", k) +
+           " THEN DOLSTATUS = 1; DOLEND";
+  };
+  auto blocks = [](int k) {
+    return "DOLBEGIN " + Repeat("PARBEGIN ", k) + "DOLSTATUS = 1; " +
+           Repeat("PAREND; ", k) + "DOLEND";
+  };
+  auto ifs = [](int k) {
+    return "DOLBEGIN " + Repeat("IF t=P THEN ", k) + "DOLSTATUS = 1; DOLEND";
+  };
+  for (const auto& text : {parens(n), blocks(n), ifs(n)}) {
+    SCOPED_TRACE(text.substr(0, 40));
+    auto first = ParseDol(text);
+    ASSERT_TRUE(first.ok()) << first.status();
+    const std::string rendered = first->ToDol();
+    auto second = ParseDol(rendered);
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(second->ToDol(), rendered);
+  }
+  for (const auto& text : {parens(n + 1), blocks(n + 1), ifs(n + 1)}) {
+    EXPECT_EQ(ParseDol(text).status().code(), StatusCode::kParseError);
+  }
+  const std::string chain = "DOLBEGIN IF t=P" + Repeat(" OR t=P", n);
+  EXPECT_TRUE(ParseDol(chain + status).ok());
+  EXPECT_EQ(ParseDol(chain + " OR t=P" + status).status().code(),
+            StatusCode::kParseError);
 }
 
 // --- engine ----------------------------------------------------------------
