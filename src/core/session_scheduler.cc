@@ -6,6 +6,14 @@
 
 namespace msql::core {
 
+namespace {
+
+/// Longest simulated time a session may sit parked on one lock wait
+/// before the scheduler force-aborts it.
+constexpr int64_t kLockWaitTimeoutMicros = 5'000'000;
+
+}  // namespace
+
 FederationServer::FederationServer(MultidatabaseSystem* system,
                                    ServerConfig config)
     : system_(system), config_(config) {}

@@ -19,8 +19,8 @@
 namespace msql::core {
 
 /// Knobs of the concurrent federation server. Deadlock detection always
-/// runs, and FederationServer::kLockWaitTimeoutMicros bounds one lock
-/// wait.
+/// runs, and a session parked on one lock wait for 5 s of simulated time
+/// is force-aborted.
 struct ServerConfig {
   /// Sessions allowed past admission at once (0 = unlimited). Waiting
   /// sessions are admitted in submit order as running ones finish.
@@ -96,14 +96,10 @@ struct SessionResult {
 /// lock-releasing verb completes at that service; the kBusy blocker
 /// lists feed a waits-for graph whose cycles are broken by aborting the
 /// largest-id member, surfaced as a normal ABORTED outcome through the
-/// victim's own DOL recovery path. A session parked longer than
-/// kLockWaitTimeoutMicros on one wait is aborted the same way.
+/// victim's own DOL recovery path. A session parked on one wait for 5 s
+/// of simulated time is aborted the same way.
 class FederationServer {
  public:
-  /// Longest simulated time a session may sit parked on one lock wait
-  /// before the scheduler force-aborts it.
-  static constexpr int64_t kLockWaitTimeoutMicros = 5'000'000;
-
   explicit FederationServer(MultidatabaseSystem* system,
                             ServerConfig config = {});
 

@@ -20,11 +20,12 @@ namespace msql::dol {
 ///
 /// Undelivered failures (transient rejections, unreachable sites) are
 /// re-sent up to `max_attempts` times with exponential backoff charged
-/// to the simulated clock (1 ms, doubling, capped at 64 ms). Timed-out calls are *not* blindly re-sent —
-/// the request may have been executed — except for idempotent probe
-/// verbs; commit/prepare timeouts are instead resolved through a
-/// kQueryTxnState re-probe when `reprobe_on_timeout` is set, which is
-/// what keeps a lost commit ACK from being declared incorrect.
+/// to the simulated clock (1 ms, doubling, capped at 64 ms). Timed-out
+/// calls are *not* blindly re-sent — the request may have been
+/// executed — except for idempotent probe verbs; commit/prepare
+/// timeouts are instead resolved through a kQueryTxnState re-probe when
+/// `reprobe_on_timeout` is set, which is what keeps a lost commit ACK
+/// from being declared incorrect.
 struct RetryPolicy {
   /// Total send attempts per call (1 = no retry).
   int max_attempts = 1;

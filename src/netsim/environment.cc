@@ -11,9 +11,9 @@ Environment::Environment(std::string coordinator_site)
   network_.AddSite(coordinator_site_);
 }
 
-Status Environment::AddService(std::string_view service_name,
-                               std::string_view site_name,
-                               std::unique_ptr<relational::LocalEngine> engine) {
+Status Environment::AddService(
+    std::string_view service_name, std::string_view site_name,
+    std::unique_ptr<relational::LocalEngine> engine) {
   std::string service = ToLower(service_name);
   std::string site = ToLower(site_name);
   if (lams_.count(service) > 0) {
