@@ -1,12 +1,11 @@
 #include "dol/parser.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 #include "relational/sql/lexer.h"
 
 namespace msql::dol {
 
+using relational::NestingBound;
 using relational::Token;
 using relational::TokenCursor;
 using relational::TokenType;
@@ -54,7 +53,8 @@ std::string TokenText(const Token& tok) {
 
 class DolParser {
  public:
-  explicit DolParser(TokenCursor* cursor) : cursor_(cursor) {}
+  explicit DolParser(TokenCursor* cursor)
+      : cursor_(cursor), nesting_(kMaxDolNesting, "DOL", cursor) {}
 
   Result<DolProgram> ParseProgram() {
     MSQL_RETURN_IF_ERROR(cursor_->ExpectKeyword("dolbegin"));
@@ -148,8 +148,8 @@ class DolParser {
 
   Result<DolStmtPtr> ParseParallel() {
     cursor_->Get();  // PARBEGIN
-    Nesting nesting(this);
-    MSQL_RETURN_IF_ERROR(Descend());
+    NestingBound::Scope nesting(&nesting_);
+    MSQL_RETURN_IF_ERROR(nesting_.Descend());
     auto stmt = std::make_unique<ParallelStmt>();
     while (!cursor_->Peek().IsKeyword("parend")) {
       if (cursor_->AtEnd()) {
@@ -166,33 +166,33 @@ class DolParser {
   Result<DolCondPtr> ParseCond() { return ParseOrCond(); }
 
   Result<DolCondPtr> ParseOrCond() {
-    Nesting nesting(this);
+    NestingBound::Scope nesting(&nesting_);
     MSQL_ASSIGN_OR_RETURN(DolCondPtr left, ParseAndCond());
     while (cursor_->MatchKeyword("or")) {
       MSQL_ASSIGN_OR_RETURN(DolCondPtr right, ParseAndCond());
       left = std::make_unique<BinaryCond>(DolCondKind::kOr, std::move(left),
                                           std::move(right));
-      MSQL_RETURN_IF_ERROR(Above());
+      MSQL_RETURN_IF_ERROR(nesting_.Above());
     }
     return left;
   }
 
   Result<DolCondPtr> ParseAndCond() {
-    Nesting nesting(this);
+    NestingBound::Scope nesting(&nesting_);
     MSQL_ASSIGN_OR_RETURN(DolCondPtr left, ParseNotCond());
     while (cursor_->MatchKeyword("and")) {
       MSQL_ASSIGN_OR_RETURN(DolCondPtr right, ParseNotCond());
       left = std::make_unique<BinaryCond>(DolCondKind::kAnd,
                                           std::move(left), std::move(right));
-      MSQL_RETURN_IF_ERROR(Above());
+      MSQL_RETURN_IF_ERROR(nesting_.Above());
     }
     return left;
   }
 
   Result<DolCondPtr> ParseNotCond() {
     if (cursor_->MatchKeyword("not")) {
-      Nesting nesting(this);
-      MSQL_RETURN_IF_ERROR(Descend());
+      NestingBound::Scope nesting(&nesting_);
+      MSQL_RETURN_IF_ERROR(nesting_.Descend());
       MSQL_ASSIGN_OR_RETURN(DolCondPtr inner, ParseNotCond());
       return DolCondPtr(std::make_unique<NotCond>(std::move(inner)));
     }
@@ -201,8 +201,8 @@ class DolParser {
 
   Result<DolCondPtr> ParsePrimaryCond() {
     if (cursor_->Match(TokenType::kLParen)) {
-      Nesting nesting(this);
-      MSQL_RETURN_IF_ERROR(Descend());
+      NestingBound::Scope nesting(&nesting_);
+      MSQL_RETURN_IF_ERROR(nesting_.Descend());
       MSQL_ASSIGN_OR_RETURN(DolCondPtr inner, ParseCond());
       MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
       return inner;
@@ -250,8 +250,8 @@ class DolParser {
     auto stmt = std::make_unique<IfStmt>();
     MSQL_ASSIGN_OR_RETURN(stmt->condition, ParseCond());
     MSQL_RETURN_IF_ERROR(cursor_->ExpectKeyword("then"));
-    Nesting nesting(this);
-    MSQL_RETURN_IF_ERROR(Descend());
+    NestingBound::Scope nesting(&nesting_);
+    MSQL_RETURN_IF_ERROR(nesting_.Descend());
     MSQL_ASSIGN_OR_RETURN(stmt->then_branch, ParseBranch());
     if (cursor_->MatchKeyword("else")) {
       MSQL_ASSIGN_OR_RETURN(stmt->else_branch, ParseBranch());
@@ -353,52 +353,9 @@ class DolParser {
     return cursor_->Expect(TokenType::kSemicolon);
   }
 
-  /// Scope of one nested parse, as in the SQL parser: inside it `peak_`
-  /// starts again from `depth_`; on exit `depth_` is restored and
-  /// `peak_` becomes the larger of its old value and the deepest level
-  /// reached inside.
-  class Nesting {
-   public:
-    explicit Nesting(DolParser* parser)
-        : parser_(parser), depth_(parser->depth_), peak_(parser->peak_) {
-      parser->peak_ = parser->depth_;
-    }
-    ~Nesting() {
-      parser_->depth_ = depth_;
-      parser_->peak_ = std::max(peak_, parser_->peak_);
-    }
-    Nesting(const Nesting&) = delete;
-    Nesting& operator=(const Nesting&) = delete;
-
-   private:
-    DolParser* parser_;
-    int depth_;
-    int peak_;
-  };
-
-  /// Enters one more level before parsing what it encloses.
-  Status Descend() {
-    ++depth_;
-    peak_ = std::max(peak_, depth_);
-    return CheckDepth();
-  }
-  /// Counts an AND or OR one level above its deeper operand.
-  Status Above() {
-    ++peak_;
-    return CheckDepth();
-  }
-  Status CheckDepth() const {
-    if (peak_ <= kMaxDolNesting) return Status::OK();
-    return Status::ParseError("DOL nesting exceeds the limit of " +
-                              std::to_string(kMaxDolNesting) +
-                              " levels at " + cursor_->Peek().Where());
-  }
-
   TokenCursor* cursor_;
-  /// Nesting level of the parse in progress, and the deepest level
-  /// reached in the current scope (see kMaxDolNesting).
-  int depth_ = 0;
-  int peak_ = 0;
+  /// Counts the levels kMaxDolNesting bounds.
+  NestingBound nesting_;
 };
 
 }  // namespace

@@ -42,6 +42,13 @@ Result<std::string> TokenCursor::ExpectIdentifier(std::string_view what) {
   return ToLower(Get().text);
 }
 
+Status NestingBound::TooDeep() const {
+  return Status::ParseError(std::string(what_) +
+                            " nesting exceeds the limit of " +
+                            std::to_string(limit_) + " levels at " +
+                            cursor_->Peek().Where());
+}
+
 bool SqlParser::IsReservedWord(std::string_view word) {
   static constexpr std::array<std::string_view, 38> kReserved = {
       "select", "distinct", "from",   "where",  "group",   "by",
@@ -369,77 +376,40 @@ Result<StatementPtr> SqlParser::ParseDrop() {
 // Expressions
 // --------------------------------------------------------------------------
 
-class SqlParser::Nesting {
- public:
-  explicit Nesting(SqlParser* parser)
-      : parser_(parser), depth_(parser->depth_), peak_(parser->peak_) {
-    parser->peak_ = parser->depth_;
-  }
-  ~Nesting() {
-    parser_->depth_ = depth_;
-    parser_->peak_ = std::max(peak_, parser_->peak_);
-  }
-  Nesting(const Nesting&) = delete;
-  Nesting& operator=(const Nesting&) = delete;
-
- private:
-  SqlParser* parser_;
-  int depth_;
-  int peak_;
-};
-
-Status SqlParser::Descend() {
-  ++depth_;
-  peak_ = std::max(peak_, depth_);
-  return CheckDepth();
-}
-
-Status SqlParser::Above() {
-  ++peak_;
-  return CheckDepth();
-}
-
-Status SqlParser::CheckDepth() const {
-  if (peak_ <= kMaxExpressionDepth) return Status::OK();
-  return Status::ParseError("expression nesting exceeds the limit of " +
-                            std::to_string(kMaxExpressionDepth) +
-                            " levels at " + cursor_->Peek().Where());
-}
-
 Result<ExprPtr> SqlParser::ParseExpression() {
-  Nesting nesting(this);
-  MSQL_RETURN_IF_ERROR(Descend());
+  NestingBound::Scope nesting(&nesting_);
+  MSQL_RETURN_IF_ERROR(nesting_.Descend());
   return ParseOr();
 }
 
 Result<ExprPtr> SqlParser::ParseOr() {
-  Nesting nesting(this);
+  NestingBound::Scope nesting(&nesting_);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseAnd());
   while (cursor_->MatchKeyword("or")) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseAnd());
     left = std::make_unique<BinaryExpr>(BinaryOp::kOr, std::move(left),
                                         std::move(right));
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
   }
   return left;
 }
 
 Result<ExprPtr> SqlParser::ParseAnd() {
-  Nesting nesting(this);
+  NestingBound::Scope nesting(&nesting_);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseNot());
   while (cursor_->MatchKeyword("and")) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseNot());
     left = std::make_unique<BinaryExpr>(BinaryOp::kAnd, std::move(left),
                                         std::move(right));
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
   }
   return left;
 }
 
 Result<ExprPtr> SqlParser::ParseNot() {
   if (cursor_->MatchKeyword("not")) {
-    Nesting nesting(this);
-    MSQL_RETURN_IF_ERROR(Descend());
+    NestingBound::Scope nesting(&nesting_);
+    MSQL_RETURN_IF_ERROR(nesting_.Descend());
     MSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
     return ExprPtr(
         std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(operand)));
@@ -449,14 +419,14 @@ Result<ExprPtr> SqlParser::ParseNot() {
 
 Result<ExprPtr> SqlParser::ParseComparison() {
   // Every node built here sits one level above its operands.
-  Nesting nesting(this);
+  NestingBound::Scope nesting(&nesting_);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseAdditive());
   // IS [NOT] NULL.
   if (cursor_->Peek().IsKeyword("is")) {
     cursor_->Get();
     bool negated = cursor_->MatchKeyword("not");
     MSQL_RETURN_IF_ERROR(cursor_->ExpectKeyword("null"));
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
     return ExprPtr(std::make_unique<UnaryExpr>(
         negated ? UnaryOp::kIsNotNull : UnaryOp::kIsNull, std::move(left)));
   }
@@ -476,7 +446,7 @@ Result<ExprPtr> SqlParser::ParseComparison() {
       MSQL_ASSIGN_OR_RETURN(ExprPtr sub, ParseSubquery());
       std::vector<ExprPtr> list;
       list.push_back(std::move(sub));
-      MSQL_RETURN_IF_ERROR(Above());
+      MSQL_RETURN_IF_ERROR(nesting_.Above());
       return ExprPtr(std::make_unique<InListExpr>(
           std::move(left), std::move(list), negated));
     }
@@ -487,7 +457,7 @@ Result<ExprPtr> SqlParser::ParseComparison() {
       if (!cursor_->Match(TokenType::kComma)) break;
     }
     MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
     return ExprPtr(std::make_unique<InListExpr>(std::move(left),
                                                 std::move(list), negated));
   }
@@ -495,17 +465,17 @@ Result<ExprPtr> SqlParser::ParseComparison() {
     MSQL_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdditive());
     MSQL_RETURN_IF_ERROR(cursor_->ExpectKeyword("and"));
     MSQL_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdditive());
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
     return ExprPtr(std::make_unique<BetweenExpr>(
         std::move(left), std::move(lo), std::move(hi), negated));
   }
   if (cursor_->MatchKeyword("like")) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
     ExprPtr like = std::make_unique<BinaryExpr>(
         BinaryOp::kLike, std::move(left), std::move(right));
     if (negated) {
-      MSQL_RETURN_IF_ERROR(Above());
+      MSQL_RETURN_IF_ERROR(nesting_.Above());
       like = std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(like));
     }
     return like;
@@ -524,13 +494,13 @@ Result<ExprPtr> SqlParser::ParseComparison() {
   }
   cursor_->Get();
   MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseAdditive());
-  MSQL_RETURN_IF_ERROR(Above());
+  MSQL_RETURN_IF_ERROR(nesting_.Above());
   return ExprPtr(std::make_unique<BinaryExpr>(op, std::move(left),
                                               std::move(right)));
 }
 
 Result<ExprPtr> SqlParser::ParseAdditive() {
-  Nesting nesting(this);
+  NestingBound::Scope nesting(&nesting_);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseMultiplicative());
   while (true) {
     BinaryOp op;
@@ -545,12 +515,12 @@ Result<ExprPtr> SqlParser::ParseAdditive() {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseMultiplicative());
     left = std::make_unique<BinaryExpr>(op, std::move(left),
                                         std::move(right));
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
   }
 }
 
 Result<ExprPtr> SqlParser::ParseMultiplicative() {
-  Nesting nesting(this);
+  NestingBound::Scope nesting(&nesting_);
   MSQL_ASSIGN_OR_RETURN(ExprPtr left, ParseUnary());
   while (true) {
     BinaryOp op;
@@ -565,7 +535,7 @@ Result<ExprPtr> SqlParser::ParseMultiplicative() {
     MSQL_ASSIGN_OR_RETURN(ExprPtr right, ParseUnary());
     left = std::make_unique<BinaryExpr>(op, std::move(left),
                                         std::move(right));
-    MSQL_RETURN_IF_ERROR(Above());
+    MSQL_RETURN_IF_ERROR(nesting_.Above());
   }
 }
 
@@ -574,8 +544,8 @@ Result<ExprPtr> SqlParser::ParseUnary() {
       cursor_->Peek().type != TokenType::kPlus) {
     return ParsePrimary();
   }
-  Nesting nesting(this);
-  MSQL_RETURN_IF_ERROR(Descend());
+  NestingBound::Scope nesting(&nesting_);
+  MSQL_RETURN_IF_ERROR(nesting_.Descend());
   if (cursor_->Match(TokenType::kMinus)) {
     MSQL_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
     // Fold -literal for cleaner plans.
@@ -709,8 +679,8 @@ Result<ExprPtr> SqlParser::ParseColumnOrFunction() {
 }
 
 Result<ExprPtr> SqlParser::ParseSubquery() {
-  Nesting nesting(this);
-  MSQL_RETURN_IF_ERROR(Descend());
+  NestingBound::Scope nesting(&nesting_);
+  MSQL_RETURN_IF_ERROR(nesting_.Descend());
   MSQL_ASSIGN_OR_RETURN(auto sub, ParseSelect());
   MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
   return ExprPtr(std::make_unique<ScalarSubqueryExpr>(std::move(sub)));

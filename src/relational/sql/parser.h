@@ -1,6 +1,7 @@
 #ifndef MSQL_RELATIONAL_SQL_PARSER_H_
 #define MSQL_RELATIONAL_SQL_PARSER_H_
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,6 +65,68 @@ class TokenCursor {
   size_t pos_ = 0;
 };
 
+/// Bounds how deep a recursive-descent parse nests, for the SQL and DOL
+/// parsers. The bound tracks the nesting level of the parse in progress
+/// and the deepest level reached in the current scope. A parser recurses
+/// only where the level grows, and every tree node adds a level, so
+/// bounding both bounds the parser's recursion and the height of the
+/// tree it builds.
+class NestingBound {
+ public:
+  /// `what` names the nesting in the error ("expression", "DOL"), which
+  /// points at the cursor's current token.
+  NestingBound(int limit, const char* what, const TokenCursor* cursor)
+      : limit_(limit), what_(what), cursor_(cursor) {}
+
+  /// Scope of one parse function. Inside it the peak starts again from
+  /// the current level, so it measures only what the scope parses; on
+  /// exit the level is restored and the peak becomes the larger of its
+  /// old value and the deepest level reached inside.
+  class Scope {
+   public:
+    explicit Scope(NestingBound* bound)
+        : bound_(bound), depth_(bound->depth_), peak_(bound->peak_) {
+      bound->peak_ = bound->depth_;
+    }
+    ~Scope() {
+      bound_->depth_ = depth_;
+      bound_->peak_ = std::max(peak_, bound_->peak_);
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    NestingBound* bound_;
+    int depth_;
+    int peak_;
+  };
+
+  /// Enters one more level before parsing what it encloses.
+  Status Descend() {
+    ++depth_;
+    peak_ = std::max(peak_, depth_);
+    return Check();
+  }
+  /// Counts a node built over the operands just parsed: its level is one
+  /// above the deepest operand, so a chain of n operators is n levels
+  /// deep, as its left-leaning tree is.
+  Status Above() {
+    ++peak_;
+    return Check();
+  }
+
+ private:
+  /// Fails once the peak passes the limit.
+  Status Check() const { return peak_ <= limit_ ? Status::OK() : TooDeep(); }
+  Status TooDeep() const;
+
+  int limit_;
+  const char* what_;
+  const TokenCursor* cursor_;
+  int depth_ = 0;
+  int peak_ = 0;
+};
+
 /// Parser dialect switches.
 struct ParseOptions {
   /// Accept MSQL extensions inside statement bodies: '~' optional-column
@@ -90,7 +153,9 @@ class SqlParser {
   static constexpr int kMaxExpressionDepth = 256;
 
   SqlParser(TokenCursor* cursor, ParseOptions options)
-      : cursor_(cursor), options_(options) {}
+      : cursor_(cursor),
+        options_(options),
+        nesting_(kMaxExpressionDepth, "expression", cursor) {}
 
   /// Parses a single statement (without trailing ';').
   Result<StatementPtr> ParseStatement();
@@ -128,31 +193,13 @@ class SqlParser {
   /// Parses `SELECT ...)` after its opening parenthesis.
   Result<ExprPtr> ParseSubquery();
 
-  /// Scope of one parse function. Inside it `peak_` starts again from
-  /// `depth_`, so it measures only what the scope parses; on exit
-  /// `depth_` is restored and `peak_` becomes the larger of its old value
-  /// and the deepest level reached inside.
-  class Nesting;
-  /// Enters one more level before parsing what it encloses: a nested
-  /// expression (in parentheses, an argument or IN list, a subquery
-  /// clause), a scalar subquery, or the operand of a NOT or sign prefix.
-  Status Descend();
-  /// Counts a node built over the operands just parsed: a binary
-  /// operator or comparison, IN, BETWEEN, LIKE, IS NULL. Its level is
-  /// one above the deepest operand, so a chain of n operators is n levels
-  /// deep, as its left-leaning tree is.
-  Status Above();
-  /// Fails once `peak_` passes kMaxExpressionDepth.
-  Status CheckDepth() const;
-
   TokenCursor* cursor_;
   ParseOptions options_;
-  /// Nesting level of the parse in progress, and the deepest level
-  /// reached in the current scope. The parser recurses only where
-  /// `depth_` grows, and every tree node adds a level, so bounding both
-  /// bounds the parser's recursion and the height of the tree it builds.
-  int depth_ = 0;
-  int peak_ = 0;
+  /// Each nested expression (in parentheses, an argument or IN list, a
+  /// subquery clause), scalar subquery, or operand of a NOT or sign
+  /// prefix descends one level; each binary operator or comparison, IN,
+  /// BETWEEN, LIKE and IS NULL counts one level above its operands.
+  NestingBound nesting_;
 };
 
 /// Parses exactly one SQL statement from `text` (optional trailing ';').
