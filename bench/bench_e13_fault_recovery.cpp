@@ -69,8 +69,8 @@ void BM_FaultRecovery(benchmark::State& state) {
       return;
     }
     sim_micros += report->run.makespan_micros;
-    retries += report->retries_performed;
-    reprobes += report->reprobes_performed;
+    retries += report->run.retries;
+    reprobes += report->run.reprobes;
     switch (report->outcome) {
       case GlobalOutcome::kSuccess: ++success; break;
       case GlobalOutcome::kAborted: ++aborted; break;

@@ -2,8 +2,10 @@
 // sessions (reads across the synthetic federation plus a slice of
 // single-database update multitransactions for lock churn), runs them
 // through the FederationServer scheduler, and reports wall-clock QPS
-// plus p50/p99 session makespan on the simulated clock. Results are
-// written to BENCH_concurrency.json.
+// plus p50/p99 session makespan on the simulated clock, and the live
+// sessions the scheduler's ready scan visited (`scan_visits`, a work
+// counter that grows with the admitted set, not the batch). Results
+// are written to BENCH_concurrency.json.
 //
 // Usage: bench_e16_concurrency [--quick] [--out FILE]
 //        [--max-sessions N] [--update-fraction F]
@@ -31,6 +33,7 @@ struct RunStats {
   int64_t p99_makespan_micros = 0;
   int64_t lock_waits = 0;
   int64_t failures = 0;
+  int64_t scan_visits = 0;
 };
 
 int64_t Percentile(std::vector<int64_t>& sorted, double p) {
@@ -107,6 +110,7 @@ bool RunScale(int sessions, double update_fraction, RunStats* out) {
   out->virtual_makespan_micros = server.virtual_now();
   out->p50_makespan_micros = Percentile(makespans, 0.50);
   out->p99_makespan_micros = Percentile(makespans, 0.99);
+  out->scan_visits = server.scan_visits();
   return true;
 }
 
@@ -137,12 +141,13 @@ int main(int argc, char** argv) {
     stats.push_back(s);
     std::printf(
         "sessions=%-7d wall=%9.1fms qps=%9.0f p50=%6lldus p99=%6lldus "
-        "lock_waits=%lld failures=%lld\n",
+        "lock_waits=%lld failures=%lld scan_visits=%lld\n",
         s.sessions, s.wall_ms, s.qps,
         static_cast<long long>(s.p50_makespan_micros),
         static_cast<long long>(s.p99_makespan_micros),
         static_cast<long long>(s.lock_waits),
-        static_cast<long long>(s.failures));
+        static_cast<long long>(s.failures),
+        static_cast<long long>(s.scan_visits));
   }
 
   std::ofstream json(out_path);
@@ -157,7 +162,8 @@ int main(int argc, char** argv) {
          << ", \"p50_makespan_micros\": " << s.p50_makespan_micros
          << ", \"p99_makespan_micros\": " << s.p99_makespan_micros
          << ", \"lock_waits\": " << s.lock_waits
-         << ", \"failures\": " << s.failures << "}"
+         << ", \"failures\": " << s.failures
+         << ", \"scan_visits\": " << s.scan_visits << "}"
          << (i + 1 < stats.size() ? ",\n" : "\n");
   }
   json << "  ]\n}\n";

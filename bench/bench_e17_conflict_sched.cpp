@@ -11,7 +11,9 @@
 // its sites executed (`local_selects`, the `sql.selects` counter, retry
 // rounds included): every seat UPDATE runs its MIN subquery once, so a
 // return to per-row subquery evaluation shows here as a multiple of the
-// seat count. Results go to BENCH_conflict_sched.json.
+// seat count. `scan_visits` counts the live sessions the scheduler's
+// ready scan visited, retry rounds included. Results go to
+// BENCH_conflict_sched.json.
 //
 // Usage: bench_e17_conflict_sched [--quick] [--out FILE] [--sessions N]
 #include <chrono>
@@ -83,6 +85,7 @@ struct RunStats {
   int64_t retried_sessions = 0;
   int64_t completion_makespan_micros = 0;
   int64_t local_selects = 0;
+  int64_t scan_visits = 0;
 };
 
 bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
@@ -132,6 +135,7 @@ bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
   out->wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   out->virtual_makespan_micros = server.virtual_now();
+  out->scan_visits = server.scan_visits();
   for (const msql::core::SessionResult& r : *results) {
     out->lock_waits += r.lock_waits;
     out->lock_wait_micros += r.lock_wait_micros;
@@ -176,6 +180,7 @@ bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
       return false;
     }
     out->completion_makespan_micros += retry_server.virtual_now();
+    out->scan_visits += retry_server.scan_visits();
     std::vector<std::string> next;
     for (size_t i = 0; i < retry->size(); ++i) {
       const msql::core::SessionResult& r = (*retry)[i];
@@ -200,7 +205,7 @@ void Print(const RunStats& s) {
       "conflict_aware=%-5s sessions=%-4d wall=%8.1fms makespan=%9lldus "
       "victims=%-3lld timeouts=%-3lld aborted=%-3lld committed=%-4lld "
       "lock_waits=%-5lld deferrals=%-4lld avoided=%-4lld "
-      "retries=%lld/%dr completion=%9lldus selects=%lld\n",
+      "retries=%lld/%dr completion=%9lldus selects=%lld visits=%lld\n",
       s.conflict_aware ? "true" : "false", s.sessions, s.wall_ms,
       static_cast<long long>(s.virtual_makespan_micros),
       static_cast<long long>(s.deadlock_victims),
@@ -212,7 +217,8 @@ void Print(const RunStats& s) {
       static_cast<long long>(s.avoided_deadlocks),
       static_cast<long long>(s.retried_sessions), s.retry_rounds,
       static_cast<long long>(s.completion_makespan_micros),
-      static_cast<long long>(s.local_selects));
+      static_cast<long long>(s.local_selects),
+      static_cast<long long>(s.scan_visits));
 }
 
 void Emit(std::ostream& json, const RunStats& s, bool last) {
@@ -232,7 +238,8 @@ void Emit(std::ostream& json, const RunStats& s, bool last) {
        << ", \"retried_sessions\": " << s.retried_sessions
        << ", \"completion_makespan_micros\": "
        << s.completion_makespan_micros
-       << ", \"local_selects\": " << s.local_selects << "}"
+       << ", \"local_selects\": " << s.local_selects
+       << ", \"scan_visits\": " << s.scan_visits << "}"
        << (last ? "\n" : ",\n");
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "relational/sql/parser.h"
+#include "relational/txn.h"
 
 namespace msql::analysis {
 
@@ -16,12 +17,6 @@ std::string Lower(std::string_view text) {
   std::string out(text);
   for (char& c : out) c = static_cast<char>(std::tolower(c));
   return out;
-}
-
-/// "db.table" lock key as relational::Executor builds it; `table` == "*"
-/// is the analyzer's whole-database wildcard.
-std::string LockKey(const std::string& database, const std::string& table) {
-  return Lower(database) + "." + Lower(table);
 }
 
 /// The session a TASK/TRANSFER targets, resolved from its OPEN.
@@ -44,7 +39,9 @@ struct AccessSink {
     access.task = task;
     access.service = session.service;
     access.database = session.database;
-    access.resource = LockKey(session.database, table);
+    // `table` == "*" is the whole-database wildcard.
+    access.resource =
+        relational::LockKey(Lower(session.database), Lower(table));
     access.mode = mode;
     access.step = step;
     // Compensation runs autocommit after the global decision, when the

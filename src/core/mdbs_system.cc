@@ -173,8 +173,8 @@ void MultidatabaseSystem::LogInput(lang::MsqlInput::Kind kind,
   record.makespan_micros = report.run.makespan_micros;
   record.messages = report.run.messages;
   record.bytes = report.run.bytes;
-  record.retries = report.retries_performed;
-  record.reprobes = report.reprobes_performed;
+  record.retries = report.run.retries;
+  record.reprobes = report.run.reprobes;
   if (report.is_join) {
     record.rows_returned =
         static_cast<int64_t>(report.join_result.rows.size());
@@ -706,8 +706,6 @@ ExecutionReport MultidatabaseSystem::AssembleRunReport(
   }
   report.run = std::move(*run);
   report.dol_status = report.run.dol_status;
-  report.retries_performed = report.run.retries;
-  report.reprobes_performed = report.run.reprobes;
   switch (report.dol_status) {
     case translator::PlanStatus::kSuccess:
       report.outcome = GlobalOutcome::kSuccess;

@@ -69,10 +69,6 @@ struct ExecutionReport {
   int64_t rows_transferred = 0;
   /// Interdatabase triggers fired by this input (in firing order).
   std::vector<std::string> fired_triggers;
-  /// Re-sends the DOL engine performed under the retry policy.
-  int64_t retries_performed = 0;
-  /// kQueryTxnState re-probes issued to resolve timed-out calls.
-  int64_t reprobes_performed = 0;
   /// Services whose NON-VITAL subqueries were lost to unavailability:
   /// the run degraded (their answers/effects are missing) but the
   /// global outcome was not affected (§3.2.1).

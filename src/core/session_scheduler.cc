@@ -47,25 +47,23 @@ Result<std::vector<SessionResult>> FederationServer::RunAll() {
 
 Result<std::vector<SessionResult>> FederationServer::RunBatch() {
   clock_ = 0;
+  steps_ = 0;
+  scan_visits_ = 0;
   while (true) {
     AdmitEligible();
+    ++steps_;
+    std::erase_if(live_, [](const Session* s) {
+      return s->state == SessionState::kDone;
+    });
     // Pick the ready session with the earliest effective call time
     // (ties go to the lowest session id): calls reach the netsim in
-    // global time order, which keeps per-service admission queues FIFO.
+    // global time order.
     Session* next = nullptr;
     int64_t next_at = 0;
     bool any_parked = false;
-    // Sessions are admitted in order and mostly finish in order, so the
-    // live window is [watermark_, next_unadmitted_): everything below
-    // the watermark is done, everything at or above next_unadmitted_ is
-    // still waiting for admission. Keeps the per-step scan proportional
-    // to the admitted set, not the whole batch.
-    while (watermark_ < sessions_.size() &&
-           sessions_[watermark_]->state == SessionState::kDone) {
-      ++watermark_;
-    }
-    for (size_t i = watermark_; i < next_unadmitted_; ++i) {
-      Session& s = *sessions_[i];
+    for (Session* live : live_) {
+      Session& s = *live;
+      ++scan_visits_;
       if (s.state == SessionState::kParked) any_parked = true;
       if (s.state != SessionState::kReady) continue;
       const dol::DolEngine::PendingRpc* rpc = s.engine->pending();
@@ -92,8 +90,8 @@ Result<std::vector<SessionResult>> FederationServer::RunBatch() {
     clock_ = std::max(clock_, next_at);
     Step(*next, next_at);
     // Lock-wait timeout sweep on the advanced clock.
-    for (size_t i = watermark_; i < next_unadmitted_; ++i) {
-      Session& s = *sessions_[i];
+    for (Session* live : live_) {
+      Session& s = *live;
       if (s.state == SessionState::kParked &&
           clock_ - s.parked_since >= kLockWaitTimeoutMicros) {
         AbortParked(s,
@@ -114,7 +112,7 @@ Result<std::vector<SessionResult>> FederationServer::RunBatch() {
   sessions_.clear();
   local_owner_.clear();
   next_unadmitted_ = 0;
-  watermark_ = 0;
+  live_.clear();
   active_ = 0;
   deferred_.clear();
   graph_ = analysis::ConflictGraph();
@@ -232,6 +230,12 @@ void FederationServer::Admit(Session& s) {
   Consider(s);
   s.state = SessionState::kReady;
   ++active_;
+  // Deferred sessions are admitted after later ones: keep id order.
+  live_.insert(std::upper_bound(live_.begin(), live_.end(), s.id,
+                                [](uint64_t id, const Session* other) {
+                                  return id < other->id;
+                                }),
+               &s);
   s.result.admit_micros = clock_;
   s.resume_at = clock_;
   if (s.shed_since >= 0) {
@@ -358,10 +362,8 @@ void FederationServer::Step(Session& s, int64_t at) {
 }
 
 void FederationServer::WakeParked(const std::string& service, int64_t now) {
-  // Parked sessions are always admitted, so they live in the
-  // [watermark_, next_unadmitted_) window (see RunBatch).
-  for (size_t i = watermark_; i < next_unadmitted_; ++i) {
-    Session& s = *sessions_[i];
+  for (Session* live : live_) {
+    Session& s = *live;
     if (s.state != SessionState::kParked || s.parked_service != service) {
       continue;
     }
@@ -400,8 +402,7 @@ FederationServer::Session* FederationServer::FindDeadlockVictim(Session& s) {
 
 void FederationServer::BreakStall() {
   Session* victim = nullptr;
-  for (size_t i = watermark_; i < next_unadmitted_; ++i) {
-    Session* s = sessions_[i].get();
+  for (Session* s : live_) {
     if (s->state == SessionState::kParked &&
         (victim == nullptr || s->id > victim->id)) {
       victim = s;

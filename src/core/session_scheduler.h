@@ -89,15 +89,16 @@ struct SessionResult {
 /// Each submitted input is compiled at admission
 /// (MultidatabaseSystem::Prepare) and its DOL program stepped through
 /// DolEngine::BeginRun/Deliver. At every step the scheduler issues the
-/// earliest pending RPC across all sessions, so calls hit the netsim in
-/// global time order and per-service admission queues see a meaningful
-/// arrival order. Lock conflicts surface as kBusy responses, which park
-/// the session (the response is withheld from its engine) until a
-/// lock-releasing verb completes at that service; the kBusy blocker
-/// lists feed a waits-for graph whose cycles are broken by aborting the
-/// largest-id member, surfaced as a normal ABORTED outcome through the
-/// victim's own DOL recovery path. A session parked on one wait for 5 s
-/// of simulated time is aborted the same way.
+/// earliest pending RPC across the live sessions (admitted, not done),
+/// so calls hit the netsim in global time order: which call a scripted
+/// fault matches, and which session acquires a contended lock first,
+/// both follow that order. Lock conflicts surface as kBusy responses,
+/// which park the session (the response is withheld from its engine)
+/// until a lock-releasing verb completes at that service; the kBusy
+/// blocker lists feed a waits-for graph whose cycles are broken by
+/// aborting the largest-id member, surfaced as a normal ABORTED outcome
+/// through the victim's own DOL recovery path. A session parked on one
+/// wait for 5 s of simulated time is aborted the same way.
 class FederationServer {
  public:
   explicit FederationServer(MultidatabaseSystem* system,
@@ -119,6 +120,11 @@ class FederationServer {
 
   /// Final value of the shared simulated clock after the last RunAll.
   int64_t virtual_now() const { return clock_; }
+  /// Scheduler work of the last RunAll, exact for a fixed batch: event
+  /// loop iterations, and live sessions the ready scan visited (at most
+  /// the admitted set per step).
+  int64_t steps() const { return steps_; }
+  int64_t scan_visits() const { return scan_visits_; }
 
   /// Attaches the federation monitor (not owned; null detaches). The
   /// server samples it on the shared clock each time a window boundary
@@ -244,12 +250,14 @@ class FederationServer {
   analysis::ConflictGraph graph_;
   /// The admitted set changed since deferred_ was last re-checked.
   bool graph_dirty_ = false;
-  /// All sessions below this index are kDone (admission order makes the
-  /// finished prefix contiguous in the common case); the scheduler's
-  /// per-step scans start here.
-  size_t watermark_ = 0;
+  /// Admitted sessions not yet done, in session-id order: the only
+  /// sessions the ready scan, the lock-wait timeout sweep, WakeParked and
+  /// BreakStall visit. Finished sessions leave it once per loop step.
+  std::vector<Session*> live_;
   int active_ = 0;
   int64_t clock_ = 0;
+  int64_t steps_ = 0;
+  int64_t scan_visits_ = 0;
   obs::Monitor* monitor_ = nullptr;
   /// Shed state as of the last SampleMonitor (transition detection).
   bool shed_active_ = false;

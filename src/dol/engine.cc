@@ -271,9 +271,6 @@ DolTask<CallOutcome> DolEngine::CallService(const std::string& service,
     if (result.fault != netsim::FaultAction::kNone) {
       rpc_span.Annotate("fault", netsim::FaultActionName(result.fault));
     }
-    if (result.timing.queue_micros > 0) {
-      rpc_span.Annotate("queue_micros", result.timing.queue_micros);
-    }
     if (result.timed_out) rpc_span.Annotate("timed_out", "true");
     if (!result.response.status.ok()) {
       rpc_span.Annotate("status",

@@ -1,7 +1,5 @@
 #include "netsim/environment.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace msql::netsim {
@@ -56,26 +54,6 @@ Result<const ServiceEntry*> Environment::GetServiceEntry(
   return &it->second;
 }
 
-Status Environment::SetServiceConcurrency(std::string_view service_name,
-                                          int limit) {
-  std::string service = ToLower(service_name);
-  if (lams_.count(service) == 0) {
-    return Status::NotFound("service '" + service +
-                            "' is not registered in the environment");
-  }
-  if (limit < 0) {
-    return Status::InvalidArgument("service concurrency must be >= 0");
-  }
-  if (limit == 0) {
-    queues_.erase(service);
-  } else {
-    ServiceQueue& queue = queues_[service];
-    queue.limit = limit;
-    queue.busy_until = {};
-  }
-  return Status::OK();
-}
-
 std::vector<std::string> Environment::ServiceNames() const {
   std::vector<std::string> out;
   out.reserve(lams_.size());
@@ -100,8 +78,7 @@ Result<CallOutcome> Environment::Call(std::string_view service_name,
     health_.Record(lam->service_name(), lam->site_name(),
                    outcome->response.status.ok(), outcome->timed_out,
                    outcome->fault != FaultAction::kNone,
-                   outcome->timing.end_micros - outcome->timing.start_micros,
-                   outcome->timing.queue_micros);
+                   outcome->timing.end_micros - outcome->timing.start_micros);
   } else {
     health_.Record(lam->service_name(), lam->site_name(), /*ok=*/false,
                    /*timed_out=*/false, /*faulted=*/false,
@@ -144,42 +121,18 @@ Result<CallOutcome> Environment::CallImpl(Lam* lam, const LamRequest& request,
     }
     return micros;
   };
-  // The LAM handles the request locally; traced as a "lam" span so the
-  // simulated timeline shows where service time goes. When the service
-  // has a concurrency limit, the request first waits in the admission
-  // queue until one of the `limit` servers frees up — the wait lands in
-  // timing.queue_micros and shifts everything downstream of it.
+  // The LAM handles the request locally as soon as it arrives; traced
+  // as a "lam" span so the simulated timeline shows where service time
+  // goes.
   auto handle = [&](int64_t arrival) -> LamResponse {
-    int64_t service_start = arrival;
-    ServiceQueue* queue = nullptr;
-    auto queue_it = queues_.find(lam->service_name());
-    if (queue_it != queues_.end() && queue_it->second.limit > 0) {
-      queue = &queue_it->second;
-      if (static_cast<int>(queue->busy_until.size()) >= queue->limit) {
-        int64_t free_at = queue->busy_until.top();
-        queue->busy_until.pop();
-        service_start = std::max(arrival, free_at);
-      }
-    }
-    outcome.timing.queue_micros = service_start - arrival;
-    if (outcome.timing.queue_micros > 0) {
-      metrics_.Observe("lam.queue_micros", outcome.timing.queue_micros);
-    }
     LamResponse response = lam->Handle(request, &outcome.timing.service_micros);
-    if (queue) {
-      queue->busy_until.push(service_start + outcome.timing.service_micros);
-    }
     metrics_.Observe("lam.service_micros", outcome.timing.service_micros);
     if (tracer_.enabled()) {
       uint64_t span = tracer_.StartSpan(
           std::string("lam:") + std::string(LamRequestTypeName(request.type)),
-          "lam", service_start);
+          "lam", arrival);
       tracer_.Annotate(span, "service", lam->service_name());
-      if (outcome.timing.queue_micros > 0) {
-        tracer_.Annotate(span, "queue_micros", outcome.timing.queue_micros);
-      }
-      tracer_.EndSpan(span,
-                      service_start + outcome.timing.service_micros);
+      tracer_.EndSpan(span, arrival + outcome.timing.service_micros);
     }
     return response;
   };
@@ -208,7 +161,7 @@ Result<CallOutcome> Environment::CallImpl(Lam* lam, const LamRequest& request,
           "timeout: no response to " +
           std::string(LamRequestTypeName(request.type)) + " from '" +
           lam->service_name() + "' (request lost)");
-      outcome.timing.end_micros = at_micros + call_timeout_micros_;
+      outcome.timing.end_micros = at_micros + kCallTimeoutMicros;
       return outcome;
     case FaultAction::kReject: {
       // The LAM refuses without dispatching: a definite, undelivered
@@ -236,7 +189,6 @@ Result<CallOutcome> Environment::CallImpl(Lam* lam, const LamRequest& request,
       // Account the doomed response message.
       (void)send(lam->site_name(), coordinator_site_, executed.WireBytes(),
                  at_micros + outcome.timing.request_micros +
-                     outcome.timing.queue_micros +
                      outcome.timing.service_micros,
                  "response", false);
       outcome.timed_out = true;
@@ -245,7 +197,7 @@ Result<CallOutcome> Environment::CallImpl(Lam* lam, const LamRequest& request,
           "timeout: no response to " +
           std::string(LamRequestTypeName(request.type)) + " from '" +
           lam->service_name() + "' (response lost)");
-      outcome.timing.end_micros = at_micros + call_timeout_micros_;
+      outcome.timing.end_micros = at_micros + kCallTimeoutMicros;
       return outcome;
     }
     case FaultAction::kNone:
@@ -260,12 +212,11 @@ Result<CallOutcome> Environment::CallImpl(Lam* lam, const LamRequest& request,
       send(lam->site_name(), coordinator_site_,
            outcome.response.WireBytes(),
            at_micros + outcome.timing.request_micros +
-               outcome.timing.queue_micros + outcome.timing.service_micros,
+               outcome.timing.service_micros,
            "response", true));
   outcome.timing.end_micros =
       at_micros + outcome.timing.request_micros +
-      outcome.timing.queue_micros + outcome.timing.service_micros +
-      outcome.timing.response_micros;
+      outcome.timing.service_micros + outcome.timing.response_micros;
   return outcome;
 }
 

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,10 +33,6 @@ struct ServiceEntry {
 struct CallTiming {
   int64_t start_micros = 0;
   int64_t request_micros = 0;  // client → LAM
-  /// Wait in the service's admission queue before a server picked the
-  /// request up (0 unless the service has a concurrency limit and was
-  /// busy at arrival).
-  int64_t queue_micros = 0;
   int64_t service_micros = 0;  // local execution
   int64_t response_micros = 0;  // LAM → client
   int64_t end_micros = 0;
@@ -102,10 +97,7 @@ class Environment {
 
   /// Simulated time the coordinator waits for a response before a call
   /// is declared timed out (lost request/response faults).
-  void set_call_timeout_micros(int64_t micros) {
-    call_timeout_micros_ = micros;
-  }
-  int64_t call_timeout_micros() const { return call_timeout_micros_; }
+  static constexpr int64_t kCallTimeoutMicros = 20'000;
 
   /// Registers a service: creates its site (if new), records the
   /// directory entry and installs the LAM.
@@ -119,16 +111,6 @@ class Environment {
       std::string_view service_name) const;
   std::vector<std::string> ServiceNames() const;
 
-  /// Caps the number of requests `service_name` executes concurrently
-  /// (0 = unlimited, the default). Requests arriving while all servers
-  /// are busy wait in a FIFO queue on the simulated clock; the wait is
-  /// reported as CallTiming::queue_micros and does NOT count toward the
-  /// call timeout (the coordinator models a patient client under load —
-  /// timeouts stay a fault signal, not a congestion signal). Callers
-  /// driving multiple concurrent sessions must issue their calls in
-  /// global time order for the FIFO discipline to be meaningful.
-  Status SetServiceConcurrency(std::string_view service_name, int limit);
-
   /// Issues one RPC from the coordinator to `service_name`, starting at
   /// simulated time `at_micros`. Network unavailability is reported in
   /// the returned Status (the response is then empty). Scripted faults
@@ -139,14 +121,6 @@ class Environment {
                            const LamRequest& request, int64_t at_micros);
 
  private:
-  /// Admission state of one capacity-limited service: a min-heap of the
-  /// busy-until times of at most `limit` in-flight requests.
-  struct ServiceQueue {
-    int limit = 0;
-    std::priority_queue<int64_t, std::vector<int64_t>,
-                        std::greater<int64_t>>
-        busy_until;
-  };
   /// The round-trip model behind Call; Call wraps it to feed the health
   /// registry on every return path.
   Result<CallOutcome> CallImpl(Lam* lam, const LamRequest& request,
@@ -158,10 +132,8 @@ class Environment {
   obs::Tracer tracer_;
   obs::MetricsRegistry metrics_;
   obs::HealthRegistry health_;
-  int64_t call_timeout_micros_ = 20000;
   std::map<std::string, ServiceEntry> directory_;
   std::map<std::string, std::unique_ptr<Lam>> lams_;
-  std::map<std::string, ServiceQueue> queues_;
 };
 
 }  // namespace msql::netsim

@@ -1,6 +1,7 @@
 #include "netsim/lam.h"
 
 #include <set>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -16,6 +17,25 @@ namespace {
 constexpr int64_t kRequestOverheadMicros = 200;
 constexpr int64_t kMicrosPerRow = 10;
 constexpr int64_t kMicrosPerRowScanned = 2;
+
+/// The answer of DESCRIBE and DESCRIBEVIEW: a (table_name, column_name,
+/// type_name, width) header, then one row per column of each named
+/// schema.
+ResultSet DescribeAnswer(
+    const std::vector<std::pair<std::string, const relational::TableSchema*>>&
+        schemas) {
+  ResultSet answer;
+  answer.columns = {"table_name", "column_name", "type_name", "width"};
+  for (const auto& [name, schema] : schemas) {
+    for (const auto& col : schema->columns()) {
+      answer.rows.push_back(relational::Row{
+          relational::Value::Text(name), relational::Value::Text(col.name),
+          relational::Value::Text(std::string(TypeName(col.type))),
+          relational::Value::Integer(col.width)});
+    }
+  }
+  return answer;
+}
 }  // namespace
 
 std::string_view LamRequestTypeName(LamRequestType type) {
@@ -123,28 +143,23 @@ LamResponse Lam::Handle(const LamRequest& request, int64_t* service_micros) {
         response.status = db.status();
         break;
       }
-      response.result.columns = {"table_name", "column_name", "type_name",
-                                 "width"};
       std::vector<std::string> tables;
       if (request.sql.empty()) {
         tables = (*db)->TableNames();
       } else {
         tables.push_back(ToLower(request.sql));
       }
+      std::vector<std::pair<std::string, const relational::TableSchema*>>
+          schemas;
       for (const auto& table_name : tables) {
         auto table = (*db)->GetTableConst(table_name);
         if (!table.ok()) {
           response.status = table.status();
           break;
         }
-        for (const auto& col : (*table)->schema().columns()) {
-          response.result.rows.push_back(relational::Row{
-              relational::Value::Text(table_name),
-              relational::Value::Text(col.name),
-              relational::Value::Text(std::string(TypeName(col.type))),
-              relational::Value::Integer(col.width)});
-        }
+        schemas.emplace_back(table_name, &(*table)->schema());
       }
+      response.result = DescribeAnswer(schemas);
       rows_touched = static_cast<int64_t>(response.result.rows.size());
       break;
     }
@@ -159,15 +174,7 @@ LamResponse Lam::Handle(const LamRequest& request, int64_t* service_micros) {
         response.status = schema.status();
         break;
       }
-      response.result.columns = {"table_name", "column_name", "type_name",
-                                 "width"};
-      for (const auto& col : schema->columns()) {
-        response.result.rows.push_back(relational::Row{
-            relational::Value::Text(schema->table_name()),
-            relational::Value::Text(col.name),
-            relational::Value::Text(std::string(TypeName(col.type))),
-            relational::Value::Integer(col.width)});
-      }
+      response.result = DescribeAnswer({{schema->table_name(), &*schema}});
       rows_touched = static_cast<int64_t>(response.result.rows.size());
       break;
     }

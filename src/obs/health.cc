@@ -17,12 +17,8 @@ std::string_view HealthStateName(HealthState state) {
 }
 
 void SiteHealth::Record(bool ok, bool timed_out, bool faulted,
-                        int64_t latency_micros, int64_t queue_micros) {
+                        int64_t latency_micros) {
   ++attempts_;
-  if (queue_micros > 0) {
-    ++queue_waits_;
-    queue_delay_.Observe(queue_micros);
-  }
   if (!ok) ++failures_;
   if (timed_out) ++timeouts_;
   if (faulted) ++faults_;
@@ -53,14 +49,13 @@ HealthState SiteHealth::state() const {
 
 void HealthRegistry::Record(std::string_view service, std::string_view site,
                             bool ok, bool timed_out, bool faulted,
-                            int64_t latency_micros, int64_t queue_micros) {
+                            int64_t latency_micros) {
   auto it = sites_.find(service);
   if (it == sites_.end()) {
     it = sites_.emplace(std::string(service), Entry{}).first;
     it->second.site = std::string(site);
   }
-  it->second.health.Record(ok, timed_out, faulted, latency_micros,
-                           queue_micros);
+  it->second.health.Record(ok, timed_out, faulted, latency_micros);
 }
 
 const SiteHealth* HealthRegistry::Get(std::string_view service) const {
@@ -91,10 +86,6 @@ HealthSnapshot HealthRegistry::Snapshot() const {
     s.latency_p50 = h.latency().Quantile(0.5);
     s.latency_p95 = h.latency().Quantile(0.95);
     s.latency_p99 = h.latency().Quantile(0.99);
-    s.queue_waits = h.queue_waits();
-    s.queue_p50 = h.queue_delay().Quantile(0.5);
-    s.queue_p95 = h.queue_delay().Quantile(0.95);
-    s.queue_p99 = h.queue_delay().Quantile(0.99);
     if (s.state == HealthState::kDegraded) ++snapshot.degraded;
     if (s.state == HealthState::kUnreachable) ++snapshot.unreachable;
     snapshot.services.push_back(std::move(s));
@@ -130,26 +121,6 @@ std::string HealthRegistry::RenderText() const {
         static_cast<long long>(s.latency_p99));
     out += line;
   }
-  bool any_queued = false;
-  for (const HealthSnapshot::Service& s : snapshot.services) {
-    if (s.queue_waits > 0) any_queued = true;
-  }
-  if (any_queued) {
-    out += "queue delay (admission wait at capacity-limited services):\n";
-    for (const HealthSnapshot::Service& s : snapshot.services) {
-      if (s.queue_waits == 0) continue;
-      char line[160];
-      std::snprintf(line, sizeof(line),
-                    "  %-16s waits %5lld  p50_us %7lld  p95_us %7lld  "
-                    "p99_us %7lld\n",
-                    s.service.c_str(),
-                    static_cast<long long>(s.queue_waits),
-                    static_cast<long long>(s.queue_p50),
-                    static_cast<long long>(s.queue_p95),
-                    static_cast<long long>(s.queue_p99));
-      out += line;
-    }
-  }
   return out;
 }
 
@@ -174,10 +145,6 @@ std::string HealthRegistry::RenderJson() const {
     out += ",\"latency_p50_us\":" + std::to_string(s.latency_p50);
     out += ",\"latency_p95_us\":" + std::to_string(s.latency_p95);
     out += ",\"latency_p99_us\":" + std::to_string(s.latency_p99);
-    out += ",\"queue_waits\":" + std::to_string(s.queue_waits);
-    out += ",\"queue_p50_us\":" + std::to_string(s.queue_p50);
-    out += ",\"queue_p95_us\":" + std::to_string(s.queue_p95);
-    out += ",\"queue_p99_us\":" + std::to_string(s.queue_p99);
     out += "}";
   }
   out += "],\"degraded\":" + std::to_string(snapshot.degraded);

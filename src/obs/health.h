@@ -35,13 +35,7 @@ class SiteHealth {
   /// Records one finished call. `ok` is the coordinator's view (a
   /// timed-out call is not ok even if the LAM secretly executed it);
   /// `latency_micros` is the simulated time the coordinator waited.
-  /// `queue_micros` is the time the request sat in the service's
-  /// admission queue before a server picked it up (0 when the service
-  /// has no concurrency limit or was idle) — the contention signal of
-  /// a loaded federation, tracked separately from latency so a slow
-  /// site and a busy site are distinguishable.
-  void Record(bool ok, bool timed_out, bool faulted, int64_t latency_micros,
-              int64_t queue_micros = 0);
+  void Record(bool ok, bool timed_out, bool faulted, int64_t latency_micros);
 
   int64_t attempts() const { return attempts_; }
   int64_t failures() const { return failures_; }
@@ -51,9 +45,6 @@ class SiteHealth {
   int window_attempts() const;
   int window_failures() const;
   const Histogram& latency() const { return latency_; }
-  /// Calls that waited in the admission queue, and the wait histogram.
-  int64_t queue_waits() const { return queue_waits_; }
-  const Histogram& queue_delay() const { return queue_delay_; }
 
   HealthState state() const;
 
@@ -63,9 +54,7 @@ class SiteHealth {
   int64_t timeouts_ = 0;
   int64_t faults_ = 0;
   int64_t consecutive_failures_ = 0;
-  int64_t queue_waits_ = 0;
   Histogram latency_;
-  Histogram queue_delay_;
   /// Ring buffer of the last kWindow call verdicts (true = failed).
   std::array<bool, kWindow> window_failed_{};
   int window_size_ = 0;
@@ -89,10 +78,6 @@ struct HealthSnapshot {
     int64_t latency_p50 = 0;
     int64_t latency_p95 = 0;
     int64_t latency_p99 = 0;
-    int64_t queue_waits = 0;
-    int64_t queue_p50 = 0;
-    int64_t queue_p95 = 0;
-    int64_t queue_p99 = 0;
   };
   /// Sorted by service name (the registry's iteration order).
   std::vector<Service> services;
@@ -116,8 +101,7 @@ class HealthRegistry {
   void Clear() { sites_.clear(); }
 
   void Record(std::string_view service, std::string_view site, bool ok,
-              bool timed_out, bool faulted, int64_t latency_micros,
-              int64_t queue_micros = 0);
+              bool timed_out, bool faulted, int64_t latency_micros);
 
   /// Health of `service`, or nullptr when it was never called.
   const SiteHealth* Get(std::string_view service) const;

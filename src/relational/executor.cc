@@ -13,15 +13,6 @@ namespace msql::relational {
 
 namespace {
 
-/// Output column name for a select item.
-std::string OutputName(const SelectItem& item) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr->kind() == ExprKind::kColumnRef) {
-    return static_cast<const ColumnRefExpr&>(*item.expr).name();
-  }
-  return ToLower(item.expr->ToSql());
-}
-
 /// One column of the select list after '*' expansion.
 struct OutputItem {
   const Expr* expr;
@@ -159,10 +150,6 @@ Status Executor::CheckQualifier(const TableRef& ref) const {
   return Status::OK();
 }
 
-std::string Executor::LockKey(const std::string& table) const {
-  return db_->name() + "." + table;
-}
-
 Status Executor::RejectViewTarget(const TableRef& ref) const {
   if (db_->HasView(ref.table)) {
     return Status::InvalidArgument("'" + ToLower(ref.table) +
@@ -245,7 +232,7 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   std::vector<OutputItem> items;
   for (const auto& item : stmt.items) {
     if (!item.is_star) {
-      items.push_back({item.expr.get(), OutputName(item)});
+      items.push_back({item.expr.get(), SelectItemOutputName(item)});
       continue;
     }
     bool matched = false;
@@ -460,7 +447,7 @@ Status Executor::ResolveSources(const SelectStmt& stmt,
                                 int64_t* recursive_scanned) {
   for (const auto& ref : stmt.from) {
     MSQL_RETURN_IF_ERROR(CheckQualifier(ref));
-    MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ref.table),
+    MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(db_->name(), ref.table),
                                          LockManager::Mode::kShared));
     std::string eff = ToLower(ref.EffectiveName());
     ResolvedSource source;
@@ -765,7 +752,8 @@ Result<Table*> Executor::LockTarget(const TableRef& ref,
                                     LockManager::Mode mode) {
   MSQL_RETURN_IF_ERROR(CheckQualifier(ref));
   MSQL_RETURN_IF_ERROR(RejectViewTarget(ref));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ref.table), mode));
+  MSQL_RETURN_IF_ERROR(
+      locks_->Acquire(txn_, LockKey(db_->name(), ref.table), mode));
   return db_->GetTable(ref.table);
 }
 
@@ -970,8 +958,9 @@ Result<TableSchema> SchemaOf(const CreateTableStmt& stmt) {
 Result<ResultSet> Executor::ExecuteCreateTable(const CreateTableStmt& stmt) {
   MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
   MSQL_ASSIGN_OR_RETURN(TableSchema schema, SchemaOf(stmt));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(schema.table_name()),
-                                       LockManager::Mode::kExclusive));
+  MSQL_RETURN_IF_ERROR(
+      locks_->Acquire(txn_, LockKey(db_->name(), schema.table_name()),
+                      LockManager::Mode::kExclusive));
   MSQL_RETURN_IF_ERROR(db_->CreateTable(std::move(schema)));
   if (options_.record_ddl_undo) {
     UndoRecord rec;
@@ -987,8 +976,9 @@ Result<ResultSet> Executor::ExecuteCreateTable(const CreateTableStmt& stmt) {
 
 Result<ResultSet> Executor::ExecuteDropTable(const DropTableStmt& stmt) {
   MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ToLower(stmt.table.table)),
-                                       LockManager::Mode::kExclusive));
+  MSQL_RETURN_IF_ERROR(
+      locks_->Acquire(txn_, LockKey(db_->name(), ToLower(stmt.table.table)),
+                      LockManager::Mode::kExclusive));
   MSQL_ASSIGN_OR_RETURN(auto dropped, db_->DropTable(stmt.table.table));
   if (options_.record_ddl_undo) {
     UndoRecord rec;
@@ -1004,8 +994,9 @@ Result<ResultSet> Executor::ExecuteDropTable(const DropTableStmt& stmt) {
 }
 
 Result<ResultSet> Executor::ExecuteCreateView(const CreateViewStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ToLower(stmt.name)),
-                                       LockManager::Mode::kExclusive));
+  MSQL_RETURN_IF_ERROR(
+      locks_->Acquire(txn_, LockKey(db_->name(), ToLower(stmt.name)),
+                      LockManager::Mode::kExclusive));
   // Validate the definition against the current schemas (so a broken
   // view is rejected at creation, not at first scan).
   MSQL_RETURN_IF_ERROR(
@@ -1032,8 +1023,9 @@ Result<ResultSet> Executor::ExecuteCreateView(const CreateViewStmt& stmt) {
 }
 
 Result<ResultSet> Executor::ExecuteDropView(const DropViewStmt& stmt) {
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ToLower(stmt.name)),
-                                       LockManager::Mode::kExclusive));
+  MSQL_RETURN_IF_ERROR(
+      locks_->Acquire(txn_, LockKey(db_->name(), ToLower(stmt.name)),
+                      LockManager::Mode::kExclusive));
   MSQL_ASSIGN_OR_RETURN(auto dropped, db_->DropView(stmt.name));
   if (options_.record_ddl_undo) {
     UndoRecord rec;
@@ -1051,8 +1043,9 @@ Result<ResultSet> Executor::ExecuteDropView(const DropViewStmt& stmt) {
 Result<ResultSet> Executor::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
   MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
   MSQL_RETURN_IF_ERROR(RejectViewTarget(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ToLower(stmt.table.table)),
-                                       LockManager::Mode::kExclusive));
+  MSQL_RETURN_IF_ERROR(
+      locks_->Acquire(txn_, LockKey(db_->name(), ToLower(stmt.table.table)),
+                      LockManager::Mode::kExclusive));
   MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table.table));
   MSQL_RETURN_IF_ERROR(table->CreateIndex(stmt.name, stmt.column));
   if (options_.record_ddl_undo) {
@@ -1070,8 +1063,9 @@ Result<ResultSet> Executor::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
 
 Result<ResultSet> Executor::ExecuteDropIndex(const DropIndexStmt& stmt) {
   MSQL_RETURN_IF_ERROR(CheckQualifier(stmt.table));
-  MSQL_RETURN_IF_ERROR(locks_->Acquire(txn_, LockKey(ToLower(stmt.table.table)),
-                                       LockManager::Mode::kExclusive));
+  MSQL_RETURN_IF_ERROR(
+      locks_->Acquire(txn_, LockKey(db_->name(), ToLower(stmt.table.table)),
+                      LockManager::Mode::kExclusive));
   MSQL_ASSIGN_OR_RETURN(Table * table, db_->GetTable(stmt.table.table));
   MSQL_ASSIGN_OR_RETURN(std::string column, table->DropIndex(stmt.name));
   if (options_.record_ddl_undo) {

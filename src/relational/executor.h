@@ -154,9 +154,6 @@ class Executor {
   /// Checks an optional db qualifier against the executor's database.
   Status CheckQualifier(const TableRef& ref) const;
 
-  /// Lock key "db.table".
-  std::string LockKey(const std::string& table) const;
-
   Database* db_;
   Transaction* txn_;
   LockManager* locks_;

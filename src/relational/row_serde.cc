@@ -14,18 +14,6 @@ constexpr char kTagReal = 2;
 constexpr char kTagText = 3;
 constexpr char kTagBoolean = 4;
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  storage::StoreU32(buf, v);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  storage::StoreU64(buf, v);
-  out->append(buf, 8);
-}
-
 /// Monotone map from double to uint64 (IEEE-754 trick): flip all bits
 /// of negatives, flip only the sign bit of non-negatives, then compare
 /// as unsigned.
@@ -45,23 +33,22 @@ void AppendBigEndian64(std::string* out, uint64_t v) {
 
 std::string SerializeRow(const Row& row) {
   std::string out;
-  AppendU32(&out, static_cast<uint32_t>(row.size()));
+  storage::AppendU32(&out, static_cast<uint32_t>(row.size()));
   for (const Value& v : row) {
     if (v.is_null()) {
       out.push_back(kTagNull);
     } else if (v.is_integer()) {
       out.push_back(kTagInteger);
-      AppendU64(&out, static_cast<uint64_t>(v.AsInteger()));
+      storage::AppendU64(&out, static_cast<uint64_t>(v.AsInteger()));
     } else if (v.is_real()) {
       out.push_back(kTagReal);
       uint64_t bits;
       double d = v.AsReal();
       std::memcpy(&bits, &d, sizeof(bits));
-      AppendU64(&out, bits);
+      storage::AppendU64(&out, bits);
     } else if (v.is_text()) {
       out.push_back(kTagText);
-      AppendU32(&out, static_cast<uint32_t>(v.AsText().size()));
-      out.append(v.AsText());
+      storage::AppendStr(&out, v.AsText());
     } else {
       out.push_back(kTagBoolean);
       out.push_back(v.AsBoolean() ? 1 : 0);
@@ -75,54 +62,40 @@ Result<Row> DeserializeRow(std::string_view bytes) {
     return Status::Corrupted("malformed serialized row (" +
                              std::to_string(bytes.size()) + " bytes)");
   };
-  size_t pos = 0;
-  if (bytes.size() < 4) return bad();
-  uint32_t n = storage::LoadU32(bytes.data());
-  pos = 4;
+  storage::ByteReader r{bytes};
+  uint32_t n = r.U32();
+  // Every value takes at least its tag byte: a count beyond the bytes
+  // left is corrupt.
+  if (!r.ok || n > r.remaining()) return bad();
   Row row;
   row.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    if (pos >= bytes.size()) return bad();
-    char tag = bytes[pos++];
-    switch (tag) {
+    switch (static_cast<char>(r.U8())) {
       case kTagNull:
         row.push_back(Value::Null_());
         break;
-      case kTagInteger: {
-        if (pos + 8 > bytes.size()) return bad();
-        uint64_t v = storage::LoadU64(bytes.data() + pos);
-        pos += 8;
-        row.push_back(Value::Integer(static_cast<int64_t>(v)));
+      case kTagInteger:
+        row.push_back(Value::Integer(static_cast<int64_t>(r.U64())));
         break;
-      }
       case kTagReal: {
-        if (pos + 8 > bytes.size()) return bad();
-        uint64_t bits = storage::LoadU64(bytes.data() + pos);
-        pos += 8;
+        uint64_t bits = r.U64();
         double d;
         std::memcpy(&d, &bits, sizeof(d));
         row.push_back(Value::Real(d));
         break;
       }
-      case kTagText: {
-        if (pos + 4 > bytes.size()) return bad();
-        uint32_t len = storage::LoadU32(bytes.data() + pos);
-        pos += 4;
-        if (pos + len > bytes.size()) return bad();
-        row.push_back(Value::Text(std::string(bytes.substr(pos, len))));
-        pos += len;
+      case kTagText:
+        row.push_back(Value::Text(r.Str()));
         break;
-      }
-      case kTagBoolean: {
-        if (pos >= bytes.size()) return bad();
-        row.push_back(Value::Boolean(bytes[pos++] != 0));
+      case kTagBoolean:
+        row.push_back(Value::Boolean(r.U8() != 0));
         break;
-      }
       default:
         return bad();
     }
+    if (!r.ok) return bad();
   }
-  if (pos != bytes.size()) return bad();
+  if (r.remaining() != 0) return bad();
   return row;
 }
 

@@ -21,59 +21,10 @@ constexpr uint8_t kDdlDropIndex = 6;
 constexpr uint8_t kDdlCreateView = 7;
 constexpr uint8_t kDdlDropView = 8;
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  storage::StoreU32(buf, v);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  storage::StoreU64(buf, v);
-  out->append(buf, 8);
-}
-
-void AppendStr(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Cursor over a WAL payload; any overrun poisons the reader.
-struct Reader {
-  std::string_view data;
-  size_t pos = 0;
-  bool ok = true;
-
-  uint8_t U8() {
-    if (pos + 1 > data.size()) return Fail<uint8_t>();
-    return static_cast<uint8_t>(data[pos++]);
-  }
-  uint32_t U32() {
-    if (pos + 4 > data.size()) return Fail<uint32_t>();
-    uint32_t v = storage::LoadU32(data.data() + pos);
-    pos += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (pos + 8 > data.size()) return Fail<uint64_t>();
-    uint64_t v = storage::LoadU64(data.data() + pos);
-    pos += 8;
-    return v;
-  }
-  std::string Str() {
-    uint32_t len = U32();
-    if (!ok || pos + len > data.size()) return Fail<std::string>();
-    std::string s(data.substr(pos, len));
-    pos += len;
-    return s;
-  }
-
-  template <typename T>
-  T Fail() {
-    ok = false;
-    return T{};
-  }
-};
+using storage::AppendStr;
+using storage::AppendU32;
+using storage::AppendU64;
+using storage::ByteReader;
 
 Status MalformedRecord(uint64_t lsn) {
   return Status::Corrupted("malformed WAL payload at LSN " +
@@ -89,15 +40,21 @@ void AppendSchema(std::string* out, const TableSchema& schema) {
   }
 }
 
-Result<TableSchema> ReadSchema(Reader* r, const std::string& table,
+Result<TableSchema> ReadSchema(ByteReader* r, const std::string& table,
                                uint64_t lsn) {
   uint32_t ncols = r->U32();
+  // Every column takes bytes: a count beyond those left is corrupt.
+  if (!r->ok || ncols > r->remaining()) return MalformedRecord(lsn);
   std::vector<ColumnDef> cols;
   cols.reserve(ncols);
   for (uint32_t i = 0; i < ncols && r->ok; ++i) {
     ColumnDef col;
     col.name = r->Str();
-    col.type = static_cast<Type>(r->U8());
+    uint8_t type = r->U8();
+    if (type > static_cast<uint8_t>(Type::kBoolean)) {
+      return MalformedRecord(lsn);
+    }
+    col.type = static_cast<Type>(type);
     col.width = static_cast<int>(r->U32());
     cols.push_back(std::move(col));
   }
@@ -589,7 +546,7 @@ Result<RecoveryReport> StorageManager::Replay() {
   RecoveryReport report;
 
   for (const storage::WalRecord& rec : records) {
-    Reader r{rec.payload};
+    ByteReader r{rec.payload};
     uint64_t txn = r.U64();
     if (!r.ok) return MalformedRecord(rec.lsn);
     report.max_txn_id = std::max<TxnId>(report.max_txn_id, txn);
@@ -643,7 +600,7 @@ Result<RecoveryReport> StorageManager::Replay() {
   auto undo_for = [&](uint64_t txn, UndoRecord::Kind kind,
                       const std::string& db,
                       const std::string& name) -> UndoRecord& {
-    prepared_locks[txn].insert(db + "." + name);
+    prepared_locks[txn].insert(LockKey(db, name));
     UndoRecord& u = prepared[txn].undo.emplace_back();
     u.kind = kind;
     u.database = db;
@@ -661,7 +618,7 @@ Result<RecoveryReport> StorageManager::Replay() {
     return it == db_it->second.tables.end() ? nullptr : &it->second;
   };
   for (const storage::WalRecord& rec : records) {
-    Reader r{rec.payload};
+    ByteReader r{rec.payload};
     uint64_t txn = r.U64();
     switch (rec.type) {
       case storage::WalRecordType::kDdl: {

@@ -12,6 +12,13 @@ std::string_view TxnStateName(TxnState state) {
   return "UNKNOWN";
 }
 
+std::string LockKey(std::string_view db, std::string_view table) {
+  std::string key;
+  key.reserve(db.size() + 1 + table.size());
+  key.append(db).append(".").append(table);
+  return key;
+}
+
 namespace {
 
 /// Applies the inverse of one undo record.

@@ -99,6 +99,12 @@ class Transaction {
   std::set<std::string> held_locks_;
 };
 
+/// The lock resource of table `table` in database `db`: "db.table", the
+/// key LockManager::Acquire splits at its first '.'. The executor, WAL
+/// recovery and the conflict analyzer (whose "db.*" is its whole-database
+/// wildcard) all build keys here.
+std::string LockKey(std::string_view db, std::string_view table);
+
 /// Hierarchical strict two-phase locking (database → table).
 ///
 /// A table lock request on "db.table" first takes the matching

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <string_view>
 
 namespace msql::storage {
 
@@ -55,6 +57,67 @@ inline void StoreU64(char* p, uint64_t v) {
     p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
 }
+
+/// Record writers (WAL payloads, serialized rows): the Store layouts
+/// appended to a growing buffer; a string is its U32 length, then its
+/// bytes.
+inline void AppendU32(std::string* out, uint32_t v) {
+  char buf[4];
+  StoreU32(buf, v);
+  out->append(buf, 4);
+}
+
+inline void AppendU64(std::string* out, uint64_t v) {
+  char buf[8];
+  StoreU64(buf, v);
+  out->append(buf, 8);
+}
+
+inline void AppendStr(std::string* out, std::string_view s) {
+  AppendU32(out, static_cast<uint32_t>(s.size()));
+  out->append(s);
+}
+
+/// Bounds-checked cursor over a record the writers above produced. A
+/// read past the end poisons it: that read and every later one return
+/// zero (or empty) and `ok` stays false. Decoders check a count against
+/// `remaining()` before sizing anything by it.
+struct ByteReader {
+  std::string_view data;
+  size_t pos = 0;
+  bool ok = true;
+
+  size_t remaining() const { return ok ? data.size() - pos : 0; }
+
+  uint8_t U8() {
+    if (!Take(1)) return 0;
+    return static_cast<uint8_t>(data[pos - 1]);
+  }
+  uint32_t U32() {
+    if (!Take(4)) return 0;
+    return LoadU32(data.data() + pos - 4);
+  }
+  uint64_t U64() {
+    if (!Take(8)) return 0;
+    return LoadU64(data.data() + pos - 8);
+  }
+  std::string Str() {
+    uint32_t len = U32();
+    if (!Take(len)) return {};
+    return std::string(data.substr(pos - len, len));
+  }
+
+ private:
+  /// Consumes `n` bytes, or poisons the reader when fewer are left.
+  bool Take(size_t n) {
+    if (n > remaining()) {
+      ok = false;
+      return false;
+    }
+    pos += n;
+    return true;
+  }
+};
 
 }  // namespace msql::storage
 

@@ -4,8 +4,8 @@
 # deterministic metrics against the baseline, failing on a >25%
 # regression. Wall-clock metrics are never compared (host time is
 # noisy); every compared metric is a simulated-clock figure or a work
-# counter (E17's local SELECT count, E19's page reads/writes and WAL
-# appends), exact for a fixed seed. Baselines are the benches' `--quick`
+# counter (E16/E17's scheduler scan visits, E17's local SELECT count,
+# E19's page reads/writes and WAL appends), exact for a fixed seed. Baselines are the benches' `--quick`
 # outputs; comparisons are guarded on the workload-scale fields, so a
 # full-scale re-run simply skips entries whose scale differs from the
 # baseline. No bench needs a manual re-run: the bench_e16_quick …
@@ -90,6 +90,7 @@ if(base)
   require(BENCH_concurrency.json "${base}" runs 0 p50_makespan_micros)
   require(BENCH_concurrency.json "${base}" runs 0 p99_makespan_micros)
   require(BENCH_concurrency.json "${base}" runs 0 failures)
+  require(BENCH_concurrency.json "${base}" runs 0 scan_visits)
   if(fresh)
     set(skip FALSE)
     guard(BENCH_concurrency.json "${base}" "${fresh}" skip runs 0 sessions)
@@ -98,6 +99,10 @@ if(base)
               runs 0 virtual_makespan_micros)
       compare(BENCH_concurrency.json "${base}" "${fresh}"
               runs 0 p99_makespan_micros)
+      # Live sessions the ready scan visited: a scan over finished or
+      # unadmitted sessions grows with the batch instead.
+      compare(BENCH_concurrency.json "${base}" "${fresh}"
+              runs 0 scan_visits)
     endif()
   endif()
 endif()
@@ -115,6 +120,7 @@ if(base)
     require(BENCH_conflict_sched.json "${base}" runs ${run}
             completion_makespan_micros)
     require(BENCH_conflict_sched.json "${base}" runs ${run} local_selects)
+    require(BENCH_conflict_sched.json "${base}" runs ${run} scan_visits)
   endforeach()
   if(fresh)
     foreach(run 0 1)
@@ -130,6 +136,8 @@ if(base)
         # §3.4 `(SELECT MIN(...))` multiplies this by the seat count.
         compare(BENCH_conflict_sched.json "${base}" "${fresh}"
                 runs ${run} local_selects)
+        compare(BENCH_conflict_sched.json "${base}" "${fresh}"
+                runs ${run} scan_visits)
       endif()
     endforeach()
   endif()

@@ -137,7 +137,7 @@ TEST_F(ChaosMatrixTest, VitalOpenFaultWithRetrySucceeds) {
   auto report = RunCell(Outage(kVitalSvc, LamRequestType::kOpenSession),
                         RetryPolicy::WithAttempts(3));
   EXPECT_EQ(report.outcome, GlobalOutcome::kSuccess);
-  EXPECT_GE(report.retries_performed, 2);
+  EXPECT_GE(report.run.retries, 2);
   ExpectVitalsRaised();
   EXPECT_NEAR(DeltaFares(), delta_before_ * 1.1, 1e-6);
 }
@@ -153,7 +153,7 @@ TEST_F(ChaosMatrixTest, VitalExecuteFaultWithRetrySucceeds) {
   auto report = RunCell(Outage(kVitalSvc, LamRequestType::kExecute),
                         RetryPolicy::WithAttempts(3));
   EXPECT_EQ(report.outcome, GlobalOutcome::kSuccess);
-  EXPECT_GE(report.retries_performed, 2);
+  EXPECT_GE(report.run.retries, 2);
   ExpectVitalsRaised();
 }
 
@@ -168,7 +168,7 @@ TEST_F(ChaosMatrixTest, VitalPrepareFaultWithRetrySucceeds) {
   auto report = RunCell(Outage(kVitalSvc, LamRequestType::kPrepare),
                         RetryPolicy::WithAttempts(3));
   EXPECT_EQ(report.outcome, GlobalOutcome::kSuccess);
-  EXPECT_GE(report.retries_performed, 2);
+  EXPECT_GE(report.run.retries, 2);
   ExpectVitalsRaised();
 }
 
@@ -194,7 +194,7 @@ TEST_F(ChaosMatrixTest, VitalLostCommitAckResolvedByReprobe) {
                         RetryPolicy::WithAttempts(3));
   EXPECT_EQ(report.outcome, GlobalOutcome::kSuccess);
   EXPECT_EQ(report.dol_status, 0);
-  EXPECT_GE(report.reprobes_performed, 1);
+  EXPECT_GE(report.run.reprobes, 1);
   ExpectVitalsRaised();
   EXPECT_NEAR(DeltaFares(), delta_before_ * 1.1, 1e-6);
 }
@@ -255,7 +255,7 @@ TEST_F(ChaosMatrixTest, NonVitalLostUpdateRequestDegradesEitherWay) {
     ExpectVitalsRaised();
     EXPECT_NEAR(DeltaFares(), delta_before_, 1e-6);
     EXPECT_TRUE(Degraded(report, kNonVitalSvc));
-    EXPECT_EQ(report.retries_performed, 0);  // no blind re-send
+    EXPECT_EQ(report.run.retries, 0);  // no blind re-send
   }
 }
 
@@ -285,7 +285,7 @@ TEST_F(ChaosMatrixTest, RetryAndBackoffShowUpInMakespan) {
   ASSERT_EQ(faulted.outcome, GlobalOutcome::kSuccess);
   // Two rejected sends plus two backoff waits are charged to the clock.
   EXPECT_GT(faulted.run.makespan_micros, clean->run.makespan_micros);
-  EXPECT_EQ(faulted.retries_performed, 2);
+  EXPECT_EQ(faulted.run.retries, 2);
 }
 
 TEST_F(ChaosMatrixTest, IdenticalSeedsProduceIdenticalTraces) {
@@ -301,8 +301,8 @@ TEST_F(ChaosMatrixTest, IdenticalSeedsProduceIdenticalTraces) {
   auto report_b = RunCell(plan, RetryPolicy::WithAttempts(3));
   EXPECT_EQ(report_b.run.ToString(), trace_a);
   EXPECT_EQ(report_b.outcome, report_a.outcome);
-  EXPECT_EQ(report_b.retries_performed, report_a.retries_performed);
-  EXPECT_EQ(report_b.reprobes_performed, report_a.reprobes_performed);
+  EXPECT_EQ(report_b.run.retries, report_a.run.retries);
+  EXPECT_EQ(report_b.run.reprobes, report_a.run.reprobes);
 }
 
 }  // namespace

@@ -271,30 +271,41 @@ TEST_F(ConcurrencyTest, AdmissionControlSerializes) {
   ExpectNoHeldLocks(*sys);
 }
 
-// A capacity-limited LAM queues overlapping requests from concurrent
-// sessions; the wait surfaces in the health registry.
-TEST_F(ConcurrencyTest, ServiceConcurrencyLimitQueuesAndFeedsHealth) {
+// The ready scan visits live sessions only. Session 1 reads both
+// airlines over a slow link to Delta, so it stays admitted while the
+// short Continental reads submitted after it come and go; a scan from
+// the oldest unfinished session to the newest admitted one would grow
+// with every read that finishes behind it.
+TEST_F(ConcurrencyTest, ReadyScanVisitsOnlyLiveSessions) {
   auto sys = Build();
+  netsim::LinkParams slow;
+  slow.latency_micros = 200'000;
   ASSERT_TRUE(sys->environment()
-                  .SetServiceConcurrency("continental_svc", 1)
+                  .network()
+                  .SetLink(sys->environment().coordinator_site(),
+                           "site_delta", slow)
                   .ok());
-  sys->environment().health().Clear();  // drop the bootstrap history
-  FederationServer server(sys.get());
-  for (int i = 0; i < 4; ++i) {
+  ServerConfig config;
+  config.max_admitted = 4;
+  FederationServer server(sys.get(), config);
+  server.Submit("USE continental delta\nSELECT fn%, day FROM flight%");
+  constexpr int kShortReads = 60;
+  for (int i = 0; i < kShortReads; ++i) {
     server.Submit("USE continental\nSELECT flnu FROM flights");
   }
   auto results = server.RunAll();
   ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_EQ(results->size(), static_cast<size_t>(kShortReads + 1));
   for (const SessionResult& r : *results) {
     ASSERT_TRUE(r.report.has_value()) << r.status;
     EXPECT_EQ(r.report->outcome, GlobalOutcome::kSuccess);
+    if (r.session_id != 1) {
+      EXPECT_LT(r.finish_micros, (*results)[0].finish_micros)
+          << "session " << r.session_id;
+    }
   }
-  const obs::SiteHealth* health =
-      sys->environment().health().Get("continental_svc");
-  ASSERT_NE(health, nullptr);
-  EXPECT_GT(health->queue_waits(), 0);
-  EXPECT_NE(sys->environment().health().RenderText().find("queue delay"),
-            std::string::npos);
+  EXPECT_GT(server.steps(), 0);
+  EXPECT_LE(server.scan_visits(), config.max_admitted * server.steps());
 }
 
 // Inputs the prepared path cannot serve (catalog DDL, view queries)

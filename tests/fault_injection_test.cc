@@ -232,7 +232,6 @@ TEST_F(EnvironmentFaultTest, LostRequestTimesOutWithoutExecuting) {
   plan.rules.push_back(FaultRule::NthCall(
       "svc", LamRequestType::kExecute, 1, FaultAction::kLostRequest));
   env_.fault_injector().SetPlan(plan);
-  env_.set_call_timeout_micros(30000);
 
   LamRequest del;
   del.type = LamRequestType::kExecute;
@@ -243,7 +242,8 @@ TEST_F(EnvironmentFaultTest, LostRequestTimesOutWithoutExecuting) {
   EXPECT_EQ(outcome->response.status.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(outcome->timed_out);
   EXPECT_FALSE(outcome->request_delivered);
-  EXPECT_EQ(outcome->timing.end_micros, 2000 + 30000);
+  EXPECT_EQ(outcome->timing.end_micros,
+            2000 + Environment::kCallTimeoutMicros);
   // The request vanished before the LDBMS: no state change.
   EXPECT_EQ(RowCount(), 2);
 }
@@ -263,7 +263,7 @@ TEST_F(EnvironmentFaultTest, LostResponseExecutesButTimesOut) {
   EXPECT_EQ(outcome->response.status.code(), StatusCode::kUnavailable);
   // To the coordinator this is the same timeout as a lost request...
   EXPECT_TRUE(outcome->timed_out);
-  EXPECT_EQ(outcome->timing.end_micros, env_.call_timeout_micros());
+  EXPECT_EQ(outcome->timing.end_micros, Environment::kCallTimeoutMicros);
   // ...but the ground truth differs: the delete actually ran.
   EXPECT_TRUE(outcome->request_delivered);
   EXPECT_EQ(RowCount(), 1);

@@ -136,8 +136,8 @@ TEST(ObsTraceTest, RetryAndReprobeCountersMatchTheirSpans) {
   auto report = sys->Execute(kFareRaise);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->outcome, GlobalOutcome::kSuccess);
-  ASSERT_GE(report->retries_performed, 2);
-  ASSERT_GE(report->reprobes_performed, 1);
+  ASSERT_GE(report->run.retries, 2);
+  ASSERT_GE(report->run.reprobes, 1);
 
   int resent = 0;
   int faulted = 0;
@@ -148,14 +148,14 @@ TEST(ObsTraceTest, RetryAndReprobeCountersMatchTheirSpans) {
     }
     if (!span.Find("fault").empty()) ++faulted;
   }
-  EXPECT_EQ(resent, report->retries_performed);
-  EXPECT_EQ(CountSpans(*sys, "reprobe"), report->reprobes_performed);
+  EXPECT_EQ(resent, report->run.retries);
+  EXPECT_EQ(CountSpans(*sys, "reprobe"), report->run.reprobes);
   // Both injected faults are visible on their rpc spans.
   EXPECT_GE(faulted, 3);  // two rejects + one lost response
   // The metrics registry agrees with the engine's counters.
   const auto& metrics = sys->environment().metrics();
-  EXPECT_EQ(metrics.Get("dol.retries"), report->retries_performed);
-  EXPECT_EQ(metrics.Get("dol.reprobes"), report->reprobes_performed);
+  EXPECT_EQ(metrics.Get("dol.retries"), report->run.retries);
+  EXPECT_EQ(metrics.Get("dol.reprobes"), report->run.reprobes);
 }
 
 // Consecutive inputs of one session lay out sequentially on the

@@ -242,6 +242,27 @@ TEST_F(QueryLogTest, ScriptLogsEveryInputLikeExecute) {
   EXPECT_EQ(scripted->query_log().ToJsonl(), sys_->query_log().ToJsonl());
 }
 
+// A view query's record carries the retries of the base run it ran.
+TEST_F(QueryLogTest, ViewQueryRecordCountsItsRetries) {
+  ASSERT_TRUE(sys_->Execute("CREATE MULTIVIEW all_cars AS USE avis national\n"
+                            "LET car.code BE cars.code vehicle.vcode\n"
+                            "SELECT code FROM car")
+                  .ok());
+  sys_->set_retry_policy(RetryPolicy::WithAttempts(3));
+  FaultPlan plan;
+  plan.rules.push_back(FaultRule::NthCall(
+      "avis_svc", LamRequestType::kExecute, 1, FaultAction::kReject));
+  sys_->environment().fault_injector().SetPlan(plan);
+  auto report = sys_->Execute("USE avis SELECT COUNT(*) FROM all_cars");
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->outcome, GlobalOutcome::kSuccess);
+  ASSERT_GE(report->run.retries, 1);
+  const auto& records = sys_->query_log().records();
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.back().retries, report->run.retries);
+  EXPECT_EQ(records.back().messages, report->run.messages);
+}
+
 // Clear resets the sequence and sim cursor, not just the records.
 TEST_F(QueryLogTest, ClearRestartsTheSession) {
   auto first = sys_->Execute(kCompensatedRaise);

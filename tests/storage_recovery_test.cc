@@ -13,6 +13,9 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "relational/engine.h"
+#include "relational/row_serde.h"
+#include "relational/storage_engine.h"
+#include "storage/page.h"
 
 namespace msql::relational {
 namespace {
@@ -508,6 +511,61 @@ TEST_F(StorageRecoveryTest, FailedRollbackIsRepairedByRecovery) {
   auto s2 = engine.OpenSession("d");
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(Snapshot(engine, *s2), before);
+}
+
+// A decoder checks each count against the bytes left before sizing
+// anything by it, so a hostile count is corruption, not an allocation.
+TEST(RowSerdeTest, HostileCountsAreCorrupted) {
+  EXPECT_EQ(DeserializeRow(std::string_view("\xff\xff\xff\xff", 4))
+                .status()
+                .code(),
+            StatusCode::kCorrupted);
+  // One value more than the bytes hold.
+  std::string bytes = SerializeRow({Value::Integer(7), Value::Text("x")});
+  bytes[0] = 3;
+  EXPECT_EQ(DeserializeRow(bytes).status().code(), StatusCode::kCorrupted);
+  bytes[0] = 2;
+  auto row = DeserializeRow(bytes);
+  ASSERT_TRUE(row.ok()) << row.status();
+  EXPECT_EQ((*row)[1].AsText(), "x");
+}
+
+TEST_F(StorageRecoveryTest, HostileCreateTableRecordIsCorrupted) {
+  // Recovers a WAL holding one CREATE TABLE record whose schema is
+  // `schema_bytes`.
+  auto recover = [&](const std::string& dir, const std::string& schema_bytes) {
+    StorageConfig config = Config();
+    config.root_dir = (root_ / dir).string();
+    StorageManager manager(config);
+    EXPECT_TRUE(manager.Open().ok());
+    std::string payload;
+    storage::AppendU64(&payload, 0);  // outside any transaction
+    payload.push_back(3);             // CREATE TABLE
+    for (const char* name : {"d", "t", "", ""}) {
+      storage::AppendStr(&payload, name);
+    }
+    payload += schema_bytes;
+    EXPECT_TRUE(
+        manager.wal().Append(storage::WalRecordType::kDdl, payload).ok());
+    EXPECT_TRUE(manager.wal().Flush().ok());
+    return manager.Recover().status();
+  };
+  std::string hostile_count;
+  storage::AppendU32(&hostile_count, 0xFFFFFFFF);
+  EXPECT_EQ(recover("count", hostile_count).code(), StatusCode::kCorrupted);
+
+  auto one_column = [](uint8_t type) {
+    std::string schema;
+    storage::AppendU32(&schema, 1);
+    storage::AppendStr(&schema, "c");
+    schema.push_back(static_cast<char>(type));
+    storage::AppendU32(&schema, 0);
+    return schema;
+  };
+  EXPECT_EQ(recover("type", one_column(9)).code(), StatusCode::kCorrupted);
+  EXPECT_TRUE(
+      recover("valid", one_column(static_cast<uint8_t>(Type::kInteger)))
+          .ok());
 }
 
 TEST_F(StorageRecoveryTest, StorageCountersFlowIntoMetricsRegistry) {
