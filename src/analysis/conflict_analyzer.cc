@@ -1,23 +1,17 @@
 #include "analysis/conflict_analyzer.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <sstream>
 #include <utility>
 
+#include "common/string_util.h"
 #include "relational/sql/parser.h"
 #include "relational/txn.h"
 
 namespace msql::analysis {
 
 namespace {
-
-std::string Lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
-  return out;
-}
 
 /// The session a TASK/TRANSFER targets, resolved from its OPEN.
 struct OpenedSession {
@@ -41,7 +35,7 @@ struct AccessSink {
     access.database = session.database;
     // `table` == "*" is the whole-database wildcard.
     access.resource =
-        relational::LockKey(Lower(session.database), Lower(table));
+        relational::LockKey(ToLower(session.database), ToLower(table));
     access.mode = mode;
     access.step = step;
     // Compensation runs autocommit after the global decision, when the
@@ -145,10 +139,6 @@ void CollectStatementAccesses(const relational::Statement& stmt,
       sink->Add(
           static_cast<const relational::DropIndexStmt&>(stmt).table.table,
           PredictedMode::kExclusive, /*ddl=*/true);
-      break;
-    case StatementKind::kCreateDatabase:
-    case StatementKind::kDropDatabase:
-      sink->Add("*", PredictedMode::kExclusive, /*ddl=*/true);
       break;
     case StatementKind::kBegin:
     case StatementKind::kCommit:

@@ -22,18 +22,18 @@ namespace msql::analysis {
 // TRANSFER names its target table, and the PARBEGIN structure fixes the
 // partial order of first lock acquisition. This pass predicts, before a
 // plan is admitted to the federation, the per-site per-table read/write
-// sets (the S/X table locks of relational::LockManager, intention
-// parents implied), the acquisition order across sites, and the
+// sets (the S/X table locks of relational::LockManager, which has no
+// database-level lock), the acquisition order across sites, and the
 // NOCOMMIT-hold footprint (locks held across the 2PC bracket until the
 // plan's global decision).
 //
 // The summary is a sound over-approximation of the runtime lock trace:
 // every lock a run can take is predicted (a task whose SQL cannot be
-// statically parsed degrades to a whole-database wildcard), so two
-// summaries classified conflict-free can never produce a lock wait or a
-// deadlock against each other. The scheduler's conflict-aware admission
-// (core/session_scheduler) and the DL301-DL308 diagnostics both build on
-// this guarantee.
+// statically parsed degrades to "db.*", a wildcard over every table of
+// its database), so two summaries classified conflict-free can never
+// produce a lock wait or a deadlock against each other. The scheduler's
+// conflict-aware admission (core/session_scheduler) and the DL301-DL308
+// diagnostics both build on this guarantee.
 //
 //   DL301 lock-order inversion between two inputs   DL305 2PC bracket
 //   DL302 self-deadlock via aliased USE databases         spans 2+ sites
@@ -42,8 +42,8 @@ namespace msql::analysis {
 //   DL308 DDL on a table other tasks touch                writes
 // ---------------------------------------------------------------------------
 
-/// Table-level lock mode the analyzer predicts (the intention mode at
-/// the database node follows from it: IS under S, IX under X).
+/// Table lock mode the analyzer predicts: relational::LockManager's S or
+/// X on the same "db.table" key.
 enum class PredictedMode { kShared, kExclusive };
 
 std::string_view PredictedModeName(PredictedMode mode);  // "S" / "X"

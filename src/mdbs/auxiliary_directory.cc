@@ -69,11 +69,4 @@ Status AuxiliaryDirectory::RemoveService(std::string_view name) {
   return Status::OK();
 }
 
-std::vector<std::string> AuxiliaryDirectory::ServiceNames() const {
-  std::vector<std::string> out;
-  out.reserve(services_.size());
-  for (const auto& [name, desc] : services_) out.push_back(name);
-  return out;
-}
-
 }  // namespace msql::mdbs

@@ -4,7 +4,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
 #include "relational/sql/ast.h"
@@ -56,7 +55,6 @@ class AuxiliaryDirectory {
   bool HasService(std::string_view name) const;
   Result<const ServiceDescriptor*> GetService(std::string_view name) const;
   Status RemoveService(std::string_view name);
-  std::vector<std::string> ServiceNames() const;
   size_t size() const { return services_.size(); }
 
  private:

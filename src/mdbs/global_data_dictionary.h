@@ -128,8 +128,6 @@ class GlobalDataDictionary {
     churn_fraction_ = fraction;
     churn_floor_rows_ = floor_rows;
   }
-  double stats_churn_fraction() const { return churn_fraction_; }
-  int64_t stats_churn_floor_rows() const { return churn_floor_rows_; }
 
   /// Table names in `database` matching an MSQL '%' pattern.
   Result<std::vector<std::string>> MatchTables(

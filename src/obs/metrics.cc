@@ -48,11 +48,6 @@ int64_t Histogram::Quantile(double q) const {
   return max_;
 }
 
-void MetricsRegistry::Clear() {
-  counters_.clear();
-  histograms_.clear();
-}
-
 void MetricsRegistry::Inc(std::string_view name, int64_t delta) {
   if (!enabled_) return;
   auto it = counters_.find(name);

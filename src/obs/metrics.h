@@ -49,8 +49,6 @@ class MetricsRegistry {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  void Clear();
-
   void Inc(std::string_view name, int64_t delta = 1);
   void Observe(std::string_view name, int64_t value);
 

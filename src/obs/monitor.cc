@@ -75,36 +75,6 @@ Monitor::Monitor(MonitorConfig config, const MetricsRegistry* metrics,
   ewma_.back().name = "error_rate";
 }
 
-void Monitor::Reset(int64_t start_micros) {
-  window_start_ = start_micros;
-  next_seq_ = 1;
-  baselined_ = false;
-  counters_before_.clear();
-  acc_finished_ = acc_ok_ = acc_error_ = 0;
-  acc_deadlock_ = acc_timeout_ = acc_shed_ = 0;
-  acc_latency_ = Histogram{};
-  gauges_.clear();
-  windows_.clear();
-  alerts_.clear();
-  for (Rule& rule : rules_) {
-    rule.last_value = 0.0;
-    rule.horizon.clear();
-    rule.violations_in_horizon = 0;
-    rule.total_violations = 0;
-    rule.threshold_fired = false;
-    rule.budget_state = "ok";
-  }
-  for (EwmaRule& rule : ewma_) {
-    rule.mean = 0.0;
-    rule.deviation = 0.0;
-    rule.samples = 0;
-    rule.fired = false;
-  }
-  shedding_ = false;
-  clean_streak_ = 0;
-  shed_engagements_ = 0;
-}
-
 void Monitor::RecordSession(const SessionSample& sample) {
   AdvanceTo(sample.finish_micros);
   ++acc_finished_;

@@ -179,10 +179,6 @@ class Monitor {
   /// they fire (null to stop). Not owned.
   void set_query_log(QueryLog* log) { query_log_ = log; }
 
-  /// Drops all windows, alerts and rule state and restarts the window
-  /// grid at `start_micros` (counter baseline re-snapshotted).
-  void Reset(int64_t start_micros = 0);
-
   // -- Feeding ------------------------------------------------------------
 
   /// One finished session. Closes any windows the finish time has

@@ -14,15 +14,6 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
-std::vector<std::string> Database::MatchTables(
-    std::string_view pattern) const {
-  std::vector<std::string> names;
-  for (const auto& [name, table] : tables_) {
-    if (WildcardMatch(pattern, name)) names.push_back(name);
-  }
-  return names;
-}
-
 bool Database::HasTable(std::string_view table) const {
   return tables_.count(ToLower(table)) > 0;
 }

@@ -34,15 +34,11 @@ class Database {
   /// attaches only after rebuilding the catalog, so the rebuild itself
   /// is not re-logged.
   void AttachStorageManager(StorageManager* mgr) { storage_mgr_ = mgr; }
-  StorageManager* storage_manager() const { return storage_mgr_; }
 
   const std::string& name() const { return name_; }
 
   /// Tables in name order (deterministic iteration for IMPORT and tests).
   std::vector<std::string> TableNames() const;
-
-  /// Table names matching an MSQL '%' wildcard pattern.
-  std::vector<std::string> MatchTables(std::string_view pattern) const;
 
   bool HasTable(std::string_view table) const;
 

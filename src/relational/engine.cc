@@ -155,23 +155,6 @@ Status LocalEngine::CreateDatabase(std::string_view name) {
   return Status::OK();
 }
 
-Status LocalEngine::DropDatabase(std::string_view name) {
-  std::string key = ToLower(name);
-  if (databases_.erase(key) == 0) {
-    return Status::NotFound("database '" + key + "' does not exist on '" +
-                            service_name_ + "'");
-  }
-  if (storage_ != nullptr) {
-    // The Database took its tables' heap files and indexes with it.
-    MSQL_RETURN_IF_ERROR(storage_->OnDropDatabase(key));
-  }
-  return Status::OK();
-}
-
-bool LocalEngine::HasDatabase(std::string_view name) const {
-  return databases_.count(ToLower(name)) > 0;
-}
-
 Result<Database*> LocalEngine::GetDatabase(std::string_view name) {
   auto it = databases_.find(ToLower(name));
   if (it == databases_.end()) {
@@ -189,13 +172,6 @@ Result<const Database*> LocalEngine::GetDatabaseConst(
                             "' does not exist on '" + service_name_ + "'");
   }
   return static_cast<const Database*>(it->second.get());
-}
-
-std::vector<std::string> LocalEngine::DatabaseNames() const {
-  std::vector<std::string> out;
-  out.reserve(databases_.size());
-  for (const auto& [name, db] : databases_) out.push_back(name);
-  return out;
 }
 
 Result<SessionId> LocalEngine::OpenSession(std::string_view db_name) {
@@ -460,16 +436,6 @@ Result<ResultSet> LocalEngine::ExecuteStatement(SessionId session_id,
     }
     case StatementKind::kPrepare: {
       MSQL_RETURN_IF_ERROR(Prepare(session_id));
-      return ResultSet{};
-    }
-    case StatementKind::kCreateDatabase: {
-      const auto& cd = static_cast<const CreateDatabaseStmt&>(stmt);
-      MSQL_RETURN_IF_ERROR(CreateDatabase(cd.name));
-      return ResultSet{};
-    }
-    case StatementKind::kDropDatabase: {
-      const auto& dd = static_cast<const DropDatabaseStmt&>(stmt);
-      MSQL_RETURN_IF_ERROR(DropDatabase(dd.name));
       return ResultSet{};
     }
     default:

@@ -119,12 +119,13 @@ class LocalEngine {
 
   // -- Database administration ------------------------------------------
 
+  /// Creates an empty database. Only the engine's owner calls this (the
+  /// fixtures, the benchmarks, a view query's scratch engine): the SQL
+  /// dialect has no database-level statement, so no session can create
+  /// or drop a database under another session's transaction.
   Status CreateDatabase(std::string_view name);
-  Status DropDatabase(std::string_view name);
-  bool HasDatabase(std::string_view name) const;
   Result<Database*> GetDatabase(std::string_view name);
   Result<const Database*> GetDatabaseConst(std::string_view name) const;
-  std::vector<std::string> DatabaseNames() const;
 
   // -- Sessions -----------------------------------------------------------
 

@@ -388,26 +388,6 @@ std::string DropIndexStmt::ToSql() const {
   return "DROP INDEX " + name + " ON " + table.FullName();
 }
 
-StatementPtr CreateDatabaseStmt::Clone() const {
-  auto out = std::make_unique<CreateDatabaseStmt>();
-  out->name = name;
-  return out;
-}
-
-std::string CreateDatabaseStmt::ToSql() const {
-  return "CREATE DATABASE " + name;
-}
-
-StatementPtr DropDatabaseStmt::Clone() const {
-  auto out = std::make_unique<DropDatabaseStmt>();
-  out->name = name;
-  return out;
-}
-
-std::string DropDatabaseStmt::ToSql() const {
-  return "DROP DATABASE " + name;
-}
-
 void SplitConjuncts(const Expr& e, std::vector<const Expr*>* out) {
   if (e.kind() == ExprKind::kBinary) {
     const auto& b = static_cast<const BinaryExpr&>(e);

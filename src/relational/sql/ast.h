@@ -365,8 +365,6 @@ enum class StatementKind {
   kDropView,
   kCreateIndex,
   kDropIndex,
-  kCreateDatabase,
-  kDropDatabase,
   kBegin,
   kCommit,
   kRollback,
@@ -621,26 +619,6 @@ struct DropIndexStmt : public Statement {
 
   std::string name;
   TableRef table;
-
-  StatementPtr Clone() const override;
-  std::string ToSql() const override;
-};
-
-/// CREATE DATABASE name.
-struct CreateDatabaseStmt : public Statement {
-  CreateDatabaseStmt() : Statement(StatementKind::kCreateDatabase) {}
-
-  std::string name;
-
-  StatementPtr Clone() const override;
-  std::string ToSql() const override;
-};
-
-/// DROP DATABASE name.
-struct DropDatabaseStmt : public Statement {
-  DropDatabaseStmt() : Statement(StatementKind::kDropDatabase) {}
-
-  std::string name;
 
   StatementPtr Clone() const override;
   std::string ToSql() const override;

@@ -50,6 +50,8 @@ Status NestingBound::TooDeep() const {
 }
 
 bool SqlParser::IsReservedWord(std::string_view word) {
+  // "database" starts no statement but stays reserved, so no identifier
+  // parses differently than it always has.
   static constexpr std::array<std::string_view, 38> kReserved = {
       "select", "distinct", "from",   "where",  "group",   "by",
       "having", "order",    "asc",    "desc",   "as",      "and",
@@ -306,14 +308,8 @@ Result<StatementPtr> SqlParser::ParseCreate() {
     MSQL_RETURN_IF_ERROR(cursor_->Expect(TokenType::kRParen));
     return StatementPtr(std::move(stmt));
   }
-  if (cursor_->MatchKeyword("database")) {
-    auto stmt = std::make_unique<CreateDatabaseStmt>();
-    MSQL_ASSIGN_OR_RETURN(stmt->name,
-                          cursor_->ExpectIdentifier("database name"));
-    return StatementPtr(std::move(stmt));
-  }
   return Status::ParseError(
-      "expected TABLE, VIEW or DATABASE after CREATE at " +
+      "expected TABLE, VIEW or INDEX after CREATE at " +
       cursor_->Peek().Where());
 }
 
@@ -361,14 +357,8 @@ Result<StatementPtr> SqlParser::ParseDrop() {
     MSQL_ASSIGN_OR_RETURN(stmt->table, ParseTableRef());
     return StatementPtr(std::move(stmt));
   }
-  if (cursor_->MatchKeyword("database")) {
-    auto stmt = std::make_unique<DropDatabaseStmt>();
-    MSQL_ASSIGN_OR_RETURN(stmt->name,
-                          cursor_->ExpectIdentifier("database name"));
-    return StatementPtr(std::move(stmt));
-  }
   return Status::ParseError(
-      "expected TABLE, VIEW or DATABASE after DROP at " +
+      "expected TABLE, VIEW or INDEX after DROP at " +
       cursor_->Peek().Where());
 }
 

@@ -140,8 +140,10 @@ struct ParseOptions {
 /// Supported: SELECT (DISTINCT, multi-table FROM with aliases, WHERE,
 /// GROUP BY/HAVING, ORDER BY, aggregates, scalar subqueries, IN,
 /// BETWEEN, LIKE, IS [NOT] NULL), INSERT (VALUES and SELECT source),
-/// UPDATE, DELETE, CREATE/DROP TABLE, CREATE/DROP DATABASE and the
-/// transaction-control verbs BEGIN / COMMIT / ROLLBACK / PREPARE.
+/// UPDATE, DELETE, CREATE/DROP TABLE, VIEW and INDEX, and the
+/// transaction-control verbs BEGIN / COMMIT / ROLLBACK / PREPARE. There
+/// is no database-level statement: a database is created by the
+/// engine's owner (LocalEngine::CreateDatabase), never by SQL.
 class SqlParser {
  public:
   /// Deepest expression nesting accepted. The parser and every walk over

@@ -11,9 +11,10 @@ namespace msql::relational {
 
 namespace {
 
-// kDdl payload operation codes.
+// kDdl payload operation codes. Code 2 (DROP DATABASE) is retired: the
+// SQL dialect has no database-level statement, and replay rejects a
+// record that carries it as malformed.
 constexpr uint8_t kDdlCreateDb = 1;
-constexpr uint8_t kDdlDropDb = 2;
 constexpr uint8_t kDdlCreateTable = 3;
 constexpr uint8_t kDdlDropTable = 4;
 constexpr uint8_t kDdlCreateIndex = 5;
@@ -343,10 +344,6 @@ Status StorageManager::OnCreateDatabase(const std::string& db) {
   return AppendDdl(kDdlCreateDb, db, "", "", "", nullptr).status();
 }
 
-Status StorageManager::OnDropDatabase(const std::string& db) {
-  return AppendDdl(kDdlDropDb, db, "", "", "", nullptr).status();
-}
-
 Result<std::unique_ptr<TableStorage>> StorageManager::CreateTableStorage(
     const std::string& db, const TableSchema& schema) {
   const std::string& table = schema.table_name();
@@ -629,10 +626,6 @@ Result<RecoveryReport> StorageManager::Replay() {
         std::string c = r.Str();
         if (!r.ok) return MalformedRecord(rec.lsn);
         if (!applied(txn)) break;
-        if (op == kDdlDropDb) {
-          catalog.erase(db);
-          break;
-        }
         ReplayedDatabase& database = catalog[db];
         switch (op) {
           case kDdlCreateDb:

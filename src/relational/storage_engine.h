@@ -224,7 +224,6 @@ class StorageManager {
     undo_mode_ = on;
     undo_txn_ = on ? txn : 0;
   }
-  bool undo_mode() const { return undo_mode_; }
   /// Transaction that page writes are attributed to right now.
   TxnId effective_txn() const { return undo_mode_ ? 0 : current_txn_; }
 
@@ -262,7 +261,6 @@ class StorageManager {
   // -- Catalog hooks (called from engine / Database / Table) -------------
 
   Status OnCreateDatabase(const std::string& db);
-  Status OnDropDatabase(const std::string& db);
 
   /// Logs CREATE TABLE and creates the incarnation's heap file, stamped
   /// with the transaction the record carries.

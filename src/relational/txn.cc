@@ -113,91 +113,34 @@ Status Transaction::ApplyUndo(
   return Status::OK();
 }
 
-namespace {
-
-/// The held mode already grants everything the request needs.
-bool Covers(LockManager::Mode held, LockManager::Mode requested) {
-  using Mode = LockManager::Mode;
-  if (held == requested) return true;
-  switch (held) {
-    case Mode::kExclusive:
-      return true;
-    case Mode::kShared:
-    case Mode::kIntentionExclusive:
-      return requested == Mode::kIntentionShared;
-    case Mode::kIntentionShared:
-      return false;
-  }
-  return false;
-}
-
-/// Least mode granting both (no SIX mode here: {S, IX} escalates to X,
-/// trading a little concurrency for a four-mode table).
-LockManager::Mode Lub(LockManager::Mode a, LockManager::Mode b) {
-  if (Covers(a, b)) return a;
-  if (Covers(b, a)) return b;
-  return LockManager::Mode::kExclusive;
-}
-
-}  // namespace
-
-bool LockManager::Compatible(Mode holding, Mode requested) {
-  switch (holding) {
-    case Mode::kIntentionShared:
-      return requested != Mode::kExclusive;
-    case Mode::kIntentionExclusive:
-      return requested == Mode::kIntentionShared ||
-             requested == Mode::kIntentionExclusive;
-    case Mode::kShared:
-      return requested == Mode::kIntentionShared ||
-             requested == Mode::kShared;
-    case Mode::kExclusive:
-      return false;
-  }
-  return false;
-}
-
 Status LockManager::Acquire(Transaction* txn, const std::string& resource,
                             Mode mode) {
-  // Hierarchical resources ("db.table") take the database-level
-  // intention lock first; a conflict there is the request's conflict.
-  if (mode == Mode::kShared || mode == Mode::kExclusive) {
-    size_t dot = resource.find('.');
-    if (dot != std::string::npos && dot > 0) {
-      Mode intent = mode == Mode::kShared ? Mode::kIntentionShared
-                                          : Mode::kIntentionExclusive;
-      MSQL_RETURN_IF_ERROR(
-          AcquireOne(txn, resource.substr(0, dot), intent));
-    }
-  }
-  return AcquireOne(txn, resource, mode);
-}
-
-Status LockManager::AcquireOne(Transaction* txn, const std::string& resource,
-                               Mode mode) {
   LockEntry& entry = locks_[resource];
   auto self = entry.holders.find(txn->id());
   bool upgrade = self != entry.holders.end();
-  if (upgrade && Covers(self->second, mode)) {
-    last_conflict_.clear();
+  last_conflict_.clear();
+  // A held X covers both modes and a held S covers S: nothing changes.
+  if (upgrade &&
+      (self->second == Mode::kExclusive || mode == Mode::kShared)) {
     return Status::OK();
   }
-  Mode target = upgrade ? Lub(self->second, mode) : mode;
-  last_conflict_.clear();
+  // What is left is a new holder or an S holder asking for X (an
+  // upgrade). Only S and S coexist.
   for (const auto& [holder, held] : entry.holders) {
     if (holder == txn->id()) continue;
-    if (!Compatible(held, target)) last_conflict_.push_back(holder);
+    if (held == Mode::kExclusive || mode == Mode::kExclusive) {
+      last_conflict_.push_back(holder);
+    }
   }
   if (!last_conflict_.empty()) {
-    if (entry.holders.empty()) locks_.erase(resource);
     std::string what = upgrade ? "lock upgrade conflict on " + resource
                                : "lock conflict on " + resource;
     return wait_policy_ == WaitPolicy::kNoWait ? Status::Aborted(what)
                                                : Status::Busy(what);
   }
-  entry.holders[txn->id()] = target;
+  entry.holders[txn->id()] = mode;
   txn->held_locks().insert(resource);
-  if (audit_) audit_log_.emplace_back(resource, target);
+  if (audit_) audit_log_.emplace_back(resource, mode);
   return Status::OK();
 }
 

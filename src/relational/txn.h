@@ -99,20 +99,17 @@ class Transaction {
   std::set<std::string> held_locks_;
 };
 
-/// The lock resource of table `table` in database `db`: "db.table", the
-/// key LockManager::Acquire splits at its first '.'. The executor, WAL
-/// recovery and the conflict analyzer (whose "db.*" is its whole-database
-/// wildcard) all build keys here.
+/// The lock resource of table `table` in database `db`: "db.table".
+/// The executor, WAL recovery and the conflict analyzer (whose "db.*" is
+/// its wildcard for SQL it cannot parse) all build keys here.
 std::string LockKey(std::string_view db, std::string_view table);
 
-/// Hierarchical strict two-phase locking (database → table).
+/// Strict two-phase table locking: S and X locks on "db.table" keys.
 ///
-/// A table lock request on "db.table" first takes the matching
-/// *intention* lock (IS for shared, IX for exclusive) on the database
-/// node "db", then the S/X lock on the table itself — the classic
-/// multi-granularity protocol, so a future database-level operation can
-/// conflict with table traffic without enumerating tables. Resources
-/// without a '.' are locked flat (no parent).
+/// Locks are flat. No statement of the local dialect operates on a whole
+/// database, so there is no database node and no intention mode: each
+/// locked table is one entry. X covers S, and a holder of S that asks
+/// for X is upgraded in place when no other transaction holds the table.
 ///
 /// Conflict policy is selectable:
 ///   - kNoWait (default): a conflicting request fails immediately with
@@ -125,12 +122,7 @@ std::string LockKey(std::string_view db, std::string_view table);
 ///     waiting is cooperative, on the simulated clock.
 class LockManager {
  public:
-  enum class Mode {
-    kIntentionShared,
-    kIntentionExclusive,
-    kShared,
-    kExclusive,
-  };
+  enum class Mode { kShared, kExclusive };
   enum class WaitPolicy { kNoWait, kWait };
 
   void set_wait_policy(WaitPolicy policy) { wait_policy_ = policy; }
@@ -149,17 +141,13 @@ class LockManager {
   /// edges for deadlock detection.
   const std::vector<TxnId>& last_conflict() const { return last_conflict_; }
 
-  /// Number of distinct locked resources (introspection for tests);
-  /// database-level intention nodes count too.
+  /// Number of distinct locked tables (introspection for tests).
   size_t locked_resource_count() const { return locks_.size(); }
 
-  /// True when `holding` may coexist with `requested` on one resource.
-  static bool Compatible(Mode holding, Mode requested);
-
-  /// Test-only audit trail: when enabled, every successful grant is
-  /// appended as (resource, mode) — upgrades and re-grants included.
-  /// The conflict-analyzer property tests compare this against the
-  /// statically predicted access sets.
+  /// Test-only audit trail: when enabled, every grant is appended as
+  /// (resource, mode), upgrades included; a request the held mode
+  /// already covers grants nothing. The conflict-analyzer property
+  /// tests compare this against the statically predicted access sets.
   void set_audit(bool on) {
     audit_ = on;
     if (!on) audit_log_.clear();
@@ -167,17 +155,12 @@ class LockManager {
   const std::vector<std::pair<std::string, Mode>>& audit_log() const {
     return audit_log_;
   }
-  void clear_audit_log() { audit_log_.clear(); }
 
  private:
   struct LockEntry {
-    /// Per-holder granted mode — holders of one resource can hold
-    /// different modes (e.g. IS next to IX at the database node).
+    /// Per-holder granted mode: several S holders, or one X holder.
     std::map<TxnId, Mode> holders;
   };
-
-  Status AcquireOne(Transaction* txn, const std::string& resource,
-                    Mode mode);
 
   WaitPolicy wait_policy_ = WaitPolicy::kNoWait;
   std::vector<TxnId> last_conflict_;

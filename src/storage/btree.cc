@@ -238,16 +238,6 @@ Status BTree::Reset() {
   return SetRoot(root_id);
 }
 
-Status BTree::Open() {
-  MSQL_ASSIGN_OR_RETURN(Frame * meta, pool_->Pin(file_id_, 0));
-  uint32_t magic = LoadU32(meta->data + kMetaMagicOff);
-  pool_->Unpin(meta);
-  if (magic != kMagic) {
-    return Status::Corrupted("btree file has a bad magic number");
-  }
-  return Status::OK();
-}
-
 Result<PageId> BTree::Root() const {
   MSQL_ASSIGN_OR_RETURN(Frame * meta, pool_->Pin(file_id_, 0));
   PageId root = LoadU32(meta->data + kMetaRootOff);

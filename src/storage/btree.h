@@ -55,9 +55,6 @@ class BTree {
   /// files are rebuilt wholesale after a crash, never compacted).
   Status Reset();
 
-  /// Validates the meta page of an existing file.
-  Status Open();
-
   /// Inserts `key` (no-op when already present). Returns whether the
   /// tree already held a key starting with the first `prefix_len`
   /// bytes of `key` — true for a duplicate.

@@ -24,7 +24,8 @@ enum class WalRecordType : uint8_t {
   kAbort = 6,
   kPrepare = 7,     // txn entered 2PC prepared state
   kCheckpoint = 8,  // pool flushed; payload lists active txns
-  kDdl = 9,         // catalog change (create/drop table/index)
+  kDdl = 9,         // catalog change (create database; create/drop
+                    // table, index, view)
 };
 
 struct WalRecord {
@@ -65,7 +66,6 @@ class WriteAheadLog {
   /// All durable records in LSN order (for recovery).
   Result<std::vector<WalRecord>> ReadAll() const;
 
-  uint64_t next_lsn() const { return next_lsn_; }
   uint64_t flushed_lsn() const { return flushed_lsn_; }
   int64_t appends() const { return appends_; }
   int64_t flushes() const { return flushes_; }

@@ -14,6 +14,7 @@
 #include "core/mdbs_system.h"
 #include "core/session_scheduler.h"
 #include "dol/engine.h"
+#include "relational/engine.h"
 
 namespace msql::core {
 namespace {
@@ -90,6 +91,36 @@ class ConcurrencyTest : public ::testing::Test {
            Count(sys, "delta",
                  "SELECT COUNT(*) FROM fnu747 WHERE passname = '" + client +
                      "'");
+  }
+
+  /// Begins a transaction in a direct session on continental's engine,
+  /// outside the federation, that holds an S lock on f838 until the
+  /// caller ends it. A federation session that updates f838 then parks
+  /// on a blocker the waits-for graph cannot see.
+  relational::SessionId HoldF838(relational::LocalEngine* engine) {
+    auto session = engine->OpenSession("continental");
+    EXPECT_TRUE(session.ok()) << session.status();
+    EXPECT_TRUE(engine->Begin(*session).ok());
+    EXPECT_TRUE(engine->Execute(*session, "SELECT COUNT(*) FROM f838").ok());
+    return *session;
+  }
+
+  /// After a batch parked on HoldF838's lock: no federation session
+  /// holds a lock anywhere, and once `holder` ends nothing is locked.
+  void ExpectOnlyHolderLocks(MultidatabaseSystem& sys,
+                             relational::LocalEngine* engine,
+                             relational::SessionId holder,
+                             size_t held_by_holder) {
+    for (const auto& name : sys.environment().ServiceNames()) {
+      auto lam = sys.environment().GetLam(name);
+      ASSERT_TRUE(lam.ok());
+      relational::LocalEngine* other = (*lam)->engine();
+      EXPECT_EQ(other->lock_manager().locked_resource_count(),
+                other == engine ? held_by_holder : 0)
+          << "service " << name;
+    }
+    ASSERT_TRUE(engine->CloseSession(holder).ok());
+    EXPECT_EQ(engine->lock_manager().locked_resource_count(), 0u);
   }
 
   void ExpectNoHeldLocks(MultidatabaseSystem& sys) {
@@ -306,6 +337,111 @@ TEST_F(ConcurrencyTest, ReadyScanVisitsOnlyLiveSessions) {
   }
   EXPECT_GT(server.steps(), 0);
   EXPECT_LE(server.scan_visits(), config.max_admitted * server.steps());
+}
+
+/// A VITAL update of the table HoldF838 locks.
+constexpr const char* kBlockedUpdate =
+    "USE continental VITAL\n"
+    "UPDATE f838 SET clientname = 'blocked' WHERE seatnu = 1";
+
+/// The failure detail of the one task of `r`'s run.
+std::string OnlyTaskDetail(const SessionResult& r) {
+  if (!r.report.has_value() || r.report->run.tasks.size() != 1) {
+    ADD_FAILURE() << "expected a report of one task";
+    return "";
+  }
+  return r.report->run.tasks.begin()->second.last_status.ToString();
+}
+
+// The stall breaker: the only admitted session parks on a lock held
+// outside the federation, so no session can run and no waits-for cycle
+// exists. The server aborts the parked session at once.
+TEST_F(ConcurrencyTest, StallBreakerAbortsSessionBlockedOutsideFederation) {
+  auto sys = Build();
+  relational::LocalEngine* engine =
+      *sys->GetEngine(PaperServiceOf("continental"));
+  const relational::SessionId holder = HoldF838(engine);
+  const size_t held = engine->lock_manager().locked_resource_count();
+  FederationServer server(sys.get());
+  server.Submit(kBlockedUpdate);
+  auto results = server.RunAll();
+  ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_EQ(results->size(), 1u);
+  const SessionResult& r = (*results)[0];
+  ASSERT_TRUE(r.report.has_value()) << r.status;
+  EXPECT_EQ(r.report->outcome, GlobalOutcome::kAborted);
+  const std::string detail = OnlyTaskDetail(r);
+  EXPECT_NE(detail.find("lock wait stalled"), std::string::npos) << detail;
+  EXPECT_TRUE(r.lock_timeout);
+  EXPECT_FALSE(r.deadlock_victim);
+  EXPECT_EQ(r.lock_waits, 1);
+  EXPECT_EQ(r.lock_wait_micros, 0);
+  ExpectOnlyHolderLocks(*sys, engine, holder, held);
+}
+
+// The lock-wait timeout: while a second session keeps calling Delta
+// over a slow link, the parked session is never stalled, so the sweep
+// aborts it once it has waited 5 s of simulated time. The second
+// session runs as it does alone.
+TEST_F(ConcurrencyTest, LockWaitTimeoutAbortsSessionBlockedOutsideFederation) {
+  const std::string slow_read = "USE delta\nSELECT snu, sstat FROM fnu747";
+  auto slow_delta = [](MultidatabaseSystem& sys) {
+    netsim::LinkParams slow;
+    slow.latency_micros = 2'000'000;
+    ASSERT_TRUE(sys.environment()
+                    .network()
+                    .SetLink(sys.environment().coordinator_site(),
+                             "site_delta", slow)
+                    .ok());
+  };
+  auto alone_sys = Build();
+  slow_delta(*alone_sys);
+  FederationServer alone(alone_sys.get());
+  alone.Submit(slow_read);
+  auto reference = alone.RunAll();
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(reference->size(), 1u);
+  const SessionResult& expected = (*reference)[0];
+  ASSERT_TRUE(expected.report.has_value()) << expected.status;
+  ASSERT_EQ(expected.report->outcome, GlobalOutcome::kSuccess);
+  ASSERT_GT(expected.makespan_micros, 5'000'000);
+
+  auto sys = Build();
+  slow_delta(*sys);
+  relational::LocalEngine* engine =
+      *sys->GetEngine(PaperServiceOf("continental"));
+  const relational::SessionId holder = HoldF838(engine);
+  const size_t held = engine->lock_manager().locked_resource_count();
+  FederationServer server(sys.get());
+  server.Submit(kBlockedUpdate);
+  server.Submit(slow_read);
+  auto results = server.RunAll();
+  ASSERT_TRUE(results.ok()) << results.status();
+  ASSERT_EQ(results->size(), 2u);
+  const SessionResult& parked = (*results)[0];
+  ASSERT_TRUE(parked.report.has_value()) << parked.status;
+  EXPECT_EQ(parked.report->outcome, GlobalOutcome::kAborted);
+  const std::string detail = OnlyTaskDetail(parked);
+  EXPECT_NE(detail.find("lock wait timeout: blocked for "),
+            std::string::npos)
+      << detail;
+  EXPECT_NE(detail.find("us at service '" + PaperServiceOf("continental") +
+                        "'"),
+            std::string::npos)
+      << detail;
+  EXPECT_TRUE(parked.lock_timeout);
+  EXPECT_FALSE(parked.deadlock_victim);
+  EXPECT_GE(parked.lock_wait_micros, 5'000'000);
+
+  const SessionResult& slow = (*results)[1];
+  ASSERT_TRUE(slow.report.has_value()) << slow.status;
+  EXPECT_EQ(slow.report->outcome, expected.report->outcome);
+  EXPECT_EQ(slow.report->multitable.ToString(),
+            expected.report->multitable.ToString());
+  EXPECT_EQ(slow.makespan_micros, expected.makespan_micros);
+  EXPECT_EQ(slow.lock_waits, 0);
+  EXPECT_FALSE(slow.lock_timeout);
+  ExpectOnlyHolderLocks(*sys, engine, holder, held);
 }
 
 // Inputs the prepared path cannot serve (catalog DDL, view queries)

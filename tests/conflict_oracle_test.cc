@@ -259,10 +259,12 @@ void CheckPredictionsCoverGrants(const OracleRun& run) {
   }
   for (const auto& [service, grants] : run.audited) {
     for (const auto& [resource, mode] : grants) {
-      // Database-node intention locks are implied parents of the
-      // predicted table locks; only table-level S/X grants are checked.
-      if (mode != Mode::kShared && mode != Mode::kExclusive) continue;
-      if (resource.find('.') == std::string::npos) continue;
+      // Locks are flat: every grant is an S or X on one "db.table".
+      const size_t dot = resource.find('.');
+      EXPECT_TRUE(dot != std::string::npos && dot > 0 &&
+                  dot + 1 < resource.size())
+          << "service " << service << " granted a lock on '" << resource
+          << "', which is not a table";
       const std::string key = Lower(resource);
       bool covered = false;
       for (const TaskAccess* access : predicted[service]) {

@@ -230,6 +230,36 @@ TEST_F(EndToEndTest, MultidatabaseDdlCreatesEverywhereAndSyncsGdd) {
   EXPECT_FALSE(sys_->gdd().HasTable("avis", "bookings"));
 }
 
+// A database is the LDBS's own business: an MSQL body that would
+// create or drop one fails at parse, before any DOL program runs, so
+// no §3.2 outcome can be reported over work no transaction covered.
+TEST_F(EndToEndTest, DatabaseStatementsFailAtParse) {
+  obs::MetricsRegistry& metrics = sys_->environment().metrics();
+  metrics.set_enabled(true);
+  auto national = *sys_->GetEngine("national_svc");
+  national->InjectFailure(relational::FailPoint::kNextPrepare);
+  const int64_t messages =
+      sys_->environment().network().stats().messages_sent;
+  for (const char* input :
+       {"USE avis DROP DATABASE avis",
+        "USE avis VITAL national VITAL CREATE DATABASE foo"}) {
+    auto report = sys_->Execute(input);
+    EXPECT_EQ(report.status().code(), StatusCode::kParseError) << input;
+  }
+  EXPECT_EQ(metrics.Get("dol.runs"), 0);
+  EXPECT_EQ(sys_->environment().network().stats().messages_sent, messages);
+  national->InjectFailure(relational::FailPoint::kNone);
+
+  EXPECT_TRUE(sys_->gdd().HasTable("avis", "cars"));
+  auto avis = *sys_->GetEngine("avis_svc");
+  EXPECT_EQ(avis->GetDatabaseConst("foo").status().code(),
+            StatusCode::kNotFound);
+  auto cars = Exec("USE avis SELECT code FROM cars");
+  EXPECT_EQ(cars.outcome, GlobalOutcome::kSuccess);
+  EXPECT_TRUE(cars.degraded_services.empty());
+  EXPECT_EQ(metrics.Get("dol.runs"), 1);
+}
+
 TEST_F(EndToEndTest, ScriptExecution) {
   auto reports = sys_->ExecuteScript(
       "USE avis SELECT code FROM cars;\n"

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "relational/engine.h"
 
@@ -168,6 +171,63 @@ TEST(TxnTest, SharedLocksCoexist) {
   EXPECT_EQ(upgrade.status().code(), StatusCode::kAborted);
 }
 
+// The lock table on its own: S and X on "db.table" keys.
+TEST(LockManagerTest, TableLockSemantics) {
+  using Mode = LockManager::Mode;
+  LockManager locks;
+  locks.set_audit(true);
+  Transaction a(1);
+  Transaction b(2);
+  Transaction c(3);
+
+  // S and S coexist, in one entry per locked table.
+  ASSERT_TRUE(locks.Acquire(&a, "d.t", Mode::kShared).ok());
+  ASSERT_TRUE(locks.Acquire(&b, "d.t", Mode::kShared).ok());
+  EXPECT_TRUE(locks.last_conflict().empty());
+  EXPECT_EQ(locks.locked_resource_count(), 1u);
+
+  // X against S fails under the default no-wait policy and names the
+  // holders.
+  Status x = locks.Acquire(&c, "d.t", Mode::kExclusive);
+  EXPECT_EQ(x.code(), StatusCode::kAborted);
+  EXPECT_EQ(x.message(), "lock conflict on d.t");
+  EXPECT_EQ(locks.last_conflict(), (std::vector<TxnId>{1, 2}));
+
+  // An S->X upgrade fails against a second S holder, and names it.
+  Status upgrade = locks.Acquire(&a, "d.t", Mode::kExclusive);
+  EXPECT_EQ(upgrade.code(), StatusCode::kAborted);
+  EXPECT_EQ(upgrade.message(), "lock upgrade conflict on d.t");
+  EXPECT_EQ(locks.last_conflict(), (std::vector<TxnId>{2}));
+
+  // Under the wait policy the same conflict is kBusy.
+  locks.set_wait_policy(LockManager::WaitPolicy::kWait);
+  EXPECT_EQ(locks.Acquire(&c, "d.t", Mode::kExclusive).code(),
+            StatusCode::kBusy);
+  EXPECT_EQ(locks.last_conflict(), (std::vector<TxnId>{1, 2}));
+
+  // Once b is gone, a upgrades; a covered re-request (S after X) grants
+  // nothing new.
+  locks.ReleaseAll(&b);
+  ASSERT_TRUE(locks.Acquire(&a, "d.t", Mode::kExclusive).ok());
+  const size_t grants = locks.audit_log().size();
+  ASSERT_TRUE(locks.Acquire(&a, "d.t", Mode::kShared).ok());
+  EXPECT_TRUE(locks.last_conflict().empty());
+  EXPECT_EQ(locks.audit_log().size(), grants);
+  EXPECT_EQ(locks.audit_log().back(),
+            (std::pair<std::string, Mode>{"d.t", Mode::kExclusive}));
+  EXPECT_EQ(locks.Acquire(&c, "d.t", Mode::kShared).code(),
+            StatusCode::kBusy);
+  EXPECT_EQ(locks.last_conflict(), (std::vector<TxnId>{1}));
+
+  // ReleaseAll frees everything.
+  ASSERT_TRUE(locks.Acquire(&c, "d.u", Mode::kShared).ok());
+  locks.ReleaseAll(&a);
+  locks.ReleaseAll(&c);
+  EXPECT_EQ(locks.locked_resource_count(), 0u);
+  EXPECT_TRUE(a.held_locks().empty());
+  EXPECT_TRUE(c.held_locks().empty());
+}
+
 TEST(TxnTest, CloseSessionAbortsOpenTransaction) {
   auto engine = MakeEngine(CapabilityProfile::IngresLike());
   SessionId s = *engine->OpenSession("db");
@@ -223,6 +283,31 @@ TEST(TxnTest, StatsAccumulate) {
   // 2 rows from the bootstrap INSERT + 1 deleted here.
   EXPECT_EQ(engine->stats().rows_written, 3);
   EXPECT_GE(engine->stats().commits, 2);  // two autocommits
+}
+
+// No session can create or drop a database: the statements do not
+// parse, so a prepared transaction keeps its database and its promise.
+TEST(TxnTest, DatabaseStatementsAreParseErrors) {
+  auto engine = MakeEngine(CapabilityProfile::IngresLike());
+  SessionId writer = *engine->OpenSession("db");
+  ASSERT_TRUE(engine->Begin(writer).ok());
+  ASSERT_TRUE(
+      engine->Execute(writer, "UPDATE t SET v = 'w' WHERE id = 1").ok());
+  ASSERT_TRUE(engine->Prepare(writer).ok());
+
+  SessionId other = *engine->OpenSession("db");
+  for (const char* sql : {"DROP DATABASE db", "CREATE DATABASE d2"}) {
+    EXPECT_EQ(engine->Execute(other, sql).status().code(),
+              StatusCode::kParseError)
+        << sql;
+  }
+  EXPECT_EQ(engine->GetDatabase("d2").status().code(),
+            StatusCode::kNotFound);
+
+  ASSERT_TRUE(engine->Rollback(writer).ok());
+  auto v = engine->Execute(other, "SELECT v FROM t WHERE id = 1");
+  ASSERT_TRUE(v.ok()) << v.status();
+  EXPECT_EQ(v->rows[0][0], Value::Text("a"));
 }
 
 TEST(TxnTest, NoconnectServesSingleDefaultDatabase) {

@@ -208,13 +208,29 @@ TEST(ParserTest, DdlAndTxnControl) {
   EXPECT_EQ(c.columns[1].width, 20);
 
   EXPECT_EQ((*Parse("DROP TABLE t"))->kind(), StatementKind::kDropTable);
-  EXPECT_EQ((*Parse("CREATE DATABASE d"))->kind(),
-            StatementKind::kCreateDatabase);
+  EXPECT_EQ(Parse("CREATE DATABASE d").status().code(),
+            StatusCode::kParseError);
   EXPECT_EQ((*Parse("BEGIN"))->kind(), StatementKind::kBegin);
   EXPECT_EQ((*Parse("BEGIN TRANSACTION"))->kind(), StatementKind::kBegin);
   EXPECT_EQ((*Parse("COMMIT"))->kind(), StatementKind::kCommit);
   EXPECT_EQ((*Parse("ROLLBACK"))->kind(), StatementKind::kRollback);
   EXPECT_EQ((*Parse("PREPARE"))->kind(), StatementKind::kPrepare);
+}
+
+// The dialect has no database-level statement; the errors name what
+// CREATE and DROP do take.
+TEST(ParserTest, NoDatabaseStatements) {
+  auto create = Parse("CREATE DATABASE d");
+  EXPECT_EQ(create.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(create.status().message(),
+            "expected TABLE, VIEW or INDEX after CREATE at line 1 col 8");
+  auto drop = Parse("DROP DATABASE d");
+  EXPECT_EQ(drop.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(drop.status().message(),
+            "expected TABLE, VIEW or INDEX after DROP at line 1 col 6");
+  // "database" stays reserved: it is no column name.
+  EXPECT_EQ(Parse("SELECT database FROM t").status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(ParserTest, DbQualifiedTableNames) {

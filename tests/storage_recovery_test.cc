@@ -568,6 +568,29 @@ TEST_F(StorageRecoveryTest, HostileCreateTableRecordIsCorrupted) {
           .ok());
 }
 
+// DDL op code 2 was DROP DATABASE. No statement drops a database, so
+// no WAL this engine writes holds one, and replay rejects it.
+TEST_F(StorageRecoveryTest, RetiredDdlOpCodeIsCorrupted) {
+  StorageManager manager(Config());
+  ASSERT_TRUE(manager.Open().ok());
+  ASSERT_TRUE(manager.OnCreateDatabase("d").ok());
+  std::string payload;
+  storage::AppendU64(&payload, 0);  // outside any transaction
+  payload.push_back(2);
+  for (const char* name : {"d", "", "", ""}) {
+    storage::AppendStr(&payload, name);
+  }
+  storage::AppendU32(&payload, 0);  // no schema
+  ASSERT_TRUE(
+      manager.wal().Append(storage::WalRecordType::kDdl, payload).ok());
+  ASSERT_TRUE(manager.wal().Flush().ok());
+  auto recovered = manager.Recover();
+  EXPECT_EQ(recovered.status().code(), StatusCode::kCorrupted);
+  EXPECT_NE(recovered.status().message().find("malformed WAL payload"),
+            std::string::npos)
+      << recovered.status();
+}
+
 TEST_F(StorageRecoveryTest, StorageCountersFlowIntoMetricsRegistry) {
   obs::MetricsRegistry metrics;
   metrics.set_enabled(true);
