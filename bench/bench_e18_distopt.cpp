@@ -6,8 +6,8 @@
 // (after ANALYZE populates the statistics catalog) recognises the skew
 // and installs a semi-join key filter at the remote site instead. The
 // bench runs the same join both ways at several scales and compares
-// simulated bytes moved and DOL makespan. Results go to
-// BENCH_distopt.json.
+// simulated bytes moved, DOL makespan and the bytes of SQL text the
+// sites parse for it. Results go to BENCH_distopt.json.
 //
 // Usage: bench_e18_distopt [--quick] [--out FILE] [--rows N]
 #include <algorithm>
@@ -78,7 +78,20 @@ struct RunStats {
   int64_t bytes_moved = 0;
   int64_t makespan_micros = 0;
   size_t result_rows = 0;
+  /// Bytes of SQL text the two sites' engines parsed for the join: the
+  /// statements of the plan, not the rows TRANSFER ships.
+  int64_t sql_bytes_parsed = 0;
 };
+
+/// SQL bytes parsed so far by the alpha and beta engines.
+int64_t SqlBytesParsed(msql::core::MultidatabaseSystem* sys) {
+  int64_t bytes = 0;
+  for (const char* svc : {"alpha_svc", "beta_svc"}) {
+    auto engine = sys->GetEngine(svc);
+    if (engine.ok()) bytes += (*engine)->stats().sql_bytes_parsed;
+  }
+  return bytes;
+}
 
 bool RunOnce(int small_rows, int big_rows, bool cost_based, RunStats* out) {
   auto built = BuildSkewedPair(small_rows, big_rows);
@@ -103,9 +116,11 @@ bool RunOnce(int small_rows, int big_rows, bool cost_based, RunStats* out) {
       "USE alpha beta\n"
       "SELECT small.tag, big.v FROM alpha.small, beta.big "
       "WHERE small.k = big.k";
+  const int64_t parsed_before = SqlBytesParsed(sys.get());
   const auto start = std::chrono::steady_clock::now();
   auto report = sys->Execute(sql);
   const auto stop = std::chrono::steady_clock::now();
+  out->sql_bytes_parsed = SqlBytesParsed(sys.get()) - parsed_before;
   if (!report.ok()) {
     std::fprintf(stderr, "Execute: %s\n", report.status().ToString().c_str());
     return false;
@@ -131,11 +146,12 @@ bool RunOnce(int small_rows, int big_rows, bool cost_based, RunStats* out) {
 void Print(const RunStats& s) {
   std::printf(
       "cost_based=%-5s small=%-3d big=%-6d semi_join=%-5s rows=%-4zu "
-      "bytes=%-9lld makespan=%9lldus wall=%7.1fms\n",
+      "bytes=%-9lld makespan=%9lldus sql_parsed=%-7lld wall=%7.1fms\n",
       s.cost_based ? "true" : "false", s.small_rows, s.big_rows,
       s.semi_join ? "true" : "false", s.result_rows,
       static_cast<long long>(s.bytes_moved),
-      static_cast<long long>(s.makespan_micros), s.wall_ms);
+      static_cast<long long>(s.makespan_micros),
+      static_cast<long long>(s.sql_bytes_parsed), s.wall_ms);
 }
 
 void Emit(std::ostream& json, const RunStats& s, bool last) {
@@ -146,6 +162,7 @@ void Emit(std::ostream& json, const RunStats& s, bool last) {
        << ", \"result_rows\": " << s.result_rows
        << ", \"bytes_moved\": " << s.bytes_moved
        << ", \"makespan_micros\": " << s.makespan_micros
+       << ", \"sql_bytes_parsed\": " << s.sql_bytes_parsed
        << ", \"wall_ms\": " << s.wall_ms << "}" << (last ? "\n" : ",\n");
 }
 

@@ -5,6 +5,7 @@
 
 #include "common/string_util.h"
 #include "obs/trace.h"
+#include "relational/sql/ast.h"
 
 namespace msql::dol {
 
@@ -772,34 +773,35 @@ DolTask<int64_t> DolEngine::ExecTransfer(const TransferStmt& stmt,
     MSQL_CO_RETURN_IF_ERROR(create_out.response.status);
   }
 
-  if (!task->result.rows.empty()) {
-    std::string insert = "INSERT INTO " + stmt.table;
-    if (stmt.append && !stmt.columns.empty()) {
-      insert += " (";
-      for (size_t i = 0; i < stmt.columns.size(); ++i) {
-        if (i > 0) insert += ", ";
-        insert += stmt.columns[i].name;
-      }
-      insert += ")";
+  if (task->result.rows.empty()) co_return now;
+
+  // The rows travel as the typed values the source task returned. The
+  // request borrows them through `insert`: both live in this frame or in
+  // tasks_ until the call and its retries are done.
+  relational::InsertStmt insert;
+  insert.table.table = stmt.table;
+  if (stmt.append) {
+    for (const auto& col : stmt.columns) insert.columns.push_back(col.name);
+  }
+  insert.typed_rows = &task->result.rows;
+  LamRequest insert_req;
+  insert_req.type = LamRequestType::kExecute;
+  insert_req.session = channel->session;
+  insert_req.insert = &insert;
+  MSQL_CO_AWAIT_OR_RETURN(auto insert_out, Call(channel, insert_req, now));
+  now = insert_out.timing.end_micros;
+  if (!insert_out.response.status.ok()) {
+    if (!stmt.append) {
+      // Best effort: drop the table this TRANSFER created, or it blocks
+      // every later TRANSFER into the same name. The INSERT's failure is
+      // what the run reports, whatever the DROP returns.
+      LamRequest drop;
+      drop.type = LamRequestType::kExecute;
+      drop.session = channel->session;
+      drop.sql = "DROP TABLE " + stmt.table;
+      (void)co_await Call(channel, drop, now);
     }
-    insert += " VALUES ";
-    for (size_t r = 0; r < task->result.rows.size(); ++r) {
-      if (r > 0) insert += ", ";
-      insert += "(";
-      const auto& row = task->result.rows[r];
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (c > 0) insert += ", ";
-        insert += row[c].ToSqlLiteral();
-      }
-      insert += ")";
-    }
-    LamRequest insert_req;
-    insert_req.type = LamRequestType::kExecute;
-    insert_req.session = channel->session;
-    insert_req.sql = std::move(insert);
-    MSQL_CO_AWAIT_OR_RETURN(auto insert_out, Call(channel, insert_req, now));
-    now = insert_out.timing.end_micros;
-    MSQL_CO_RETURN_IF_ERROR(insert_out.response.status);
+    co_return insert_out.response.status;
   }
   co_return now;
 }

@@ -57,8 +57,24 @@ std::string_view LamRequestTypeName(LamRequestType type) {
 }
 
 int64_t LamRequest::WireBytes() const {
-  // Verb + header + payload.
-  return 32 + static_cast<int64_t>(database.size() + sql.size());
+  size_t text = sql.size();
+  if (insert != nullptr && insert->typed_rows != nullptr) {
+    // "INSERT INTO " table [" (" c ", " c ")"] " VALUES " then the rows
+    // joined by ", ", each "(" v ", " v ")" with v its SQL literal.
+    text += 12 + insert->table.ToSql().size() + 8;
+    if (!insert->columns.empty()) {
+      text += 3 + 2 * (insert->columns.size() - 1);
+      for (const std::string& c : insert->columns) text += c.size();
+    }
+    const auto& rows = *insert->typed_rows;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      text += (r > 0 ? 2 : 0) + 2;
+      for (size_t i = 0; i < rows[r].size(); ++i) {
+        text += (i > 0 ? 2 : 0) + relational::LiteralWidth(rows[r][i]);
+      }
+    }
+  }
+  return 32 + static_cast<int64_t>(database.size() + text);
 }
 
 int64_t LamResponse::WireBytes() const {
@@ -69,7 +85,7 @@ int64_t LamResponse::WireBytes() const {
   }
   for (const auto& row : result.rows) {
     for (const auto& v : row) {
-      bytes += static_cast<int64_t>(v.ToDisplayString().size()) + 4;
+      bytes += static_cast<int64_t>(relational::DisplayWidth(v)) + 4;
     }
   }
   return bytes;
@@ -101,7 +117,10 @@ LamResponse Lam::Handle(const LamRequest& request, int64_t* service_micros) {
       response.status = engine_->CloseSession(request.session);
       break;
     case LamRequestType::kExecute: {
-      auto result = engine_->Execute(request.session, request.sql);
+      auto result =
+          request.insert != nullptr
+              ? engine_->ExecuteStatement(request.session, *request.insert)
+              : engine_->Execute(request.session, request.sql);
       if (result.ok()) {
         rows_touched = result->IsQueryResult()
                            ? static_cast<int64_t>(result->rows.size())
@@ -215,7 +234,7 @@ LamResponse Lam::Handle(const LamRequest& request, int64_t* service_micros) {
           int64_t width_sum = 0;
           for (const relational::Row& row : rows) {
             const relational::Value& v = row[c];
-            width_sum += static_cast<int64_t>(v.ToDisplayString().size()) + 4;
+            width_sum += static_cast<int64_t>(relational::DisplayWidth(v)) + 4;
             if (v.is_null()) continue;
             distinct.insert(v.ToSqlLiteral());
             if (min_v == nullptr || v.Compare(*min_v) < 0) min_v = &v;

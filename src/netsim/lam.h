@@ -18,9 +18,9 @@ namespace msql::netsim {
 ///
 /// The DOL engine sends these over the simulated network; a LAM executes
 /// them against its local engine and ships back a response. TASK bodies
-/// become kExecute requests; NOCOMMIT tasks are bracketed by kBegin and
-/// later kPrepare; the status checks in DOL IF conditions use
-/// kQueryTxnState.
+/// become kExecute requests, and so do a TRANSFER's CREATE TABLE and its
+/// typed INSERT; NOCOMMIT tasks are bracketed by kBegin and later
+/// kPrepare; the status checks in DOL IF conditions use kQueryTxnState.
 enum class LamRequestType {
   kPing,
   kOpenSession,
@@ -57,8 +57,19 @@ struct LamRequest {
   relational::SessionId session = 0;
   /// SQL text (kExecute only).
   std::string sql;
+  /// kExecute only, in place of `sql`: an INSERT whose rows are typed
+  /// values (InsertStmt::typed_rows), as a TRANSFER ships its source
+  /// task's result. Borrowed: the request is copied for every send and
+  /// retry, so the statement and its rows must outlive the call. The LAM
+  /// runs it through LocalEngine::ExecuteStatement, the path a parsed
+  /// INSERT takes after its parse.
+  const relational::InsertStmt* insert = nullptr;
 
-  /// Approximate wire size in bytes (for the latency model).
+  /// Modelled wire size in bytes (for the latency model): 32 for verb
+  /// and header, then the database name and the SQL text. A typed
+  /// `insert` counts as the text that would carry it, `INSERT INTO t
+  /// [(c, ...)] VALUES (v, ...), ...` with each value as its SQL literal
+  /// (relational::LiteralWidth), measured without building it.
   int64_t WireBytes() const;
 };
 
@@ -73,6 +84,9 @@ struct LamResponse {
   /// federation sessions to build waits-for edges.
   std::vector<relational::SessionId> blocked_by;
 
+  /// Modelled wire size in bytes: 64 for the header, the status message,
+  /// 8 per blocker, and 4 framing bytes per column name and per value on
+  /// top of its display text (relational::DisplayWidth).
   int64_t WireBytes() const;
 };
 

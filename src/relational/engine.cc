@@ -406,6 +406,7 @@ std::vector<SessionId> LocalEngine::BlockingSessions() const {
 
 Result<ResultSet> LocalEngine::Execute(SessionId session,
                                        std::string_view sql) {
+  stats_.sql_bytes_parsed += static_cast<int64_t>(sql.size());
   MSQL_ASSIGN_OR_RETURN(StatementPtr stmt, ParseSql(sql));
   return ExecuteStatement(session, *stmt);
 }

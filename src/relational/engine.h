@@ -71,6 +71,9 @@ struct EngineStats {
   int64_t rollbacks = 0;
   int64_t prepares = 0;
   int64_t injected_failures = 0;
+  /// Bytes of SQL text Execute handed to the parser (statements that
+  /// arrive parsed, such as a TRANSFER's typed INSERT, add nothing).
+  int64_t sql_bytes_parsed = 0;
 };
 
 /// One autonomous local DBMS: databases, sessions, transactions, SQL

@@ -1,6 +1,8 @@
 #include "relational/executor.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -70,12 +72,17 @@ class AggAccumulator {
     return Status::Internal("unknown aggregate " + name);
   }
 
-  Value Finish() const {
+  Result<Value> Finish() const {
     const std::string& name = call_->name();
     if (name == "COUNT") return Value::Integer(count_);
     if (count_ == 0) return Value::Null_();  // empty group → NULL
     if (name == "SUM") {
-      return saw_real_ ? Value::Real(sum_real_) : Value::Integer(sum_int_);
+      if (saw_real_) return Value::Real(sum_real_);
+      if (sum_int_ < std::numeric_limits<int64_t>::min() ||
+          sum_int_ > std::numeric_limits<int64_t>::max()) {
+        return IntegerOverflow();
+      }
+      return Value::Integer(static_cast<int64_t>(sum_int_));
     }
     if (name == "AVG") {
       return Value::Real(sum_real_ / static_cast<double>(count_));
@@ -87,15 +94,17 @@ class AggAccumulator {
   const FunctionCallExpr* call_;
   int64_t count_ = 0;
   double sum_real_ = 0.0;
-  int64_t sum_int_ = 0;
+  /// Exact: only the total has to fit INTEGER, not every partial sum.
+  __int128 sum_int_ = 0;
   bool saw_real_ = false;
   Value minmax_;
   bool has_minmax_ = false;
 };
 
 /// Hash-join key hashing, consistent with Value::Compare equality:
-/// numerics normalize to double (collapsing -0.0 into 0.0) so that
-/// hash-equal always agrees with Compare == 0 across INTEGER/REAL.
+/// numerics normalize to double (collapsing -0.0 into 0.0 and every NaN
+/// into one) so that Compare == 0 always implies hash-equal across
+/// INTEGER/REAL.
 /// NULL keys never reach the hash table — SQL `=` is never TRUE on
 /// NULL, so both sides drop NULL-keyed rows before hashing.
 struct JoinKeyHash {
@@ -106,6 +115,7 @@ struct JoinKeyHash {
       if (v.is_numeric()) {
         double d = v.NumericAsReal();
         if (d == 0.0) d = 0.0;  // -0.0 and 0.0 compare equal
+        if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
         e = std::hash<double>{}(d);
       } else if (v.is_boolean()) {
         e = std::hash<bool>{}(v.AsBoolean());
@@ -345,7 +355,8 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
             MSQL_RETURN_IF_ERROR(acc.Accumulate(v));
           }
         }
-        agg_values.emplace(call, acc.Finish());
+        MSQL_ASSIGN_OR_RETURN(Value total, acc.Finish());
+        agg_values.emplace(call, std::move(total));
       }
       evaluator.set_aggregate_values(&agg_values);
 
@@ -816,11 +827,14 @@ Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
     }
   }
 
-  // Collect the rows to insert.
-  std::vector<Row> new_rows;
-  if (stmt.select_source != nullptr) {
+  // Collect the rows to insert. A TRANSFER's typed rows are read where
+  // they are; VALUES and INSERT ... SELECT rows are built here.
+  std::vector<Row> built;
+  if (stmt.typed_rows != nullptr) {
+    // Borrowed: nothing to evaluate.
+  } else if (stmt.select_source != nullptr) {
     MSQL_ASSIGN_OR_RETURN(ResultSet src, ExecuteSelect(*stmt.select_source));
-    for (auto& row : src.rows) new_rows.push_back(std::move(row));
+    built = std::move(src.rows);
   } else {
     RowBinding empty_binding;
     ExprEvaluator evaluator(
@@ -835,20 +849,28 @@ Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
         MSQL_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*e, no_row));
         row.push_back(std::move(v));
       }
-      new_rows.push_back(std::move(row));
+      built.push_back(std::move(row));
     }
   }
+  const bool borrowed = stmt.typed_rows != nullptr;
+  const std::vector<Row>& rows = borrowed ? *stmt.typed_rows : built;
 
+  txn_->ReserveUndo(rows.size());
   int64_t inserted = 0;
-  for (auto& provided : new_rows) {
-    if (provided.size() != positions.size()) {
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].size() != positions.size()) {
       return Status::InvalidArgument(
-          "INSERT provides " + std::to_string(provided.size()) +
+          "INSERT provides " + std::to_string(rows[r].size()) +
           " values for " + std::to_string(positions.size()) + " columns");
     }
     Row full(schema.num_columns(), Value::Null_());
     for (size_t i = 0; i < positions.size(); ++i) {
-      full[positions[i]] = std::move(provided[i]);
+      // A built row moves into the table; a borrowed one is copied once.
+      if (borrowed) {
+        full[positions[i]] = rows[r][i];
+      } else {
+        full[positions[i]] = std::move(built[r][i]);
+      }
     }
     MSQL_ASSIGN_OR_RETURN(RowId id, table->Insert(std::move(full)));
     UndoRecord rec;

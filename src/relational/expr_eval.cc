@@ -1,10 +1,15 @@
 #include "relational/expr_eval.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/string_util.h"
 
 namespace msql::relational {
+
+Status IntegerOverflow() {
+  return Status::ExecutionError("integer overflow");
+}
 
 void RowBinding::AddTable(const std::string& table_name,
                           const TableSchema& schema) {
@@ -166,7 +171,13 @@ Result<Value> ExprEvaluator::EvalUnary(const UnaryExpr& e,
     case UnaryOp::kNegate: {
       MSQL_ASSIGN_OR_RETURN(Value v, Eval(e.operand(), row));
       if (v.is_null()) return Value::Null_();
-      if (v.is_integer()) return Value::Integer(-v.AsInteger());
+      if (v.is_integer()) {
+        int64_t negated = 0;
+        if (__builtin_sub_overflow(int64_t{0}, v.AsInteger(), &negated)) {
+          return IntegerOverflow();
+        }
+        return Value::Integer(negated);
+      }
       if (v.is_real()) return Value::Real(-v.AsReal());
       return Status::ExecutionError("unary minus applied to non-numeric");
     }
@@ -259,16 +270,23 @@ Result<Value> ExprEvaluator::EvalArithmetic(BinaryOp op, const Value& left,
   if (both_int) {
     int64_t a = left.AsInteger();
     int64_t b = right.AsInteger();
+    int64_t out = 0;
+    bool overflow = false;
     switch (op) {
-      case BinaryOp::kAdd: return Value::Integer(a + b);
-      case BinaryOp::kSub: return Value::Integer(a - b);
-      case BinaryOp::kMul: return Value::Integer(a * b);
+      case BinaryOp::kAdd: overflow = __builtin_add_overflow(a, b, &out); break;
+      case BinaryOp::kSub: overflow = __builtin_sub_overflow(a, b, &out); break;
+      case BinaryOp::kMul: overflow = __builtin_mul_overflow(a, b, &out); break;
       case BinaryOp::kDiv:
         if (b == 0) return Status::ExecutionError("division by zero");
-        return Value::Integer(a / b);
+        // INT64_MIN / -1 is the one quotient outside the range.
+        overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+        if (!overflow) out = a / b;
+        break;
       default:
         return Status::Internal("not an arithmetic op");
     }
+    if (overflow) return IntegerOverflow();
+    return Value::Integer(out);
   }
   double a = left.NumericAsReal();
   double b = right.NumericAsReal();
@@ -330,6 +348,9 @@ Result<Value> ExprEvaluator::EvalFunction(const FunctionCallExpr& e,
     MSQL_RETURN_IF_ERROR(need_args(1));
     if (args[0].is_null()) return Value::Null_();
     if (args[0].is_integer()) {
+      if (args[0].AsInteger() == std::numeric_limits<int64_t>::min()) {
+        return IntegerOverflow();
+      }
       return Value::Integer(std::abs(args[0].AsInteger()));
     }
     if (args[0].is_real()) return Value::Real(std::fabs(args[0].AsReal()));

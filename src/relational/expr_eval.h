@@ -37,6 +37,10 @@ class RowBinding {
   std::vector<Entry> entries_;
 };
 
+/// kExecutionError "integer overflow": an INTEGER result of arithmetic,
+/// unary minus, ABS or SUM that leaves the 64-bit range.
+Status IntegerOverflow();
+
 /// Evaluates SQL expressions against bound rows.
 ///
 /// Aggregate FunctionCall nodes are *not* computed here — the executor

@@ -1,6 +1,8 @@
 #include "relational/row_serde.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "storage/page.h"
 
@@ -110,7 +112,12 @@ std::string EncodeIndexKey(const Value& v) {
                                 (uint64_t{1} << 63));
   } else if (v.is_real()) {
     out.push_back(0x02);
-    AppendBigEndian64(&out, OrderedDoubleBits(v.AsReal()));
+    // One encoding per Compare-equal key: -0.0 is 0.0, and every NaN is
+    // the positive quiet NaN, which encodes above +inf as Compare sorts.
+    double d = v.AsReal();
+    if (d == 0.0) d = 0.0;
+    if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+    AppendBigEndian64(&out, OrderedDoubleBits(d));
   } else if (v.is_text()) {
     out.push_back(0x03);
     for (char c : v.AsText()) {

@@ -18,7 +18,8 @@ Result<Row> DeserializeRow(std::string_view bytes);
 
 /// Order-preserving byte encoding of one index key value: for values
 /// of a single column type (plus NULLs, which sort first), the
-/// lexicographic order of encodings matches Value::Compare. Text is
+/// lexicographic order of encodings matches Value::Compare, and
+/// Compare-equal keys (-0.0 and 0.0, NaNs of any sign) encode alike. Text is
 /// 0x00-escaped and terminated so no encoding is a strict prefix of
 /// another — a range scan over `v` never leaks keys of longer strings
 /// that merely start with `v`.

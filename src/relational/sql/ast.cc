@@ -256,6 +256,7 @@ StatementPtr InsertStmt::Clone() const {
     out->values_rows.push_back(std::move(cloned));
   }
   if (select_source) out->select_source = select_source->CloneSelect();
+  out->typed_rows = typed_rows;
   return out;
 }
 

@@ -496,6 +496,13 @@ void ForEachClause(SelectStmt& select, Fn&& fn) {
 }
 
 /// INSERT INTO table [(cols)] VALUES (...), (...) | SELECT ...
+///
+/// `typed_rows` is a third row source with no SQL text: the typed values
+/// a TRANSFER hands to the target LAM (dol/engine.cc). The statement
+/// borrows them, so they must outlive its execution, and a Clone
+/// borrows the same rows; ToSql does not render them. The executor
+/// takes them where it takes the evaluated VALUES rows, so the column
+/// list, coercion, locking and undo are those of a parsed INSERT.
 struct InsertStmt : public Statement {
   InsertStmt() : Statement(StatementKind::kInsert) {}
 
@@ -503,6 +510,7 @@ struct InsertStmt : public Statement {
   std::vector<std::string> columns;  // empty = all, in schema order
   std::vector<std::vector<ExprPtr>> values_rows;
   std::unique_ptr<SelectStmt> select_source;  // alternative to VALUES
+  const std::vector<std::vector<Value>>* typed_rows = nullptr;  // borrowed
 
   StatementPtr Clone() const override;
   std::string ToSql() const override;

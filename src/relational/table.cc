@@ -151,7 +151,9 @@ Result<Row> Table::Normalize(Row row) const {
         std::to_string(schema_.num_columns()) + " columns");
   }
   for (size_t i = 0; i < row.size(); ++i) {
-    MSQL_ASSIGN_OR_RETURN(row[i], row[i].CoerceTo(schema_.column(i).type));
+    const Type type = schema_.column(i).type;
+    if (row[i].is_null() || row[i].type() == type) continue;  // no copy
+    MSQL_ASSIGN_OR_RETURN(row[i], row[i].CoerceTo(type));
   }
   return row;
 }

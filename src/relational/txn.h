@@ -1,6 +1,7 @@
 #ifndef MSQL_RELATIONAL_TXN_H_
 #define MSQL_RELATIONAL_TXN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -71,6 +72,15 @@ class Transaction {
   /// Appends an undo record.
   void RecordUndo(UndoRecord record) {
     undo_log_.push_back(std::move(record));
+  }
+
+  /// Makes room for `n` more records at once, so a statement that will
+  /// write n rows does not regrow (and move) the log while it runs.
+  void ReserveUndo(size_t n) {
+    const size_t need = undo_log_.size() + n;
+    if (need > undo_log_.capacity()) {
+      undo_log_.reserve(std::max(need, 2 * undo_log_.capacity()));
+    }
   }
 
   size_t undo_log_size() const { return undo_log_.size(); }

@@ -1,5 +1,6 @@
 #include "relational/value.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -57,12 +58,7 @@ double Value::NumericAsReal() const {
 
 bool Value::operator==(const Value& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
-  if (is_numeric() && other.is_numeric()) {
-    if (is_integer() && other.is_integer()) {
-      return AsInteger() == other.AsInteger();
-    }
-    return NumericAsReal() == other.NumericAsReal();
-  }
+  if (is_numeric() && other.is_numeric()) return Compare(other) == 0;
   return rep_ == other.rep_;
 }
 
@@ -71,12 +67,20 @@ int Value::Compare(const Value& other) const {
   if (is_null() && other.is_null()) return 0;
   if (is_null()) return -1;
   if (other.is_null()) return 1;
+  if (is_integer() && other.is_integer()) {
+    // Exact: two INTEGERs past 2^53 can share a double.
+    return (AsInteger() > other.AsInteger()) -
+           (AsInteger() < other.AsInteger());
+  }
   if (is_numeric() && other.is_numeric()) {
     double a = NumericAsReal();
     double b = other.NumericAsReal();
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
+    // NaN equals NaN and sorts above every other number.
+    if (std::isnan(a) || std::isnan(b)) {
+      return static_cast<int>(std::isnan(a)) -
+             static_cast<int>(std::isnan(b));
+    }
+    return (a > b) - (a < b);
   }
   if (is_text() && other.is_text()) {
     return AsText().compare(other.AsText());
@@ -88,22 +92,28 @@ int Value::Compare(const Value& other) const {
   return static_cast<int>(type()) - static_cast<int>(other.type());
 }
 
+namespace {
+
+/// The shortest text that reads back as the same double, in `buf`, so a
+/// REAL written into SQL text keeps its value. A text without '.', 'e',
+/// "inf" or "nan" (only those two hold an 'i' or an 'n') needs ".0"
+/// appended (`*needs_suffix`) to stay recognizably REAL.
+std::string_view ShortestReal(double v, char (&buf)[32], bool* needs_suffix) {
+  std::string_view s(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
+  *needs_suffix = s.find_first_of(".ein") == std::string_view::npos;
+  return s;
+}
+
+}  // namespace
+
 std::string Value::ToSqlLiteral() const {
   if (is_null()) return "NULL";
   if (is_integer()) return std::to_string(AsInteger());
   if (is_real()) {
-    // The shortest text that reads back as the same double: rows ship
-    // between sites as SQL literals, so any rounding here would change
-    // the values a remote join compares.
     char buf[32];
-    std::string s(buf, std::to_chars(buf, buf + sizeof buf, AsReal()).ptr);
-    // Keep the literal recognizably REAL when it round-trips via SQL text.
-    if (s.find('.') == std::string::npos &&
-        s.find('e') == std::string::npos &&
-        s.find("inf") == std::string::npos &&
-        s.find("nan") == std::string::npos) {
-      s += ".0";
-    }
+    bool needs_suffix = false;
+    std::string s(ShortestReal(AsReal(), buf, &needs_suffix));
+    if (needs_suffix) s += ".0";
     return s;
   }
   if (is_boolean()) return AsBoolean() ? "TRUE" : "FALSE";
@@ -122,6 +132,36 @@ std::string Value::ToDisplayString() const {
   return ToSqlLiteral();
 }
 
+size_t LiteralWidth(const Value& v) {
+  if (v.is_null()) return 4;
+  if (v.is_integer()) {
+    const int64_t i = v.AsInteger();
+    // Count digits on the magnitude as unsigned: -INT64_MIN overflows.
+    uint64_t magnitude = i < 0 ? 0 - static_cast<uint64_t>(i)
+                               : static_cast<uint64_t>(i);
+    size_t width = i < 0 ? 2 : 1;
+    while (magnitude >= 10) {
+      magnitude /= 10;
+      ++width;
+    }
+    return width;
+  }
+  if (v.is_real()) {
+    char buf[32];
+    bool needs_suffix = false;
+    return ShortestReal(v.AsReal(), buf, &needs_suffix).size() +
+           (needs_suffix ? 2 : 0);
+  }
+  if (v.is_boolean()) return v.AsBoolean() ? 4 : 5;
+  const std::string& text = v.AsText();
+  return text.size() + 2 +
+         static_cast<size_t>(std::count(text.begin(), text.end(), '\''));
+}
+
+size_t DisplayWidth(const Value& v) {
+  return v.is_text() ? v.AsText().size() : LiteralWidth(v);
+}
+
 Result<Value> Value::CoerceTo(Type target) const {
   if (is_null()) return *this;  // NULL fits every column
   if (type() == target) return *this;
@@ -130,10 +170,17 @@ Result<Value> Value::CoerceTo(Type target) const {
   }
   if (target == Type::kInteger && is_real()) {
     double v = AsReal();
-    double rounded = std::nearbyint(v);
-    if (rounded == v) return Value::Integer(static_cast<int64_t>(v));
-    return Status::InvalidArgument("cannot store non-integral REAL " +
-                                   ToSqlLiteral() + " into INTEGER column");
+    if (std::nearbyint(v) != v) {
+      return Status::InvalidArgument("cannot store non-integral REAL " +
+                                     ToSqlLiteral() + " into INTEGER column");
+    }
+    // [-2^63, 2^63): both bounds are exact doubles, and the cast of
+    // anything outside them is undefined.
+    if (v < -0x1p63 || v >= 0x1p63) {
+      return Status::InvalidArgument("REAL " + ToSqlLiteral() +
+                                     " is out of INTEGER range");
+    }
+    return Value::Integer(static_cast<int64_t>(v));
   }
   return Status::InvalidArgument(
       std::string("cannot coerce ") + std::string(TypeName(type())) +

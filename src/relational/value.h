@@ -70,11 +70,17 @@ class Value {
 
   /// Strict equality used by tests and result comparison: NULL == NULL is
   /// true here (unlike the SQL `=` operator, which is in expr_eval).
+  /// Agrees with Compare: two numerics are equal exactly when Compare
+  /// returns 0, so NaN equals NaN.
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  /// Total order for ORDER BY / MIN / MAX: NULL sorts first; integers and
-  /// reals compare numerically; cross-type otherwise orders by type id.
+  /// Total order for ORDER BY, MIN, MAX, DISTINCT, GROUP BY, hash joins
+  /// and the SQL comparison operators. NULL sorts first. Two INTEGERs
+  /// compare exactly; an INTEGER with a REAL compares as doubles (so an
+  /// INTEGER past 2^53 may equal a REAL that equals a different
+  /// INTEGER). NaN equals itself and sorts above every other number,
+  /// PostgreSQL's rule. Other cross-type pairs order by type id.
   /// Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
@@ -84,11 +90,12 @@ class Value {
   /// Display rendering without quotes (for result tables).
   std::string ToDisplayString() const;
 
-  /// Coerces this value to a column of type `target`; integers widen to
-  /// real, reals narrow to integer only if exact, anything stores into
-  /// TEXT via display rendering? No — only NULL and exact-family
-  /// conversions are allowed; mismatches are an error (loose typing would
-  /// mask schema-heterogeneity bugs that MSQL is supposed to surface).
+  /// Coerces this value to a column of type `target`: integers widen to
+  /// real, and a real narrows to integer only when it is integral and
+  /// inside the INTEGER range (kInvalidArgument otherwise). Only NULL and
+  /// these exact-family conversions are allowed; other mismatches are an
+  /// error (loose typing would mask schema-heterogeneity bugs that MSQL
+  /// is supposed to surface).
   Result<Value> CoerceTo(Type target) const;
 
  private:
@@ -100,6 +107,16 @@ class Value {
 
   Rep rep_;
 };
+
+/// Length of v.ToSqlLiteral(), computed without building the string:
+/// the bytes a value occupies in SQL text (the wire model of a TRANSFER's
+/// rows, netsim/lam.h).
+size_t LiteralWidth(const Value& v);
+
+/// Length of v.ToDisplayString(), computed without building the string:
+/// the bytes a value occupies in a LAM response and in ANALYZE's average
+/// width.
+size_t DisplayWidth(const Value& v);
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
 

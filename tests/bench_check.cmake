@@ -5,7 +5,8 @@
 # regression. Wall-clock metrics are never compared (host time is
 # noisy); every compared metric is a simulated-clock figure or a work
 # counter (E16/E17's scheduler scan visits, E17's local SELECT count,
-# E19's page reads/writes and WAL appends), exact for a fixed seed. Baselines are the benches' `--quick`
+# E18's SQL bytes parsed, E19's page reads/writes and WAL appends), exact
+# for a fixed seed. Baselines are the benches' `--quick`
 # outputs; comparisons are guarded on the workload-scale fields, so a
 # full-scale re-run simply skips entries whose scale differs from the
 # baseline. No bench needs a manual re-run: the bench_e16_quick …
@@ -152,6 +153,7 @@ if(base)
     require(BENCH_distopt.json "${base}" runs ${run} cost_based)
     require(BENCH_distopt.json "${base}" runs ${run} bytes_moved)
     require(BENCH_distopt.json "${base}" runs ${run} makespan_micros)
+    require(BENCH_distopt.json "${base}" runs ${run} sql_bytes_parsed)
   endforeach()
   if(fresh)
     foreach(run 0 1)
@@ -164,6 +166,10 @@ if(base)
                 runs ${run} bytes_moved)
         compare(BENCH_distopt.json "${base}" "${fresh}"
                 runs ${run} makespan_micros)
+        # SQL text the sites parsed for the join: rows a TRANSFER ships
+        # as INSERT text instead of typed values multiply it.
+        compare(BENCH_distopt.json "${base}" "${fresh}"
+                runs ${run} sql_bytes_parsed)
       endif()
     endforeach()
   endif()

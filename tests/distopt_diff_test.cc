@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/rng.h"
 #include "core/fixtures.h"
 #include "core/mdbs_system.h"
+#include "netsim/fault_injector.h"
 
 namespace msql::core {
 namespace {
@@ -186,6 +188,111 @@ TEST(DistOptDiffTest, CommittedWriteChurnReengagesHeuristicUntilReanalyze) {
   EXPECT_NE(again->cost_text.find("mode=cost-based"), std::string::npos)
       << again->cost_text;
   EXPECT_EQ(SortedRows(again->join_result), SortedRows(fresh->join_result));
+}
+
+constexpr char kCarsFlightsJoin[] =
+    "USE avis continental\n"
+    "SELECT cars.code, flights.flnu FROM avis.cars, continental.flights "
+    "WHERE cars.rate < flights.rate";
+
+/// The join's rows with every `cars.code` of `from` replaced by `to`
+/// (or dropped when `to` is NULL), as SortedRows renders them.
+std::vector<std::string> Recoded(const relational::ResultSet& rs,
+                                 int64_t from, const relational::Value& to) {
+  relational::ResultSet out;
+  for (const auto& row : rs.rows) {
+    if (row[0] != relational::Value::Integer(from)) {
+      out.rows.push_back(row);
+    } else if (!to.is_null()) {
+      out.rows.push_back({to, row[1]});
+    }
+  }
+  return SortedRows(out);
+}
+
+TEST(DistOptDiffTest, ValuesWithoutAReadableLiteralCrossSitesExactly) {
+  // INT64_MIN has no SQL literal, and neither has an infinite REAL: as
+  // INSERT text, the coordinator's parse of either failed the join
+  // (INCORRECT). Typed TRANSFER rows carry them as they are.
+  auto sys = BuildPaperFederation();
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  auto clean = (*sys)->Execute(kCarsFlightsJoin);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_EQ(clean->outcome, GlobalOutcome::kSuccess);
+
+  auto update = (*sys)->Execute(
+      "USE avis UPDATE cars SET code = -9223372036854775807 - 1 "
+      "WHERE code = 1");
+  ASSERT_TRUE(update.ok() && update->outcome == GlobalOutcome::kSuccess);
+  auto min_join = (*sys)->Execute(kCarsFlightsJoin);
+  ASSERT_TRUE(min_join.ok()) << min_join.status();
+  EXPECT_EQ(min_join->outcome, GlobalOutcome::kSuccess) << min_join->detail;
+  EXPECT_EQ(SortedRows(min_join->join_result),
+            Recoded(clean->join_result, 1, relational::Value::Integer(INT64_MIN)));
+
+  // Car 2 at an infinite rate is below no flight: its rows leave the join.
+  update = (*sys)->Execute(
+      "USE avis UPDATE cars SET rate = 1e300 * 1e300 WHERE code = 2");
+  ASSERT_TRUE(update.ok() && update->outcome == GlobalOutcome::kSuccess);
+  auto inf_join = (*sys)->Execute(kCarsFlightsJoin);
+  ASSERT_TRUE(inf_join.ok()) << inf_join.status();
+  EXPECT_EQ(inf_join->outcome, GlobalOutcome::kSuccess) << inf_join->detail;
+  EXPECT_EQ(SortedRows(inf_join->join_result),
+            Recoded(min_join->join_result, 2, relational::Value::Null_()));
+}
+
+/// The `mdbs_*` tables left in `db` at `service`.
+std::vector<std::string> ScratchTables(MultidatabaseSystem* sys,
+                                       const std::string& service,
+                                       const std::string& db) {
+  std::vector<std::string> out;
+  auto engine = sys->GetEngine(service);
+  EXPECT_TRUE(engine.ok());
+  if (!engine.ok()) return out;
+  auto database = (*engine)->GetDatabaseConst(db);
+  EXPECT_TRUE(database.ok());
+  if (!database.ok()) return out;
+  for (const std::string& name : (*database)->TableNames()) {
+    if (name.rfind("mdbs_", 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+TEST(DistOptDiffTest, FailedTransferDropsTheTableItCreated) {
+  // avis coordinates this join (first by name). Its third EXECUTE is the
+  // INSERT of the first TRANSFER, after the partial SELECT and the
+  // CREATE TABLE. Whether that INSERT is rejected before it runs or runs
+  // and loses its response, the run ends INCORRECT with the INSERT's
+  // failure, the table it went into is dropped, and the same join then
+  // succeeds; before, every later join failed with AlreadyExists.
+  for (netsim::FaultAction action :
+       {netsim::FaultAction::kReject, netsim::FaultAction::kLostResponse}) {
+    SCOPED_TRACE(netsim::FaultActionName(action));
+    auto sys = BuildPaperFederation();
+    ASSERT_TRUE(sys.ok()) << sys.status();
+    auto clean = (*sys)->Execute(kCarsFlightsJoin);
+    ASSERT_TRUE(clean.ok() && clean->outcome == GlobalOutcome::kSuccess);
+
+    (*sys)->set_retry_policy(dol::RetryPolicy::None());
+    netsim::FaultPlan plan;
+    plan.rules.push_back(netsim::FaultRule::NthCall(
+        "avis_svc", netsim::LamRequestType::kExecute, 3, action));
+    (*sys)->environment().fault_injector().SetPlan(plan);
+    auto failed = (*sys)->Execute(kCarsFlightsJoin);
+    ASSERT_TRUE(failed.ok()) << failed.status();
+    EXPECT_EQ(failed->outcome, GlobalOutcome::kIncorrect);
+    EXPECT_EQ(failed->detail.code(), StatusCode::kUnavailable)
+        << failed->detail;
+    EXPECT_EQ((*sys)->environment().fault_injector().stats().faults_fired,
+              1);
+    EXPECT_TRUE(ScratchTables(sys->get(), "avis_svc", "avis").empty());
+
+    auto again = (*sys)->Execute(kCarsFlightsJoin);
+    ASSERT_TRUE(again.ok()) << again.status();
+    EXPECT_EQ(again->outcome, GlobalOutcome::kSuccess) << again->detail;
+    EXPECT_EQ(SortedRows(again->join_result), SortedRows(clean->join_result));
+    EXPECT_TRUE(ScratchTables(sys->get(), "avis_svc", "avis").empty());
+  }
 }
 
 /// Skewed two-database federation: `alpha.small` holds 3 rows with 3

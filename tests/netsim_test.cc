@@ -1,7 +1,11 @@
 // Simulated network, LAM wire protocol and RPC timing model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "netsim/environment.h"
 #include "netsim/lam.h"
@@ -159,6 +163,115 @@ TEST(LamTest, TransactionVerbsAndStateReporting) {
   EXPECT_EQ(lam.Handle(prepare).txn_state, TxnState::kPrepared);
   LamRequest rollback{LamRequestType::kRollback, "", session, ""};
   EXPECT_EQ(lam.Handle(rollback).txn_state, TxnState::kAborted);
+}
+
+/// The INSERT text a TRANSFER once built for `rows`: the layout the wire
+/// model of a typed INSERT charges.
+std::string InsertText(const std::string& table,
+                       const std::vector<std::string>& columns,
+                       const std::vector<relational::Row>& rows) {
+  std::string text = "INSERT INTO " + table;
+  if (!columns.empty()) {
+    text += " (";
+    for (size_t i = 0; i < columns.size(); ++i) {
+      text += (i > 0 ? ", " : "") + columns[i];
+    }
+    text += ")";
+  }
+  text += " VALUES ";
+  for (size_t r = 0; r < rows.size(); ++r) {
+    text += r > 0 ? ", (" : "(";
+    for (size_t c = 0; c < rows[r].size(); ++c) {
+      text += (c > 0 ? ", " : "") + rows[r][c].ToSqlLiteral();
+    }
+    text += ")";
+  }
+  return text;
+}
+
+TEST(LamTest, TypedInsertIsChargedTheTextThatWouldCarryIt) {
+  using relational::Value;
+  const std::vector<relational::Row> rows = {
+      {Value::Integer(INT64_MIN), Value::Text("o'hare"),
+       Value::Real(-0.0)},
+      {Value::Null_(), Value::Text(""),
+       Value::Real(std::numeric_limits<double>::infinity())},
+      {Value::Integer(42), Value::Text("''"), Value::Real(5e-324)},
+      {Value::Integer(-7), Value::Null_(), Value::Real(0.1)}};
+  for (const std::vector<std::string>& columns :
+       {std::vector<std::string>{}, std::vector<std::string>{"a", "bb", "c"}}) {
+    relational::InsertStmt insert;
+    insert.table.table = "mdbs_tmp_avis";
+    insert.columns = columns;
+    insert.typed_rows = &rows;
+    LamRequest request;
+    request.type = LamRequestType::kExecute;
+    request.database = "avis";
+    request.insert = &insert;
+    const std::string text = InsertText("mdbs_tmp_avis", columns, rows);
+    EXPECT_EQ(request.WireBytes(), 32 + 4 + static_cast<int64_t>(text.size()));
+  }
+}
+
+TEST(LamTest, TypedInsertRunsThroughTheEngine) {
+  using relational::Value;
+  auto engine = SeededEngine();
+  LocalEngine* local = engine.get();
+  Lam lam("svc", "site1", std::move(engine));
+  LamRequest open;
+  open.type = LamRequestType::kOpenSession;
+  open.database = "db";
+  const relational::SessionId session = lam.Handle(open).session;
+
+  // INT64_MIN has no SQL literal; a typed row carries it as it is. The
+  // REAL 3.0 is coerced to the INTEGER column, as a parsed INSERT's is.
+  const std::vector<relational::Row> rows = {
+      {Value::Integer(INT64_MIN), Value::Text("it's")},
+      {Value::Real(3.0), Value::Null_()}};
+  relational::InsertStmt insert;
+  insert.table.table = "t";
+  insert.typed_rows = &rows;
+  LamRequest request;
+  request.type = LamRequestType::kExecute;
+  request.session = session;
+  request.insert = &insert;
+  const relational::EngineStats before = local->stats();
+  LamResponse inserted = lam.Handle(request);
+  ASSERT_TRUE(inserted.status.ok()) << inserted.status;
+  EXPECT_EQ(inserted.result.rows_affected, 2);
+  EXPECT_EQ(local->stats().statements_executed,
+            before.statements_executed + 1);
+  EXPECT_EQ(local->stats().sql_bytes_parsed, before.sql_bytes_parsed);
+
+  auto read = local->Execute(session, "SELECT id, v FROM t WHERE id < 1 OR "
+                                      "v IS NULL ORDER BY id");
+  ASSERT_TRUE(read.ok()) << read.status();
+  ASSERT_EQ(read->rows.size(), 2u);
+  EXPECT_EQ(read->rows[0][0], Value::Integer(INT64_MIN));
+  EXPECT_EQ(read->rows[0][1], Value::Text("it's"));
+  EXPECT_TRUE(read->rows[1][0].is_integer());
+  EXPECT_EQ(read->rows[1][0], Value::Integer(3));
+
+  // A row the column cannot hold fails the whole statement: the
+  // autocommit transaction rolls back the row before it too.
+  const std::vector<relational::Row> bad = {
+      {Value::Integer(7), Value::Text("kept?")},
+      {Value::Real(2.5), Value::Text("x")}};
+  insert.typed_rows = &bad;
+  EXPECT_EQ(lam.Handle(request).status.code(), StatusCode::kInvalidArgument);
+  // Inside an explicit transaction, ROLLBACK undoes typed rows.
+  ASSERT_TRUE(lam.Handle({LamRequestType::kBegin, "", session, ""})
+                  .status.ok());
+  insert.typed_rows = &rows;
+  ASSERT_TRUE(lam.Handle(request).status.ok());
+  ASSERT_TRUE(lam.Handle({LamRequestType::kRollback, "", session, ""})
+                  .status.ok());
+  // The injected statement failure refuses a typed INSERT too.
+  local->InjectFailure(relational::FailPoint::kNextStatement);
+  EXPECT_EQ(lam.Handle(request).status.code(), StatusCode::kAborted);
+  auto count = local->Execute(session, "SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->rows[0][0], Value::Integer(4));  // 2 seeded + 2 above
 }
 
 TEST(LamTest, DescribeListsSchemas) {

@@ -708,6 +708,52 @@ TEST(PlannerDiffTest, UpdateOfTheProbedKeyUpdatesEachRowOnce) {
   }
 }
 
+TEST(PlannerDiffTest, SpecialNumericsAgreeWithTheOracleOnEveryStore) {
+  // Hash joins, index probes and the per-row oracle all order by
+  // Value::Compare: INTEGERs past 2^53 that share a double stay apart,
+  // -0.0 meets 0.0, and NaN meets NaN whatever its sign bit.
+  const std::string nan = "(1e300 * 1e300 - 1e300 * 1e300)";
+  const std::string rows =
+      " VALUES (9007199254740992, 'a', " + nan + "), (9007199254740993, 'b', -" +
+      nan + "), (9223372036854775807, 'c', 1e300 * 1e300), "
+      "(-9223372036854775807 - 1, 'd', -1e300 * 1e300), (0, 'e', -0.0), "
+      "(NULL, 'f', 0.0), (9007199254740993, 'g', 1.0), (1, NULL, NULL)";
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    Db db;
+    db.Open(store);
+    for (const char* t : {"t0", "t1"}) {
+      db.Exec("CREATE TABLE " + std::string(t) + " (k INTEGER, g TEXT, v REAL)");
+      db.Exec("INSERT INTO " + std::string(t) + rows);
+    }
+    db.Exec("CREATE INDEX t0_v ON t0 (v)");
+    db.Exec("CREATE INDEX t1_k ON t1 (k)");
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const char* where :
+         {"a0.v = a1.v", "a0.k = a1.k", "a0.v > a1.v", "a0.k < a1.k",
+          "a0.v = 0.0", "a0.v = -0.0", "a1.k = 9007199254740993",
+          "a1.k = 9007199254740992", "a0.k = a1.k AND a0.v = a1.v",
+          "a1.k = -9223372036854775807 - 1"}) {
+      RunBoth(&db, std::string("SELECT * FROM t0 a0, t1 a1 WHERE ") + where);
+    }
+    // Two NaN rows and the two zeros join across their signs: NaN with
+    // both NaNs, each zero with both zeros.
+    auto joined = db.engine->Execute(
+        db.session, "SELECT COUNT(*) FROM t0 a0, t1 a1 WHERE a0.v = a1.v");
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    EXPECT_EQ(joined->rows[0][0], Value::Integer(2 * 2 + 2 * 2 + 1 + 1 + 1));
+    // The index probe of 0.0 finds -0.0 too, as the scan does.
+    auto zeros = db.engine->Execute(
+        db.session, "SELECT COUNT(*) FROM t0 WHERE v = 0.0");
+    ASSERT_TRUE(zeros.ok()) << zeros.status();
+    EXPECT_EQ(zeros->rows[0][0], Value::Integer(2));
+    auto distinct = db.engine->Execute(
+        db.session, "SELECT DISTINCT k FROM t1 ORDER BY k");
+    ASSERT_TRUE(distinct.ok()) << distinct.status();
+    EXPECT_EQ(distinct->rows.size(), 7u);  // NULL, MIN, 0, 1, 2^53, +1, MAX
+  }
+}
+
 TEST(PlannerDiffTest, EmptyTablesAgreeAndNeverEstimateZeroRows) {
   // Regression for the 0-row estimate bug: all-empty sources must still
   // plan (estimates clamp to >= 1), agree with the naive oracle, and

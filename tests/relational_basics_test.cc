@@ -4,7 +4,9 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,116 @@ TEST(ValueTest, CompareTotalOrder) {
   EXPECT_EQ(Value::Integer(3).Compare(Value::Real(3.0)), 0);
   EXPECT_GT(Value::Text("b").Compare(Value::Text("a")), 0);
   EXPECT_LT(Value::Boolean(false).Compare(Value::Boolean(true)), 0);
+  // Two INTEGERs compare exactly, also where they share a double.
+  const Value a = Value::Integer(9007199254740993);  // 2^53 + 1
+  const Value b = Value::Integer(9007199254740992);  // 2^53
+  EXPECT_GT(a.Compare(b), 0);
+  EXPECT_NE(a, b);
+  EXPECT_GT(Value::Integer(INT64_MAX).Compare(Value::Integer(INT64_MAX - 1)),
+            0);
+  // INTEGER against REAL goes through double: 2^53 + 1 becomes 2^53.
+  EXPECT_EQ(a.Compare(Value::Real(9007199254740992.0)), 0);
+  EXPECT_EQ(a, Value::Real(9007199254740992.0));
+}
+
+TEST(ValueTest, CompareIsATotalOrderThatAgreesWithEquality) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> values = {
+      Value::Null_(),
+      Value::Real(nan),
+      Value::Real(-nan),
+      Value::Real(inf),
+      Value::Real(-inf),
+      Value::Real(-0.0),
+      Value::Real(0.0),
+      Value::Real(5e-324),
+      Value::Real(2.5),
+      Value::Real(9007199254740992.0),
+      Value::Integer(0),
+      Value::Integer(2),
+      Value::Integer(9007199254740992),
+      Value::Integer(9007199254740993),
+      Value::Integer(INT64_MIN),
+      Value::Integer(INT64_MAX),
+      Value::Text("a"),
+      Value::Text(""),
+      Value::Boolean(false),
+      Value::Boolean(true)};
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  // An INTEGER/REAL pair compares as doubles, so an INTEGER past 2^53
+  // (2^53 + 1) can equal a REAL (2^53) that equals a smaller INTEGER:
+  // transitivity holds for every triple but those.
+  auto inexact_mix = [](const Value& a, const Value& b, const Value& c) {
+    bool real = false;
+    bool inexact = false;
+    for (const Value* v : {&a, &b, &c}) {
+      real |= v->is_real();
+      inexact |= v->is_integer() && (v->AsInteger() > (int64_t{1} << 53) ||
+                                     v->AsInteger() < -(int64_t{1} << 53));
+    }
+    return real && inexact;
+  };
+  for (const Value& x : values) {
+    EXPECT_EQ(x.Compare(x), 0) << x;
+    EXPECT_EQ(x, x) << x;
+    for (const Value& y : values) {
+      EXPECT_EQ(sign(x.Compare(y)), -sign(y.Compare(x))) << x << " " << y;
+      EXPECT_EQ(x == y, x.Compare(y) == 0) << x << " " << y;
+      for (const Value& z : values) {
+        if (x.Compare(y) <= 0 && y.Compare(z) <= 0 &&
+            !inexact_mix(x, y, z)) {
+          EXPECT_LE(x.Compare(z), 0) << x << " " << y << " " << z;
+        }
+      }
+    }
+  }
+  // NaN (of either sign) sits above every other number, infinity
+  // included, and equals only NaN.
+  EXPECT_GT(Value::Real(nan).Compare(Value::Real(inf)), 0);
+  EXPECT_GT(Value::Real(-nan).Compare(Value::Integer(INT64_MAX)), 0);
+  EXPECT_EQ(Value::Real(nan), Value::Real(-nan));
+  EXPECT_NE(Value::Real(nan), Value::Real(5.0));
+  EXPECT_LT(Value::Real(-inf).Compare(Value::Integer(INT64_MIN)), 0);
+  EXPECT_EQ(Value::Real(-0.0), Value::Real(0.0));
+}
+
+TEST(ValueTest, LiteralAndDisplayWidthsAreTheirTextsLengths) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> values = {
+      Value::Null_(),
+      Value::Integer(0),
+      Value::Integer(9),
+      Value::Integer(10),
+      Value::Integer(-1),
+      Value::Integer(-10),
+      Value::Integer(99999),
+      Value::Integer(INT64_MAX),
+      Value::Integer(INT64_MIN),
+      Value::Real(0.0),
+      Value::Real(-0.0),
+      Value::Real(2.0),
+      Value::Real(0.1),
+      Value::Real(-1234.5678),
+      Value::Real(1e21),
+      Value::Real(1e-7),
+      Value::Real(5e-324),
+      Value::Real(1.7976931348623157e308),
+      Value::Real(inf),
+      Value::Real(-inf),
+      Value::Real(std::numeric_limits<double>::quiet_NaN()),
+      Value::Real(-9223372036854775808.0),
+      Value::Text(""),
+      Value::Text("plain"),
+      Value::Text("o'hare"),
+      Value::Text("''''"),
+      Value::Boolean(true),
+      Value::Boolean(false)};
+  for (const Value& v : values) {
+    EXPECT_EQ(LiteralWidth(v), v.ToSqlLiteral().size()) << v.ToSqlLiteral();
+    EXPECT_EQ(DisplayWidth(v), v.ToDisplayString().size())
+        << v.ToSqlLiteral();
+  }
 }
 
 TEST(ValueTest, SqlLiterals) {
@@ -62,6 +174,22 @@ TEST(ValueTest, CoerceExactRealToInt) {
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->AsInteger(), 5);
   EXPECT_FALSE(Value::Real(5.5).CoerceTo(Type::kInteger).ok());
+  // Integral but outside the INTEGER range: refused, never wrapped.
+  for (double v : {1e19, -1e19, 0x1p63, std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    auto coerced = Value::Real(v).CoerceTo(Type::kInteger);
+    ASSERT_FALSE(coerced.ok()) << v;
+    EXPECT_EQ(coerced.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(Value::Real(std::numeric_limits<double>::quiet_NaN())
+                   .CoerceTo(Type::kInteger)
+                   .ok());
+  // -2^63 and the largest double below 2^63 fit.
+  EXPECT_EQ(*Value::Real(-0x1p63).CoerceTo(Type::kInteger),
+            Value::Integer(INT64_MIN));
+  EXPECT_EQ(Value::Real(0x1.fffffffffffffp62).CoerceTo(Type::kInteger)
+                ->AsInteger(),
+            int64_t{0x7ffffffffffffc00});
 }
 
 TEST(ValueTest, CoerceRejectsCrossFamilies) {

@@ -4,7 +4,10 @@
 // multidatabase layer silently depends on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "relational/engine.h"
@@ -223,6 +226,133 @@ TEST_F(SqlSemanticsTest, CrossTypeComparisonErrorsInsteadOfCoercing) {
   EXPECT_FALSE(bad2.ok());
   // But INTEGER vs REAL compares numerically.
   EXPECT_EQ(CountWhere("i = 1.0"), 1);
+}
+
+// --- INTEGER range and the numeric order ----------------------------------------
+
+/// The Status of `sql`, which must fail.
+Status FailureOf(LocalEngine* engine, SessionId session,
+                 std::string_view sql) {
+  auto result = engine->Execute(session, sql);
+  EXPECT_FALSE(result.ok()) << sql << " succeeded";
+  return result.ok() ? Status::OK() : result.status();
+}
+
+TEST_F(SqlSemanticsTest, IntegerOverflowIsAnError) {
+  // The largest and smallest INTEGERs themselves are fine.
+  ResultSet edges = Exec(
+      "SELECT 9223372036854775807, -9223372036854775807 - 1, "
+      "(-9223372036854775807 - 1) / 1, 4611686018427387904 * -2 "
+      "FROM t WHERE i = 1");
+  EXPECT_EQ(edges.rows[0][0], Value::Integer(INT64_MAX));
+  EXPECT_EQ(edges.rows[0][1], Value::Integer(INT64_MIN));
+  EXPECT_EQ(edges.rows[0][2], Value::Integer(INT64_MIN));
+  EXPECT_EQ(edges.rows[0][3], Value::Integer(INT64_MIN));
+  for (const char* expr :
+       {"9223372036854775807 + 1", "-9223372036854775807 - 2",
+        "4611686018427387904 * 2", "(-9223372036854775807 - 1) / -1",
+        "-(-9223372036854775807 - 1)", "ABS(-9223372036854775807 - 1)",
+        "0 - (-9223372036854775807 - 1)", "3037000500 * 3037000500"}) {
+    SCOPED_TRACE(expr);
+    Status st = FailureOf(engine_.get(), session_,
+                          "SELECT " + std::string(expr) + " FROM t");
+    EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+    EXPECT_EQ(st.message(), "integer overflow");
+  }
+  // In a WHERE the sum no longer wraps to a negative that matches.
+  Status where = FailureOf(engine_.get(), session_,
+                           "SELECT i FROM t WHERE i = 1 AND "
+                           "9223372036854775807 + 1 < 0");
+  EXPECT_EQ(where.code(), StatusCode::kExecutionError);
+}
+
+TEST_F(SqlSemanticsTest, MinimumIntegerDividedByMinusOneIsAnError) {
+  // The quotient of INT64_MIN / -1 trapped (SIGFPE) instead of failing.
+  Exec("UPDATE t SET i = -9223372036854775807 - 1 WHERE i = 1");
+  Status st = FailureOf(engine_.get(), session_,
+                        "SELECT i FROM t WHERE i = (SELECT MIN(i) FROM t) "
+                        "/ -1");
+  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+  EXPECT_EQ(st.message(), "integer overflow");
+  EXPECT_EQ(CountWhere("i = -9223372036854775807 - 1"), 1);
+}
+
+TEST_F(SqlSemanticsTest, IntegerSumOverflowIsAnError) {
+  Exec("CREATE TABLE big (n INTEGER)");
+  Exec("INSERT INTO big VALUES (9223372036854775807), (1)");
+  Status st = FailureOf(engine_.get(), session_, "SELECT SUM(n) FROM big");
+  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+  EXPECT_EQ(st.message(), "integer overflow");
+  // Only the exact total must fit: a partial sum may leave the range.
+  Exec("INSERT INTO big VALUES (-1)");
+  ResultSet total = Exec("SELECT SUM(n) FROM big");
+  EXPECT_EQ(total.rows[0][0], Value::Integer(INT64_MAX));
+  // A REAL in the group makes the sum REAL, which does not overflow.
+  Exec("INSERT INTO big VALUES (1.0)");
+  ResultSet mixed = Exec("SELECT SUM(n + 0.0) FROM big");
+  EXPECT_TRUE(mixed.rows[0][0].is_real());
+}
+
+TEST_F(SqlSemanticsTest, OutOfRangeRealIsNotStoredAsInteger) {
+  for (const char* real : {"1e19", "-1e19", "9223372036854775808.0",
+                           "1e300 * 1e300"}) {
+    SCOPED_TRACE(real);
+    Status st = FailureOf(engine_.get(), session_,
+                          "UPDATE t SET i = " + std::string(real) +
+                              " WHERE i = 2");
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(CountWhere("i = 2"), 1);  // the row is as it was
+  }
+  // -2^63 is exactly INT64_MIN, and fits.
+  Exec("UPDATE t SET i = -9223372036854775808.0 WHERE i = 2");
+  EXPECT_EQ(CountWhere("i = -9223372036854775807 - 1"), 1);
+}
+
+TEST_F(SqlSemanticsTest, IntegersCompareExactlyPastTwoToThe53) {
+  // 2^53 + 1 and 2^53 share a double; as INTEGERs they differ.
+  EXPECT_EQ(CountWhere("9007199254740993 > 9007199254740992"), 5);
+  EXPECT_EQ(CountWhere("9007199254740993 = 9007199254740992"), 0);
+  EXPECT_EQ(CountWhere("9223372036854775807 > 9223372036854775806"), 5);
+  // An INTEGER against a REAL still compares as doubles.
+  EXPECT_EQ(CountWhere("9007199254740993 = 9007199254740992.0"), 5);
+  Exec("CREATE TABLE keys (n INTEGER)");
+  Exec("INSERT INTO keys VALUES (9007199254740993), (9007199254740992), "
+       "(9007199254740993)");
+  ResultSet distinct = Exec("SELECT DISTINCT n FROM keys ORDER BY n");
+  ASSERT_EQ(distinct.rows.size(), 2u);
+  EXPECT_EQ(distinct.rows[0][0], Value::Integer(9007199254740992));
+  ResultSet extremes = Exec("SELECT MIN(n), MAX(n) FROM keys");
+  EXPECT_EQ(extremes.rows[0][0], Value::Integer(9007199254740992));
+  EXPECT_EQ(extremes.rows[0][1], Value::Integer(9007199254740993));
+}
+
+TEST_F(SqlSemanticsTest, NanEqualsItselfAndSortsAboveEveryNumber) {
+  const std::string nan = "(1e300 * 1e300 - 1e300 * 1e300)";
+  // NaN compared equal to every number.
+  EXPECT_EQ(CountWhere(nan + " = 5"), 0);
+  EXPECT_EQ(CountWhere(nan + " = " + nan), 5);
+  EXPECT_EQ(CountWhere(nan + " > 1e300 * 1e300"), 5);
+  EXPECT_EQ(CountWhere(nan + " <> 5"), 5);
+  Exec("CREATE TABLE reals (x REAL)");
+  Exec("INSERT INTO reals VALUES (1.0), (" + nan + "), (1e300 * 1e300), "
+       "(NULL), (-" + nan + "), (-1e300 * 1e300), (-0.0), (0.0)");
+  ResultSet ordered = Exec("SELECT x FROM reals ORDER BY x");
+  ASSERT_EQ(ordered.rows.size(), 8u);
+  EXPECT_TRUE(ordered.rows[0][0].is_null());
+  EXPECT_EQ(ordered.rows[1][0].ToSqlLiteral(), "-inf");
+  EXPECT_EQ(ordered.rows[5][0].ToSqlLiteral(), "inf");
+  EXPECT_TRUE(std::isnan(ordered.rows[6][0].AsReal()));
+  EXPECT_TRUE(std::isnan(ordered.rows[7][0].AsReal()));
+  // Both NaNs (of either sign) are one value; -0.0 and 0.0 are another.
+  EXPECT_EQ(Exec("SELECT DISTINCT x FROM reals").rows.size(), 6u);
+  ResultSet extremes = Exec("SELECT MIN(x), MAX(x) FROM reals");
+  EXPECT_EQ(extremes.rows[0][0].ToSqlLiteral(), "-inf");
+  EXPECT_TRUE(std::isnan(extremes.rows[0][1].AsReal()));
+  // A hash join matches NaN with NaN, whatever the sign bit.
+  ResultSet joined = Exec(
+      "SELECT COUNT(*) FROM reals a, reals b WHERE a.x = b.x AND "
+      "a.x > 1e308 * 10");
+  EXPECT_EQ(joined.rows[0][0], Value::Integer(4));  // each NaN with both
 }
 
 TEST_F(SqlSemanticsTest, CorrelatedStyleSubqueryAgainstSameTable) {
