@@ -4,8 +4,13 @@
 // through the FederationServer scheduler, and reports wall-clock QPS
 // plus p50/p99 session makespan on the simulated clock, and the live
 // sessions the scheduler's ready scan visited (`scan_visits`, a work
-// counter that grows with the admitted set, not the batch). Results
-// are written to BENCH_concurrency.json.
+// counter that grows with the admitted set, not the batch). Two more
+// work counters cover the sites' local SELECTs: the rows their scans
+// and probes copied out of a store (`rows_copied`, the
+// `sql.rows_copied` counter) and their column binding lookups
+// (`column_binds`, `sql.column_binds`); a scan that copies before it
+// filters, or a per-row name lookup, multiplies them. Results are
+// written to BENCH_concurrency.json.
 //
 // Usage: bench_e16_concurrency [--quick] [--out FILE]
 //        [--max-sessions N] [--update-fraction F]
@@ -34,6 +39,8 @@ struct RunStats {
   int64_t lock_waits = 0;
   int64_t failures = 0;
   int64_t scan_visits = 0;
+  int64_t rows_copied = 0;
+  int64_t column_binds = 0;
 };
 
 int64_t Percentile(std::vector<int64_t>& sorted, double p) {
@@ -66,6 +73,7 @@ bool RunScale(int sessions, double update_fraction, RunStats* out) {
     return false;
   }
   auto sys = std::move(*built);
+  sys->environment().metrics().set_enabled(true);
 
   msql::core::ServerConfig config;
   // Bounded admission keeps at most this many compiled plans + DOL
@@ -111,6 +119,8 @@ bool RunScale(int sessions, double update_fraction, RunStats* out) {
   out->p50_makespan_micros = Percentile(makespans, 0.50);
   out->p99_makespan_micros = Percentile(makespans, 0.99);
   out->scan_visits = server.scan_visits();
+  out->rows_copied = sys->environment().metrics().Get("sql.rows_copied");
+  out->column_binds = sys->environment().metrics().Get("sql.column_binds");
   return true;
 }
 
@@ -141,13 +151,16 @@ int main(int argc, char** argv) {
     stats.push_back(s);
     std::printf(
         "sessions=%-7d wall=%9.1fms qps=%9.0f p50=%6lldus p99=%6lldus "
-        "lock_waits=%lld failures=%lld scan_visits=%lld\n",
+        "lock_waits=%lld failures=%lld scan_visits=%lld rows_copied=%lld "
+        "column_binds=%lld\n",
         s.sessions, s.wall_ms, s.qps,
         static_cast<long long>(s.p50_makespan_micros),
         static_cast<long long>(s.p99_makespan_micros),
         static_cast<long long>(s.lock_waits),
         static_cast<long long>(s.failures),
-        static_cast<long long>(s.scan_visits));
+        static_cast<long long>(s.scan_visits),
+        static_cast<long long>(s.rows_copied),
+        static_cast<long long>(s.column_binds));
   }
 
   std::ofstream json(out_path);
@@ -163,7 +176,9 @@ int main(int argc, char** argv) {
          << ", \"p99_makespan_micros\": " << s.p99_makespan_micros
          << ", \"lock_waits\": " << s.lock_waits
          << ", \"failures\": " << s.failures
-         << ", \"scan_visits\": " << s.scan_visits << "}"
+         << ", \"scan_visits\": " << s.scan_visits
+         << ", \"rows_copied\": " << s.rows_copied
+         << ", \"column_binds\": " << s.column_binds << "}"
          << (i + 1 < stats.size() ? ",\n" : "\n");
   }
   json << "  ]\n}\n";

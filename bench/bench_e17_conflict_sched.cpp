@@ -12,7 +12,10 @@
 // rounds included): every seat UPDATE runs its MIN subquery once, so a
 // return to per-row subquery evaluation shows here as a multiple of the
 // seat count. `scan_visits` counts the live sessions the scheduler's
-// ready scan visited, retry rounds included. Results go to
+// ready scan visited, retry rounds included. `rows_copied` and
+// `column_binds` (the `sql.rows_copied` and `sql.column_binds`
+// counters) count the rows the sites' statements copied out of a store
+// and their column binding lookups. Results go to
 // BENCH_conflict_sched.json.
 //
 // Usage: bench_e17_conflict_sched [--quick] [--out FILE] [--sessions N]
@@ -86,6 +89,8 @@ struct RunStats {
   int64_t completion_makespan_micros = 0;
   int64_t local_selects = 0;
   int64_t scan_visits = 0;
+  int64_t rows_copied = 0;
+  int64_t column_binds = 0;
 };
 
 bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
@@ -197,6 +202,8 @@ bool RunOnce(uint64_t seed, int sessions, bool conflict_aware,
     return false;
   }
   out->local_selects = sys->environment().metrics().Get("sql.selects");
+  out->rows_copied = sys->environment().metrics().Get("sql.rows_copied");
+  out->column_binds = sys->environment().metrics().Get("sql.column_binds");
   return true;
 }
 
@@ -205,7 +212,8 @@ void Print(const RunStats& s) {
       "conflict_aware=%-5s sessions=%-4d wall=%8.1fms makespan=%9lldus "
       "victims=%-3lld timeouts=%-3lld aborted=%-3lld committed=%-4lld "
       "lock_waits=%-5lld deferrals=%-4lld avoided=%-4lld "
-      "retries=%lld/%dr completion=%9lldus selects=%lld visits=%lld\n",
+      "retries=%lld/%dr completion=%9lldus selects=%lld visits=%lld "
+      "copied=%lld binds=%lld\n",
       s.conflict_aware ? "true" : "false", s.sessions, s.wall_ms,
       static_cast<long long>(s.virtual_makespan_micros),
       static_cast<long long>(s.deadlock_victims),
@@ -218,7 +226,9 @@ void Print(const RunStats& s) {
       static_cast<long long>(s.retried_sessions), s.retry_rounds,
       static_cast<long long>(s.completion_makespan_micros),
       static_cast<long long>(s.local_selects),
-      static_cast<long long>(s.scan_visits));
+      static_cast<long long>(s.scan_visits),
+      static_cast<long long>(s.rows_copied),
+      static_cast<long long>(s.column_binds));
 }
 
 void Emit(std::ostream& json, const RunStats& s, bool last) {
@@ -239,7 +249,9 @@ void Emit(std::ostream& json, const RunStats& s, bool last) {
        << ", \"completion_makespan_micros\": "
        << s.completion_makespan_micros
        << ", \"local_selects\": " << s.local_selects
-       << ", \"scan_visits\": " << s.scan_visits << "}"
+       << ", \"scan_visits\": " << s.scan_visits
+       << ", \"rows_copied\": " << s.rows_copied
+       << ", \"column_binds\": " << s.column_binds << "}"
        << (last ? "\n" : ",\n");
 }
 

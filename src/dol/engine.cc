@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/string_util.h"
 #include "obs/trace.h"
@@ -86,6 +87,7 @@ void DolEngine::ResetRunState() {
   tasks_.clear();
   task_channel_.clear();
   compensations_.clear();
+  transfer_tables_.clear();
   dol_status_ = 0;
   retries_ = 0;
   reprobes_ = 0;
@@ -741,6 +743,29 @@ DolTask<int64_t> DolEngine::ExecCompensate(const CompensateStmt& stmt,
 
 DolTask<int64_t> DolEngine::ExecTransfer(const TransferStmt& stmt,
                                          int64_t at) {
+  int64_t now = at;
+  Result<int64_t> moved = co_await TransferRows(stmt, &now);
+  if (moved.ok()) co_return *moved;
+  // A failed TRANSFER ends the run before its drop tasks run, so the run
+  // drops every table its TRANSFERs created: each left behind blocks
+  // every later TRANSFER into its name. Best effort: the TRANSFER's
+  // failure is what the run reports, whatever the DROPs return (one the
+  // run already dropped itself just fails).
+  for (const auto& [alias, table] : std::exchange(transfer_tables_, {})) {
+    auto channel = FindChannel(alias);
+    if (!channel.ok() || (*channel)->failed) continue;
+    LamRequest drop;
+    drop.type = LamRequestType::kExecute;
+    drop.session = (*channel)->session;
+    drop.sql = "DROP TABLE " + table;
+    (void)co_await Call(*channel, drop, now);
+  }
+  co_return moved.status();
+}
+
+DolTask<int64_t> DolEngine::TransferRows(const TransferStmt& stmt,
+                                         int64_t* now) {
+  const int64_t at = *now;
   MSQL_CO_ASSIGN_OR_RETURN(TaskOutcome * task, FindTask(stmt.task));
   if (!task->result.IsQueryResult()) {
     co_return Status::InvalidArgument("TRANSFER source task '" + task->name +
@@ -752,7 +777,6 @@ DolTask<int64_t> DolEngine::ExecTransfer(const TransferStmt& stmt,
                                   stmt.target_alias + "' is not usable");
   }
 
-  int64_t now = at;
   if (!stmt.append) {
     // CREATE TABLE at the target.
     std::string create = "CREATE TABLE " + stmt.table + " (";
@@ -769,11 +793,12 @@ DolTask<int64_t> DolEngine::ExecTransfer(const TransferStmt& stmt,
     create_req.session = channel->session;
     create_req.sql = create;
     MSQL_CO_AWAIT_OR_RETURN(auto create_out, Call(channel, create_req, at));
-    now = create_out.timing.end_micros;
+    *now = create_out.timing.end_micros;
     MSQL_CO_RETURN_IF_ERROR(create_out.response.status);
+    transfer_tables_.emplace_back(stmt.target_alias, stmt.table);
   }
 
-  if (task->result.rows.empty()) co_return now;
+  if (task->result.rows.empty()) co_return *now;
 
   // The rows travel as the typed values the source task returned. The
   // request borrows them through `insert`: both live in this frame or in
@@ -788,22 +813,10 @@ DolTask<int64_t> DolEngine::ExecTransfer(const TransferStmt& stmt,
   insert_req.type = LamRequestType::kExecute;
   insert_req.session = channel->session;
   insert_req.insert = &insert;
-  MSQL_CO_AWAIT_OR_RETURN(auto insert_out, Call(channel, insert_req, now));
-  now = insert_out.timing.end_micros;
-  if (!insert_out.response.status.ok()) {
-    if (!stmt.append) {
-      // Best effort: drop the table this TRANSFER created, or it blocks
-      // every later TRANSFER into the same name. The INSERT's failure is
-      // what the run reports, whatever the DROP returns.
-      LamRequest drop;
-      drop.type = LamRequestType::kExecute;
-      drop.session = channel->session;
-      drop.sql = "DROP TABLE " + stmt.table;
-      (void)co_await Call(channel, drop, now);
-    }
-    co_return insert_out.response.status;
-  }
-  co_return now;
+  MSQL_CO_AWAIT_OR_RETURN(auto insert_out, Call(channel, insert_req, *now));
+  *now = insert_out.timing.end_micros;
+  MSQL_CO_RETURN_IF_ERROR(insert_out.response.status);
+  co_return *now;
 }
 
 DolTask<int64_t> DolEngine::ExecClose(const CloseStmt& stmt, int64_t at) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -229,7 +230,13 @@ class DolEngine {
   DolTask<int64_t> ExecCommit(const CommitStmt& stmt, int64_t at);
   DolTask<int64_t> ExecAbort(const AbortStmt& stmt, int64_t at);
   DolTask<int64_t> ExecCompensate(const CompensateStmt& stmt, int64_t at);
+  /// TransferRows; when it fails, drops every table this run's
+  /// TRANSFERs created.
   DolTask<int64_t> ExecTransfer(const TransferStmt& stmt, int64_t at);
+  /// One TRANSFER from `*now`: CREATE TABLE at the target (unless
+  /// APPEND), recorded in transfer_tables_, then the typed INSERT.
+  /// Keeps `*now` at the end of its last call, failed or not.
+  DolTask<int64_t> TransferRows(const TransferStmt& stmt, int64_t* now);
   DolTask<int64_t> ExecClose(const CloseStmt& stmt, int64_t at);
 
   Result<bool> EvalCond(const DolCond& cond) const;
@@ -278,6 +285,8 @@ class DolEngine {
   std::map<std::string, std::string> task_channel_;
   /// task name → declared COMPENSATION SQL ("" = none).
   std::map<std::string, std::string> compensations_;
+  /// (target alias, table) of each table this run's TRANSFERs created.
+  std::vector<std::pair<std::string, std::string>> transfer_tables_;
   int dol_status_ = 0;
 };
 

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "common/string_util.h"
 #include "relational/index.h"
@@ -138,6 +140,37 @@ struct JoinKeyEq {
   }
 };
 
+/// True when every conjunct is TRUE on `row`: evaluated in order, up to
+/// the first that is not, or the first error.
+Result<bool> AllTrue(const ExprEvaluator& evaluator,
+                     const std::vector<const Expr*>& conjuncts,
+                     const Row& row) {
+  for (const Expr* conjunct : conjuncts) {
+    MSQL_ASSIGN_OR_RETURN(bool pass, evaluator.EvalPredicate(*conjunct, row));
+    if (!pass) return false;
+  }
+  return true;
+}
+
+/// Keeps, in order, the rows `pass` accepts, and their ids when `ids`
+/// holds one per row; stops at the first error.
+template <typename Pred>
+Status KeepIf(std::vector<Row>* rows, std::vector<RowId>* ids, Pred pass) {
+  size_t kept = 0;
+  for (size_t r = 0; r < rows->size(); ++r) {
+    MSQL_ASSIGN_OR_RETURN(bool keep, pass((*rows)[r]));
+    if (!keep) continue;
+    if (kept != r) {
+      (*rows)[kept] = std::move((*rows)[r]);
+      if (!ids->empty()) (*ids)[kept] = (*ids)[r];
+    }
+    ++kept;
+  }
+  rows->resize(kept);
+  if (!ids->empty()) ids->resize(kept);
+  return Status::OK();
+}
+
 /// A row mid-join: the combined row (full SELECT width, NULL-padded in
 /// the not-yet-joined slots) plus the per-source ordinal of each part.
 /// Sorting the final rows by the ordinal tuple in FROM order reproduces
@@ -175,6 +208,27 @@ Result<ResultSet> Executor::Execute(const Statement& stmt) {
         "statement issued against a transaction in state " +
         std::string(TxnStateName(txn_->state())));
   }
+  Result<ResultSet> result = Dispatch(stmt);
+  // Summed over the statement (its subqueries and views included) and
+  // reported once, whether it succeeded or not.
+  if (options_.metrics != nullptr) {
+    options_.metrics->Inc("sql.rows_copied", std::exchange(rows_copied_, 0));
+    options_.metrics->Inc("sql.column_binds",
+                          std::exchange(column_binds_, 0));
+  }
+  return result;
+}
+
+ExprEvaluator Executor::Evaluator(const RowBinding* binding) {
+  return ExprEvaluator(
+      binding,
+      [this](const SelectStmt& sub) -> Result<Value> {
+        return EvalScalarSubquery(sub);
+      },
+      &column_binds_);
+}
+
+Result<ResultSet> Executor::Dispatch(const Statement& stmt) {
   switch (stmt.kind()) {
     case StatementKind::kSelect:
       return ExecuteSelect(static_cast<const SelectStmt&>(stmt));
@@ -230,10 +284,7 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   MSQL_RETURN_IF_ERROR(
       ResolveSources(stmt, &sources, &binding, &recursive_scanned));
 
-  ExprEvaluator evaluator(
-      &binding, [this](const SelectStmt& sub) -> Result<Value> {
-        return EvalScalarSubquery(sub);
-      });
+  ExprEvaluator evaluator = Evaluator(&binding);
 
   // Expand '*' select items into explicit column references. Other
   // items stay the statement's own nodes: a scalar subquery among them
@@ -298,18 +349,44 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
   if (options_.collect_plan_text) out.plan_text = plan.Explain();
   for (const auto& item : items) out.columns.push_back(item.name);
 
-  // Pairs of (output row, source row used for ORDER BY evaluation).
+  // ORDER BY keys: a bare column name that matches an output column
+  // sorts by that output column; any other key is evaluated against the
+  // source (or group representative) row, which is then kept with its
+  // output row.
+  std::vector<std::optional<size_t>> order_outputs;
+  bool order_reads_source = false;
+  for (const auto& ob : stmt.order_by) {
+    std::optional<size_t> output;
+    if (ob.expr->kind() == ExprKind::kColumnRef) {
+      const auto& ref = static_cast<const ColumnRefExpr&>(*ob.expr);
+      for (size_t c = 0; c < out.columns.size() && ref.qualifier().empty();
+           ++c) {
+        if (EqualsIgnoreCase(out.columns[c], ref.name())) {
+          output = c;
+          break;
+        }
+      }
+    }
+    if (!output.has_value()) order_reads_source = true;
+    order_outputs.push_back(output);
+  }
+
+  // Pairs of (output row, source row for ORDER BY evaluation; empty
+  // unless a key reads it).
   std::vector<std::pair<Row, Row>> produced;
 
   if (!has_aggregate) {
-    for (const auto& src_row : matched_rows) {
+    produced.reserve(matched_rows.size());
+    for (auto& src_row : matched_rows) {
       Row out_row;
       out_row.reserve(items.size());
       for (const auto& item : items) {
         MSQL_ASSIGN_OR_RETURN(Value v, evaluator.Eval(*item.expr, src_row));
         out_row.push_back(std::move(v));
       }
-      produced.emplace_back(std::move(out_row), src_row);
+      produced.emplace_back(std::move(out_row), order_reads_source
+                                                    ? std::move(src_row)
+                                                    : Row{});
     }
   } else {
     // Every aggregate call reachable from the statement: the select
@@ -362,12 +439,9 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
 
       // Representative row for evaluating grouped columns; empty groups
       // (global aggregate over no rows) use an all-NULL row.
-      Row representative;
-      if (!group_rows.empty()) {
-        representative = group_rows.front();
-      } else {
-        representative.assign(binding.size(), Value::Null_());
-      }
+      const Row representative =
+          group_rows.empty() ? Row(binding.size(), Value::Null_())
+                             : std::move(group_rows.front());
 
       bool keep = true;
       if (stmt.having != nullptr) {
@@ -382,7 +456,8 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
                                 evaluator.Eval(*item.expr, representative));
           out_row.push_back(std::move(v));
         }
-        produced.emplace_back(std::move(out_row), representative);
+        produced.emplace_back(std::move(out_row),
+                              order_reads_source ? representative : Row{});
       }
       evaluator.set_aggregate_values(nullptr);
     }
@@ -398,8 +473,8 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
     produced = std::move(unique);
   }
 
-  // ORDER BY: keys evaluated against the source/representative row;
-  // a bare column name that matches an output column sorts by output.
+  // ORDER BY: each key from its output column or evaluated against the
+  // kept source row.
   if (!stmt.order_by.empty()) {
     struct Keyed {
       Row keys;
@@ -410,22 +485,12 @@ Result<ResultSet> Executor::ExecuteSelect(const SelectStmt& stmt) {
     keyed.reserve(produced.size());
     for (auto& pr : produced) {
       Keyed k;
-      for (const auto& ob : stmt.order_by) {
+      for (size_t o = 0; o < stmt.order_by.size(); ++o) {
+        const auto& ob = stmt.order_by[o];
         Value key_value;
-        bool resolved = false;
-        if (ob.expr->kind() == ExprKind::kColumnRef) {
-          const auto& ref = static_cast<const ColumnRefExpr&>(*ob.expr);
-          if (ref.qualifier().empty()) {
-            for (size_t c = 0; c < out.columns.size(); ++c) {
-              if (EqualsIgnoreCase(out.columns[c], ref.name())) {
-                key_value = pr.first[c];
-                resolved = true;
-                break;
-              }
-            }
-          }
-        }
-        if (!resolved) {
+        if (order_outputs[o].has_value()) {
+          key_value = pr.first[*order_outputs[o]];
+        } else {
           MSQL_ASSIGN_OR_RETURN(key_value,
                                 evaluator.Eval(*ob.expr, pr.second));
         }
@@ -530,13 +595,15 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
     options_.metrics->Inc("sql.pushdown.conjuncts", plan.pushed_conjuncts);
   }
 
-  // Fetch each source via its planned access path.
+  // A base table without a probe is read by a scan, through its filters.
+  auto scanned = [&](size_t i) {
+    return (*sources)[i].table != nullptr && plan.ProbeFor(i) == nullptr;
+  };
+
+  // Fetch each probed source's rows; count every source's raw rows.
+  bool empty_source = false;
   for (size_t i = 0; i < sources->size(); ++i) {
     auto& src = (*sources)[i];
-    if (src.table == nullptr) {  // view, already materialized
-      *rows_scanned += static_cast<int64_t>(src.rows.size());
-      continue;
-    }
     if (const PlannedProbe* probe = plan.ProbeFor(i)) {
       if (options_.metrics != nullptr) {
         options_.metrics->Inc("sql.index_probes");
@@ -547,53 +614,63 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
         MSQL_ASSIGN_OR_RETURN(Row row, src.table->ReadRow(id));
         src.rows.push_back(std::move(row));
       }
-    } else {
-      MSQL_ASSIGN_OR_RETURN(src.rows, src.table->ScanRows(&src.ids));
+      rows_copied_ += static_cast<int64_t>(src.rows.size());
     }
-    *rows_scanned += static_cast<int64_t>(src.rows.size());
+    const size_t raw =
+        scanned(i) ? src.table->live_row_count() : src.rows.size();
+    *rows_scanned += static_cast<int64_t>(raw);
+    if (raw == 0) empty_source = true;
   }
 
   // An empty raw source empties the cross product before any predicate
   // runs, so no predicate error can surface — as in the odometer, which
   // never forms a combined row.
-  for (const auto& src : *sources) {
-    if (src.rows.empty()) return std::vector<Row>{};
-  }
+  if (empty_source) return std::vector<Row>{};
 
   // Pushed filters: evaluate single-source conjuncts on the source's
-  // own rows, before any join.
+  // own rows, before any join. A scan evaluates them on the row its
+  // store lends and copies only the rows they keep.
   for (size_t i = 0; i < sources->size(); ++i) {
-    bool has_filter = false;
-    for (const auto& f : plan.filters) {
-      if (f.source == i) has_filter = true;
-    }
-    if (!has_filter) continue;
     auto& src = (*sources)[i];
-    RowBinding local;
-    local.AddTable(src.effective_name, src.schema);
-    ExprEvaluator local_eval(
-        &local, [this](const SelectStmt& sub) -> Result<Value> {
-          return EvalScalarSubquery(sub);
-        });
-    std::vector<Row> kept;
-    std::vector<RowId> kept_ids;
-    kept.reserve(src.rows.size());
-    kept_ids.reserve(src.ids.size());
-    for (size_t r = 0; r < src.rows.size(); ++r) {
-      ++*rows_evaluated;
-      bool keep = true;
-      for (const auto& f : plan.filters) {
-        if (f.source != i) continue;
-        MSQL_ASSIGN_OR_RETURN(
-            keep, local_eval.EvalPredicate(*f.conjunct, src.rows[r]));
-        if (!keep) break;
-      }
-      if (!keep) continue;
-      kept.push_back(std::move(src.rows[r]));
-      if (!src.ids.empty()) kept_ids.push_back(src.ids[r]);
+    std::vector<const Expr*> filters;
+    for (const auto& f : plan.filters) {
+      if (f.source == i) filters.push_back(f.conjunct);
     }
-    src.rows = std::move(kept);
-    src.ids = std::move(kept_ids);
+    RowBinding local;
+    if (!filters.empty()) local.AddTable(src.effective_name, src.schema);
+    const ExprEvaluator local_eval = Evaluator(&local);
+    auto keep = [&](const Row& row) -> Result<bool> {
+      if (filters.empty()) return true;
+      ++*rows_evaluated;
+      return AllTrue(local_eval, filters, row);
+    };
+    if (scanned(i)) {
+      MSQL_RETURN_IF_ERROR(
+          src.table->Scan([&](RowId id, const Row& row) -> Status {
+            MSQL_ASSIGN_OR_RETURN(bool pass, keep(row));
+            if (pass) {
+              src.rows.push_back(row);
+              if (ids != nullptr) src.ids.push_back(id);
+            }
+            return Status::OK();
+          }));
+      rows_copied_ += static_cast<int64_t>(src.rows.size());
+    } else if (!filters.empty()) {
+      MSQL_RETURN_IF_ERROR(KeepIf(&src.rows, &src.ids, keep));
+    }
+  }
+
+  // One source: its rows are the joined rows, already at full width and
+  // in slot order, so only the final residual is left.
+  if (sources->size() == 1) {
+    auto& src = (*sources)[0];
+    if (!plan.final_residual.empty()) {
+      MSQL_RETURN_IF_ERROR(KeepIf(&src.rows, &src.ids, [&](const Row& row) {
+        return AllTrue(evaluator, plan.final_residual, row);
+      }));
+    }
+    if (ids != nullptr) *ids = std::move(src.ids);
+    return std::move(src.rows);
   }
 
   size_t total_width = 0;
@@ -607,14 +684,14 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
   for (size_t k = 0; k < plan.steps.size() && (k == 0 || !prefix.empty());
        ++k) {
     const JoinStep& step = plan.steps[k];
-    const auto& src = (*sources)[step.source];
+    auto& src = (*sources)[step.source];
     const size_t off = plan.source_offsets[step.source];
     if (k == 0) {
       prefix.reserve(src.rows.size());
       for (size_t r = 0; r < src.rows.size(); ++r) {
         JoinedRow j;
         j.row.assign(total_width, Value::Null_());
-        std::copy(src.rows[r].begin(), src.rows[r].end(),
+        std::move(src.rows[r].begin(), src.rows[r].end(),
                   j.row.begin() + static_cast<ptrdiff_t>(off));
         j.ord.assign(sources->size(), 0);
         j.ord[step.source] = static_cast<uint32_t>(r);
@@ -634,11 +711,8 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
                 j.row.begin() + static_cast<ptrdiff_t>(off));
       j.ord = p.ord;
       j.ord[step.source] = static_cast<uint32_t>(r);
-      bool keep = true;
-      for (const Expr* res : step.residual) {
-        MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*res, j.row));
-        if (!keep) break;
-      }
+      MSQL_ASSIGN_OR_RETURN(bool keep,
+                            AllTrue(evaluator, step.residual, j.row));
       if (keep) next.push_back(std::move(j));
       return Status::OK();
     };
@@ -707,14 +781,9 @@ Result<std::vector<Row>> Executor::RunPlannedJoin(
   std::vector<Row> matched_rows;
   matched_rows.reserve(prefix.size());
   for (auto& j : prefix) {
-    bool keep = true;
-    for (const Expr* res : plan.final_residual) {
-      MSQL_ASSIGN_OR_RETURN(keep, evaluator.EvalPredicate(*res, j.row));
-      if (!keep) break;
-    }
-    if (!keep) continue;
-    if (ids != nullptr) ids->push_back((*sources)[0].ids[j.ord[0]]);
-    matched_rows.push_back(std::move(j.row));
+    MSQL_ASSIGN_OR_RETURN(bool keep,
+                          AllTrue(evaluator, plan.final_residual, j.row));
+    if (keep) matched_rows.push_back(std::move(j.row));
   }
   return matched_rows;
 }
@@ -790,10 +859,7 @@ Status Executor::MatchTargets(const TableRef& ref, const Table* table,
   }
   RowBinding binding;
   binding.AddTable(sources[0].effective_name, sources[0].schema);
-  ExprEvaluator evaluator(
-      &binding, [this](const SelectStmt& sub) -> Result<Value> {
-        return EvalScalarSubquery(sub);
-      });
+  const ExprEvaluator evaluator = Evaluator(&binding);
   // Both access paths fetch in ascending rowid order (a scan walks the
   // slots, LookupIds is ascending) and the join keeps fetch order, so
   // `ids` comes out ascending.
@@ -837,10 +903,7 @@ Result<ResultSet> Executor::ExecuteInsert(const InsertStmt& stmt) {
     built = std::move(src.rows);
   } else {
     RowBinding empty_binding;
-    ExprEvaluator evaluator(
-        &empty_binding, [this](const SelectStmt& sub) -> Result<Value> {
-          return EvalScalarSubquery(sub);
-        });
+    const ExprEvaluator evaluator = Evaluator(&empty_binding);
     Row no_row;
     for (const auto& exprs : stmt.values_rows) {
       Row row;
@@ -912,10 +975,7 @@ Result<ResultSet> Executor::ExecuteUpdate(const UpdateStmt& stmt) {
       MatchTargets(stmt.table, table, stmt.where.get(), &ids, &rows, &out));
   RowBinding binding;
   binding.AddTable(ToLower(stmt.table.EffectiveName()), schema);
-  ExprEvaluator evaluator(
-      &binding, [this](const SelectStmt& sub) -> Result<Value> {
-        return EvalScalarSubquery(sub);
-      });
+  const ExprEvaluator evaluator = Evaluator(&binding);
   std::vector<Value> values(targets.size());
   for (Row& row : rows) {
     for (size_t i = 0; i < targets.size(); ++i) {

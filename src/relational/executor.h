@@ -57,6 +57,12 @@ Result<TableSchema> SchemaOf(const CreateTableStmt& stmt);
 /// ascending rowid order. `rows_scanned`, `rows_evaluated` and the
 /// plan text mean what they mean for that SELECT.
 ///
+/// A scan reads each stored row in place and copies only the rows its
+/// source's pushed filters keep. Per statement, the executor counts the
+/// rows it copies out of a store (scan survivors and probed rows) and
+/// its binding lookups, and adds both to the metrics registry once, as
+/// `sql.rows_copied` and `sql.column_binds`.
+///
 /// An Executor runs one statement, and each scalar subquery of it runs
 /// at most once: the first row that evaluates it computes its value,
 /// every later row reuses that value. This is exact because subqueries
@@ -93,6 +99,13 @@ class Executor {
   Result<std::string> Explain(const Statement& stmt);
 
  private:
+  /// Execute without the transaction check and the counter report.
+  Result<ResultSet> Dispatch(const Statement& stmt);
+
+  /// An evaluator over `binding` whose scalar subqueries go through the
+  /// statement's memo and whose binding lookups the statement counts.
+  ExprEvaluator Evaluator(const RowBinding* binding);
+
   /// One resolved FROM source: schema, effective name, and (for views)
   /// pre-materialized rows. Base-table rows are fetched later, once the
   /// plan has chosen an access path, together with their ids.
@@ -100,7 +113,8 @@ class Executor {
     std::string effective_name;
     TableSchema schema;
     std::vector<Row> rows;
-    std::vector<RowId> ids;        // base tables: one per fetched row
+    // Base tables: one per fetched row (a scan's only when asked for).
+    std::vector<RowId> ids;
     const Table* table = nullptr;  // null for views
   };
 
@@ -116,9 +130,11 @@ class Executor {
       const std::vector<ResolvedSource>& sources);
 
   /// The planned SELECT pipeline: fetch per access path, filter pushed
-  /// conjuncts per source, run the hash/nested-loop join steps, apply
-  /// the final residual. Produces joined rows in FROM-major order. With
-  /// `ids` (a plan over one base table), also returns each row's id.
+  /// conjuncts per source (a scan filters each row before copying it),
+  /// run the hash/nested-loop join steps, apply the final residual.
+  /// Produces joined rows in FROM-major order; one source skips the
+  /// joined rows and the order-restoring sort. With `ids` (a plan over one
+  /// base table), also returns each row's id.
   Result<std::vector<Row>> RunPlannedJoin(const SelectPlan& plan,
                                           std::vector<ResolvedSource>* sources,
                                           const ExprEvaluator& evaluator,
@@ -161,6 +177,9 @@ class Executor {
   /// Values of the scalar subqueries evaluated so far, keyed by the
   /// subquery's node in the statement (or in a view definition).
   std::unordered_map<const SelectStmt*, Value> subquery_values_;
+  /// Work of the statement so far, reported by Execute.
+  int64_t rows_copied_ = 0;
+  int64_t column_binds_ = 0;
 };
 
 }  // namespace msql::relational

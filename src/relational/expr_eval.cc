@@ -74,14 +74,23 @@ bool ExprEvaluator::LikeMatch(std::string_view pattern,
   return p == pattern.size();
 }
 
+Result<size_t> ExprEvaluator::Bind(const ColumnRefExpr& ref) const {
+  auto it = slots_.find(&ref);
+  if (it != slots_.end()) return it->second;
+  if (binds_ != nullptr) ++*binds_;
+  MSQL_ASSIGN_OR_RETURN(size_t idx,
+                        binding_->Resolve(ref.qualifier(), ref.name()));
+  slots_.emplace(&ref, idx);
+  return idx;
+}
+
 Result<Value> ExprEvaluator::Eval(const Expr& e, const Row& row) const {
   switch (e.kind()) {
     case ExprKind::kLiteral:
       return static_cast<const LiteralExpr&>(e).value();
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      MSQL_ASSIGN_OR_RETURN(size_t idx,
-                            binding_->Resolve(ref.qualifier(), ref.name()));
+      MSQL_ASSIGN_OR_RETURN(size_t idx, Bind(ref));
       if (idx >= row.size()) {
         return Status::Internal("row binding index out of range for " +
                                 ref.FullName());

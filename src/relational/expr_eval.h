@@ -1,10 +1,12 @@
 #ifndef MSQL_RELATIONAL_EXPR_EVAL_H_
 #define MSQL_RELATIONAL_EXPR_EVAL_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -43,6 +45,14 @@ Status IntegerOverflow();
 
 /// Evaluates SQL expressions against bound rows.
 ///
+/// Each column reference is bound once: the first row that evaluates a
+/// ColumnRefExpr resolves it through the binding, and every later row
+/// reads the slot kept for that node. A failed lookup is not kept, so an
+/// unknown or ambiguous name fails at the first row that reaches it,
+/// with the binding's Status. An evaluator serves one statement, whose
+/// nodes must stay alive while it evaluates: a node freed earlier could
+/// hand its address, and so its slot, to a new one.
+///
 /// Aggregate FunctionCall nodes are *not* computed here — the executor
 /// precomputes them per group and supplies their values keyed by node
 /// address via `aggregate_values`. A callback evaluates scalar
@@ -51,8 +61,11 @@ class ExprEvaluator {
  public:
   using SubqueryFn = std::function<Result<Value>(const SelectStmt&)>;
 
-  ExprEvaluator(const RowBinding* binding, SubqueryFn subquery_fn)
-      : binding_(binding), subquery_fn_(std::move(subquery_fn)) {}
+  /// `binds`, when given, counts the binding lookups this evaluator makes.
+  ExprEvaluator(const RowBinding* binding, SubqueryFn subquery_fn,
+                int64_t* binds = nullptr)
+      : binding_(binding), subquery_fn_(std::move(subquery_fn)),
+        binds_(binds) {}
 
   /// Supplies precomputed aggregate values (per current group).
   void set_aggregate_values(const std::map<const Expr*, Value>* values) {
@@ -72,6 +85,9 @@ class ExprEvaluator {
   static bool LikeMatch(std::string_view pattern, std::string_view text);
 
  private:
+  /// The row slot of `ref`, resolved on first use.
+  Result<size_t> Bind(const ColumnRefExpr& ref) const;
+
   Result<Value> EvalUnary(const UnaryExpr& e, const Row& row) const;
   Result<Value> EvalBinary(const BinaryExpr& e, const Row& row) const;
   Result<Value> EvalFunction(const FunctionCallExpr& e,
@@ -83,7 +99,10 @@ class ExprEvaluator {
 
   const RowBinding* binding_;
   SubqueryFn subquery_fn_;
+  int64_t* binds_;
   const std::map<const Expr*, Value>* aggregate_values_ = nullptr;
+  /// Row slot of every column reference bound so far.
+  mutable std::unordered_map<const ColumnRefExpr*, size_t> slots_;
 };
 
 /// Collects pointers to all aggregate FunctionCall nodes in `e`, outside

@@ -134,21 +134,11 @@ Result<Row> TableStorage::Read(RowId id) const {
   return DeserializeRow(bytes);
 }
 
-Status TableStorage::Scan(std::vector<Row>* rows,
-                          std::vector<RowId>* ids) const {
-  return ScanLiveRows([rows, ids](RowId id, Row row) {
-    rows->push_back(std::move(row));
-    if (ids != nullptr) ids->push_back(id);
-    return Status::OK();
-  });
-}
-
-Status TableStorage::ScanLiveRows(
-    const std::function<Status(RowId, Row)>& fn) const {
+Status TableStorage::ScanLive(const RowVisitor& fn) const {
   return heap_->ScanLive(
       [&](uint64_t rowid, std::string_view bytes) -> Status {
         MSQL_ASSIGN_OR_RETURN(Row row, DeserializeRow(bytes));
-        return fn(rowid, std::move(row));
+        return fn(rowid, row);
       });
 }
 
@@ -166,7 +156,7 @@ Result<std::unique_ptr<Index>> TableStorage::BuildIndex(
       index_name, column_index, column.type, mgr_,
       mgr_->NewIndexPath(db_, table_, index_name));
   MSQL_RETURN_IF_ERROR(index->OpenOrReset());
-  MSQL_RETURN_IF_ERROR(ScanLiveRows([&](RowId id, Row row) {
+  MSQL_RETURN_IF_ERROR(ScanLive([&](RowId id, const Row& row) {
     return index->Insert(row[column_index], id);
   }));
   // DDL logged outside a transaction is durable at once and replayed by

@@ -71,8 +71,8 @@ class TableStorage : public RowStore {
   Result<Row> Update(RowId id, Row row) override;
   Result<Row> Delete(RowId id) override;
   Result<Row> Read(RowId id) const override;
-  Status Scan(std::vector<Row>* rows,
-              std::vector<RowId>* ids) const override;
+  /// Decodes each live heap row in rowid order and lends it to `fn`.
+  Status ScanLive(const RowVisitor& fn) const override;
   Status ScanSlots(
       const std::function<Status(RowId, bool)>& fn) const override;
   /// A BtreeIndex populated from the heap. CREATE INDEX is logged once
@@ -84,9 +84,6 @@ class TableStorage : public RowStore {
   Status DropIndex(const std::string& index_name) override;
 
  private:
-  /// Deserializing scan over live rows in rowid order.
-  Status ScanLiveRows(const std::function<Status(RowId, Row)>& fn) const;
-
   StorageManager* mgr_;
   std::string db_;
   std::string table_;

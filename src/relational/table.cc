@@ -72,12 +72,9 @@ class MemoryRowStore : public RowStore {
 
   Result<Row> Read(RowId id) const override { return *slots_[id]; }
 
-  Status Scan(std::vector<Row>* rows,
-              std::vector<RowId>* ids) const override {
+  Status ScanLive(const RowVisitor& fn) const override {
     for (RowId id = 0; id < slots_.size(); ++id) {
-      if (!slots_[id].has_value()) continue;
-      rows->push_back(*slots_[id]);
-      if (ids != nullptr) ids->push_back(id);
+      if (slots_[id].has_value()) MSQL_RETURN_IF_ERROR(fn(id, *slots_[id]));
     }
     return Status::OK();
   }
@@ -237,11 +234,13 @@ Result<Row> Table::Update(RowId id, Row new_row) {
   return old;
 }
 
-Result<std::vector<Row>> Table::ScanRows(std::vector<RowId>* ids) const {
+Result<std::vector<Row>> Table::ScanRows() const {
   std::vector<Row> rows;
   rows.reserve(live_count_);
-  if (ids != nullptr) ids->reserve(ids->size() + live_count_);
-  MSQL_RETURN_IF_ERROR(store_->Scan(&rows, ids));
+  MSQL_RETURN_IF_ERROR(Scan([&rows](RowId, const Row& row) {
+    rows.push_back(row);
+    return Status::OK();
+  }));
   return rows;
 }
 

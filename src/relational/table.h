@@ -29,6 +29,9 @@ using Row = std::vector<Value>;
 /// undo of the operations that reused it.
 using RowId = uint64_t;
 
+/// A scan's callback: one live row, borrowed for the call.
+using RowVisitor = std::function<Status(RowId, const Row&)>;
+
 /// Where a Table keeps its row images. The Table decides which rowid a
 /// row occupies and which rowids are live; a store holds the image at
 /// each rowid it is given and builds the table's indexes over them.
@@ -53,10 +56,10 @@ class RowStore {
   /// The live row at `id`.
   virtual Result<Row> Read(RowId id) const = 0;
 
-  /// Appends every live row to `rows`, in rowid order, and its rowid to
-  /// `ids` when given.
-  virtual Status Scan(std::vector<Row>* rows,
-                      std::vector<RowId>* ids) const = 0;
+  /// Calls `fn(id, row)` for every live row, in rowid order, stopping at
+  /// the first error. The row is lent for the call only: the memory
+  /// store passes its slot, the paged store the row it just decoded.
+  virtual Status ScanLive(const RowVisitor& fn) const = 0;
   /// Calls `fn(id, live)` for every rowid the store has held, live or
   /// tombstoned, in rowid order.
   virtual Status ScanSlots(
@@ -81,9 +84,10 @@ std::unique_ptr<RowStore> NewMemoryRowStore();
 /// transaction manager can record precise undo information (the inverse
 /// primitive). The Table keeps, for every store alike, the rowid
 /// allocation (lowest free slot first), the live count and index
-/// maintenance; rows are read by copy (ReadRow, ScanRows). Owning the
-/// store means a paged table incarnation (one heap file) lives exactly
-/// as long as the catalog or an undo record holds its Table.
+/// maintenance; rows are read by copy (ReadRow, ScanRows) or lent to a
+/// scan's callback (Scan). Owning the store means a paged table
+/// incarnation (one heap file) lives exactly as long as the catalog or
+/// an undo record holds its Table.
 class Table {
  public:
   /// A table over `store`, with the rowid bookkeeping rebuilt from the
@@ -132,10 +136,12 @@ class Table {
   /// back and the index's error is returned.
   Result<Row> Update(RowId id, Row new_row);
 
-  /// All live rows in slot order (copy; paged tables materialize every
-  /// row — the planner's scan access path, while index probes stay
-  /// bounded). Appends each row's id to `ids` when given.
-  Result<std::vector<Row>> ScanRows(std::vector<RowId>* ids = nullptr) const;
+  /// Lends every live row to `fn`, in slot order (the planner's scan
+  /// access path: it copies only the rows its filters keep).
+  Status Scan(const RowVisitor& fn) const { return store_->ScanLive(fn); }
+
+  /// All live rows in slot order, copied.
+  Result<std::vector<Row>> ScanRows() const;
 
   // -- Secondary indexes ------------------------------------------------
 

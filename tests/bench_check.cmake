@@ -4,8 +4,9 @@
 # deterministic metrics against the baseline, failing on a >25%
 # regression. Wall-clock metrics are never compared (host time is
 # noisy); every compared metric is a simulated-clock figure or a work
-# counter (E16/E17's scheduler scan visits, E17's local SELECT count,
-# E18's SQL bytes parsed, E19's page reads/writes and WAL appends), exact
+# counter (E16/E17's scheduler scan visits, rows copied out of a store
+# and column binding lookups, E17's local SELECT count, E18's SQL bytes
+# parsed, E19's page reads/writes and WAL appends), exact
 # for a fixed seed. Baselines are the benches' `--quick`
 # outputs; comparisons are guarded on the workload-scale fields, so a
 # full-scale re-run simply skips entries whose scale differs from the
@@ -92,6 +93,8 @@ if(base)
   require(BENCH_concurrency.json "${base}" runs 0 p99_makespan_micros)
   require(BENCH_concurrency.json "${base}" runs 0 failures)
   require(BENCH_concurrency.json "${base}" runs 0 scan_visits)
+  require(BENCH_concurrency.json "${base}" runs 0 rows_copied)
+  require(BENCH_concurrency.json "${base}" runs 0 column_binds)
   if(fresh)
     set(skip FALSE)
     guard(BENCH_concurrency.json "${base}" "${fresh}" skip runs 0 sessions)
@@ -104,6 +107,13 @@ if(base)
       # unadmitted sessions grows with the batch instead.
       compare(BENCH_concurrency.json "${base}" "${fresh}"
               runs 0 scan_visits)
+      # Rows the local SELECTs copied out of a store, and their column
+      # binding lookups: copying before filtering, or binding per row,
+      # multiplies these.
+      compare(BENCH_concurrency.json "${base}" "${fresh}"
+              runs 0 rows_copied)
+      compare(BENCH_concurrency.json "${base}" "${fresh}"
+              runs 0 column_binds)
     endif()
   endif()
 endif()
@@ -122,6 +132,8 @@ if(base)
             completion_makespan_micros)
     require(BENCH_conflict_sched.json "${base}" runs ${run} local_selects)
     require(BENCH_conflict_sched.json "${base}" runs ${run} scan_visits)
+    require(BENCH_conflict_sched.json "${base}" runs ${run} rows_copied)
+    require(BENCH_conflict_sched.json "${base}" runs ${run} column_binds)
   endforeach()
   if(fresh)
     foreach(run 0 1)
@@ -139,6 +151,10 @@ if(base)
                 runs ${run} local_selects)
         compare(BENCH_conflict_sched.json "${base}" "${fresh}"
                 runs ${run} scan_visits)
+        compare(BENCH_conflict_sched.json "${base}" "${fresh}"
+                runs ${run} rows_copied)
+        compare(BENCH_conflict_sched.json "${base}" "${fresh}"
+                runs ${run} column_binds)
       endif()
     endforeach()
   endif()

@@ -295,6 +295,39 @@ TEST(DistOptDiffTest, FailedTransferDropsTheTableItCreated) {
   }
 }
 
+TEST(DistOptDiffTest, FailedTransferDropsEveryTableItsRunCreated) {
+  // avis_svc's fifth EXECUTE is the second TRANSFER's INSERT, after the
+  // first TRANSFER filled mdbs_tmp_avis and the second created its own
+  // table. Rejecting it ends the run INCORRECT before its drop tasks
+  // run; the run still drops both tables, or the next join at avis would
+  // fail with AlreadyExists.
+  auto sys = BuildPaperFederation();
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  auto clean = (*sys)->Execute(kCarsFlightsJoin);
+  ASSERT_TRUE(clean.ok() && clean->outcome == GlobalOutcome::kSuccess);
+
+  (*sys)->set_retry_policy(dol::RetryPolicy::None());
+  netsim::FaultPlan plan;
+  plan.rules.push_back(netsim::FaultRule::NthCall(
+      "avis_svc", netsim::LamRequestType::kExecute, 5,
+      netsim::FaultAction::kReject));
+  (*sys)->environment().fault_injector().SetPlan(plan);
+  auto failed = (*sys)->Execute(kCarsFlightsJoin);
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_EQ(failed->outcome, GlobalOutcome::kIncorrect);
+  EXPECT_EQ(failed->detail.code(), StatusCode::kUnavailable) << failed->detail;
+  EXPECT_EQ((*sys)->environment().fault_injector().stats().faults_fired, 1);
+  EXPECT_TRUE(ScratchTables(sys->get(), "avis_svc", "avis").empty());
+  EXPECT_TRUE(
+      ScratchTables(sys->get(), "continental_svc", "continental").empty());
+
+  auto again = (*sys)->Execute(kCarsFlightsJoin);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->outcome, GlobalOutcome::kSuccess) << again->detail;
+  EXPECT_EQ(SortedRows(again->join_result), SortedRows(clean->join_result));
+  EXPECT_TRUE(ScratchTables(sys->get(), "avis_svc", "avis").empty());
+}
+
 /// Skewed two-database federation: `alpha.small` holds 3 rows with 3
 /// distinct keys, `beta.big` holds `big_rows` rows keyed 0..big_rows-1.
 Result<std::unique_ptr<MultidatabaseSystem>> BuildSkewedPair(int big_rows) {

@@ -849,6 +849,115 @@ TEST(PlannerDiffTest, UnresolvableWhereShapesMatchOracle) {
   }
 }
 
+/// t0 and t1 with BuildUnresolvableDb's rows (t1 left empty unless
+/// `fill_t1`), no index, on `store`.
+void BuildScanDb(Store store, bool fill_t1, Db* out) {
+  out->Open(store);
+  out->Exec("CREATE TABLE t0 (k INTEGER, g TEXT, v REAL)");
+  out->Exec("CREATE TABLE t1 (k INTEGER, g TEXT, v REAL)");
+  out->Exec("INSERT INTO t0 VALUES (1, 'g1', 1.5), (2, 'g2', 2.5), "
+            "(3, NULL, NULL), (2, 'g0', 0.5)");
+  if (fill_t1) {
+    out->Exec("INSERT INTO t1 VALUES (2, 'g1', 3.5), (NULL, 'g2', 1.5), "
+              "(3, 'g1', NULL)");
+  }
+}
+
+TEST(PlannerDiffTest, FailingPushedFilterMatchesTheOracleOnEveryStore) {
+  // A scan evaluates a pushed filter on each stored row before it copies
+  // the row. These filters fail on some t0 rows. An empty t1 still
+  // empties the join before any filter runs; otherwise the first row to
+  // fail is the oracle's. The second WHERE fails differently on
+  // different rows (division by zero on k = 1, non-numeric arithmetic
+  // on k = 2), so only the oracle's row order gives its Status.
+  constexpr const char* kFailing[] = {
+      "10 / (a0.k - 2) > 0",
+      "(a0.k = 2 OR 10 / (a0.k - 1) > 0) AND (a0.k <> 2 OR a0.g + 1 > 0)",
+  };
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    for (bool fill_t1 : {false, true}) {
+      SCOPED_TRACE(fill_t1 ? "t1 filled" : "t1 empty");
+      Db db;
+      BuildScanDb(store, fill_t1, &db);
+      if (::testing::Test::HasFatalFailure()) return;
+      for (const char* where : kFailing) {
+        const std::string join =
+            std::string("SELECT * FROM t0 a0, t1 a1 WHERE ") + where;
+        JoinOutcome two = RunBoth(&db, join);
+        EXPECT_EQ(two.planned.ok(), !fill_t1) << join;
+        if (two.planned.ok()) {
+          EXPECT_TRUE(two.planned->rows.empty()) << join;
+        }
+        const std::string scan = std::string("SELECT * FROM t0 a0 WHERE ") +
+                                 where;
+        EXPECT_FALSE(RunBoth(&db, scan).planned.ok()) << scan;
+      }
+      // Guarded, the same division never fails: one source reports the
+      // oracle's rows_scanned and rows_evaluated.
+      const std::string guarded =
+          "SELECT * FROM t0 a0 WHERE a0.k <> 2 AND 10 / (a0.k - 2) > 0";
+      JoinOutcome out = RunBoth(&db, guarded);
+      ASSERT_TRUE(out.planned.ok() && out.oracle.ok()) << out.planned.status();
+      EXPECT_EQ(out.planned->rows.size(), 1u);
+      EXPECT_EQ(out.planned->rows_scanned, out.oracle->rows_scanned);
+      EXPECT_EQ(out.planned->rows_evaluated, out.oracle->rows_evaluated);
+    }
+  }
+}
+
+TEST(PlannerDiffTest, SelectListNamesFailOnlyOnAKeptRow) {
+  // The select list binds a name on the first row the WHERE keeps, so an
+  // unknown or ambiguous name there fails with its Status exactly when
+  // some row is kept, and a WHERE that keeps none returns no rows.
+  const std::string unknown =
+      Status::NotFound("unknown column 'ghost'").ToString();
+  const std::string unknown_qualified =
+      Status::NotFound("unknown column 'a9.k'").ToString();
+  const std::string ambiguous =
+      Status::InvalidArgument("ambiguous column reference 'k'").ToString();
+  struct Shape {
+    const char* select;
+    const char* from;
+    const char* where;
+    const std::string* error;  // null: no row is kept
+  };
+  const Shape shapes[] = {
+      {"ghost", "t0 a0", "a0.k = 99", nullptr},
+      {"ghost", "t0 a0", "a0.k = 2", &unknown},
+      {"a0.k + a9.k", "t0 a0", "a0.v > 99", nullptr},
+      {"a0.k + a9.k", "t0 a0", "a0.k = 3", &unknown_qualified},
+      {"a0.g, ghost", "t0 a0, t1 a1", "a0.k = 99", nullptr},
+      {"k", "t0 a0, t1 a1", "a0.k = 99 AND a1.k = 2", nullptr},
+      {"k", "t0 a0, t1 a1", "a0.k = a1.k", &ambiguous},
+  };
+  for (Store store : kStores) {
+    SCOPED_TRACE(StoreName(store));
+    Db db;
+    BuildScanDb(store, /*fill_t1=*/true, &db);
+    if (::testing::Test::HasFatalFailure()) return;
+    for (const Shape& shape : shapes) {
+      const std::string suffix = std::string(" FROM ") + shape.from +
+                                 " WHERE " + shape.where;
+      const std::string sql = std::string("SELECT ") + shape.select + suffix;
+      auto result = db.engine->Execute(db.session, sql);
+      if (shape.error != nullptr) {
+        EXPECT_EQ(result.status().ToString(), *shape.error) << sql;
+        continue;
+      }
+      ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
+      EXPECT_TRUE(result->rows.empty()) << sql;
+      // The join stage is that of `SELECT *` with the same WHERE.
+      JoinOutcome star = RunBoth(&db, "SELECT *" + suffix);
+      ASSERT_TRUE(star.oracle.ok()) << star.oracle.status();
+      EXPECT_EQ(result->rows_scanned, star.oracle->rows_scanned) << sql;
+      if (std::string(shape.from) == "t0 a0") {
+        EXPECT_EQ(result->rows_evaluated, star.oracle->rows_evaluated) << sql;
+      }
+    }
+  }
+}
+
 TEST(PlannerDiffTest, PlannedPathNeverScansMoreThanNaive) {
   // rows_scanned on the planned path is bounded by the oracle's full
   // scans: probes can only shrink the fetch, never grow it.

@@ -379,12 +379,34 @@ TEST_F(TableTest, ScanSkipsTombstones) {
         {Value::Integer(2), Value::Text("b"), Value::Real(2.0)});
     ASSERT_TRUE(table.Delete(a).ok());
     std::vector<RowId> ids;
-    auto rows = table.ScanRows(&ids);
-    ASSERT_TRUE(rows.ok()) << rows.status();
-    ASSERT_EQ(rows->size(), 1u);
+    std::vector<Row> rows;
+    Status scanned = table.Scan([&](RowId id, const Row& row) {
+      ids.push_back(id);
+      rows.push_back(row);
+      return Status::OK();
+    });
+    ASSERT_TRUE(scanned.ok()) << scanned;
+    ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(ids, std::vector<RowId>{b});
-    EXPECT_EQ(rows->at(0), *table.ReadRow(b));
-    EXPECT_EQ(table.ScanRows()->size(), 1u);
+    EXPECT_EQ(rows[0], *table.ReadRow(b));
+    EXPECT_EQ(*table.ScanRows(), rows);
+  });
+}
+
+TEST_F(TableTest, ScanStopsAtTheFirstError) {
+  OnBothStores([](Table& table) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(table
+                      .Insert({Value::Integer(i), Value::Text("a"),
+                               Value::Real(1.0)})
+                      .ok());
+    }
+    int visited = 0;
+    Status scanned = table.Scan([&](RowId, const Row&) {
+      return ++visited == 2 ? Status::ExecutionError("stop") : Status::OK();
+    });
+    EXPECT_EQ(scanned.ToString(), Status::ExecutionError("stop").ToString());
+    EXPECT_EQ(visited, 2);
   });
 }
 
